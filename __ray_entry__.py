@@ -536,18 +536,14 @@ def q_orders_by_segment(sf_dir: str):
 
     ds = _read_pq(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
 
-    from geotrellis_contrib_ray.stages.text import _WORKER_SCORER_CACHE as _wc
+    from geotrellis_contrib_ray.util import worker_cached
 
     def join_segment(b: pa.Table) -> pa.Table:
         # the segment side is an OBJECT array (python strings) — ray.get
-        # would unpickle it per task, so memoize the deserialized lookup in
-        # worker module state (the int keys side is zero-copy either way)
-        ck_key = lookup_ref.hex()
-        entry = _wc.get(ck_key)
-        if entry is None:
-            entry = ray.get(lookup_ref)
-            _wc[ck_key] = entry
-        keys, segs = entry
+        # would unpickle it per task, so memoize the deserialized lookup
+        # per worker (the int keys side is zero-copy either way)
+        keys, segs = worker_cached("entry.lookup", lookup_ref.hex(),
+                                   lambda: ray.get(lookup_ref))
         ck = b["o_custkey"].to_numpy(zero_copy_only=False)
         pos = np.searchsorted(keys, ck)
         pos = np.clip(pos, 0, len(keys) - 1)
@@ -599,7 +595,7 @@ def q_knn_many(sf_dir: str):
 
 
 def q_pip_zones_indexed(sf_dir: str):
-    """J1 via the actor-held grid polygon index (ST5) — same oracle as
+    """J1 via the per-worker grid polygon index (ST5) — same oracle as
     q_pip_zones (no doc point sits exactly on a zone edge, verified)."""
     from geotrellis_contrib_ray.core import geom as geommod
     from geotrellis_contrib_ray.pipelines.query_defs import ZONE_BOXES, ZONE_CONVEX
@@ -927,15 +923,11 @@ def q_customer_order_totals(sf_dir: str, tier: str = "auto"):
 
         li = _read_pq(f"{sf_dir}/lineitem.parquet",
                       columns=["l_orderkey", "l_extendedprice"])
-        from geotrellis_contrib_ray.stages.text import _WORKER_SCORER_CACHE as _wc
+        from geotrellis_contrib_ray.util import worker_cached
 
         def probe(b: pa.Table) -> pa.Table:
-            key = lookup_ref.hex()
-            entry = _wc.get(key)
-            if entry is None:
-                entry = ray.get(lookup_ref)
-                _wc[key] = entry
-            keys, segc = entry
+            keys, segc = worker_cached("entry.lookup", lookup_ref.hex(),
+                                       lambda: ray.get(lookup_ref))
             lk = b["l_orderkey"].to_numpy(zero_copy_only=False)
             p = np.clip(np.searchsorted(keys, lk), 0, len(keys) - 1)
             h = keys[p] == lk
@@ -1444,7 +1436,7 @@ def q_graph_rank(sf_dir: str, tier: str = "auto"):
         # disappears; only the global-distinct reduce stays wide
         import ray
 
-        from geotrellis_contrib_ray.stages.text import _WORKER_SCORER_CACHE as _wc
+        from geotrellis_contrib_ray.util import worker_cached
 
         ord_t = pq_.read_table(f"{sf_dir}/orders.parquet",
                                columns=["o_orderkey", "o_custkey"])
@@ -1454,12 +1446,8 @@ def q_graph_rank(sf_dir: str, tier: str = "auto"):
                               ord_t["o_custkey"].to_numpy()[oorder]))
 
         def pair_partial(b: pa.Table) -> pa.Table:
-            key = lookup_ref.hex()
-            entry = _wc.get(key)
-            if entry is None:
-                entry = ray.get(lookup_ref)
-                _wc[key] = entry
-            keys, cust = entry
+            keys, cust = worker_cached("entry.lookup", lookup_ref.hex(),
+                                       lambda: ray.get(lookup_ref))
             lk = b["l_orderkey"].to_numpy(zero_copy_only=False)
             p = np.clip(np.searchsorted(keys, lk), 0, max(len(keys) - 1, 0))
             hit = keys[p] == lk if len(keys) else np.zeros(len(lk), bool)
@@ -1797,7 +1785,7 @@ def _raster_tiff_path() -> str:
 
 def q_raster_tile_read(sf_dir: str):
     """S1/T7/T8 oracle: windowed tile reads of a REAL tiled GeoTIFF — tile
-    table from the WindowReader actor pool, per-tile pixel checksums match a
+    table from the per-worker window readers, per-tile pixel checksums match a
     DuckDB generate_series reproduction of the synthetic formula."""
     from geotrellis_contrib_ray.sources.tiff import TiffRasterSource
     from geotrellis_contrib_ray.stages import raster as rst
@@ -2444,7 +2432,7 @@ def q_kmeans_embed(sf_dir: str):
 
 def q_media_image_decode(sf_dir: str):
     """Multimodal oracle: REAL image decode (stdlib PNG/BMP/PPM codecs)
-    through the feature-extractor actor pool — decoded dims must match the
+    through the feature-extractor stage — decoded dims must match the
     deterministic generator formulas the DuckDB oracle replays.  Payload
     format rotates PNG/BMP/PPM/JPEG by index to exercise magic-byte sniffing
     (JPEG = the pure-numpy baseline-DCT codec in functions/jpeg.py; the dims
@@ -2600,7 +2588,7 @@ def q_top_docs_per_lang(sf_dir: str):
 
 def q_media_video_frames(sf_dir: str):
     """Multimodal oracle: REAL video decode (MJPEG-AVI container over the
-    pure-numpy JPEG codec) through the frame-sampler actor pool — frame
+    pure-numpy JPEG codec) through the frame-sampler stage — frame
     counts, sampled counts, dims and fps must match the generator formulas
     the DuckDB oracle replays."""
     import pyarrow as pa
@@ -2667,7 +2655,7 @@ def q_media_audio_frames(sf_dir: str):
 def q_media_image_checksum(sf_dir: str):
     """Pixel-EXACT image decode oracle: formula images through the three
     LOSSLESS codecs (PNG/BMP/PPM rotating by index) -> raw uint8 pixel sums
-    from the actor-pool extractor; the SQL twin re-sums the generator
+    from the feature-extractor stage; the SQL twin re-sums the generator
     formula cell by cell.  Complements media_image_decode (dims-only,
     includes the lossy JPEG path)."""
     import pyarrow as pa

@@ -83,8 +83,8 @@ def _host_calibration(reps: int = 3) -> float:
 def _bench_tiff_windows(n: int = 5888, tile: int = 256):
     """The reference's JMH workload (GeotrellisRasterSourceBench.scala:24-50):
     100 windowed reads of a real GeoTIFF — every 5th SpatialKey of a
-    FloatingLayoutScheme(256) layout, take 100 — through the WindowReader
-    actor pool.  File generated once under /tmp (deflate-tiled, int16)."""
+    FloatingLayoutScheme(256) layout, take 100 — through tile_dataset's
+    per-worker window readers.  File generated once under /tmp (deflate-tiled, int16)."""
     import numpy as np
 
     from geotrellis_contrib_ray.core.celltype import CellType

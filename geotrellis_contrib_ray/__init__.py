@@ -6,7 +6,7 @@ Layout:
   core/       pure numpy kernels: grid math, cells, geometry, cell types, CRS
   sources/    readers/writers + the interleaved documents corpus synthesis
   stages/     Ray Data map_batches / groupby stages (the operators)
-  state/      actor-held state: spatial indexes, checkpoint manifests
+  state/      per-worker state: spatial indexes, checkpoint manifests
   pipelines/  end-to-end pipelines (flagship geocode->cells->PIP->tiles)
   functions/  scalar function surface (distance, geojson, wkb, formatting)
 

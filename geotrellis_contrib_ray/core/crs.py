@@ -4,7 +4,7 @@ The reference delegates to Proj4 with expensive, lock-guarded transform objects
 (GeoTiffReprojectRasterSource.scala:63-69,132-134).  Here the supported CRS set
 is closed-form (EPSG:4326, EPSG:3857, and parameterized local affine/metric
 systems), so a ``Transformer`` is a cheap stateless pair of vectorized
-functions — cached per actor (ST3) purely to mirror the engine pattern.
+functions — cached per worker (ST3) purely to mirror the engine pattern.
 """
 
 from __future__ import annotations

@@ -226,19 +226,6 @@ def point_to_wkb(x: float, y: float, srid: int | None = None) -> bytes:
     return struct.pack("<BIIdd", 1, WKB_POINT | 0x20000000, srid, x, y)
 
 
-def points_to_wkb(xs: np.ndarray, ys: np.ndarray) -> list[bytes]:
-    """Vectorized-ish WKB encode for a point column (one bytes per row)."""
-    n = len(xs)
-    buf = np.empty((n, 21), dtype=np.uint8)
-    buf[:, 0] = 1
-    hdr = np.frombuffer(struct.pack("<I", WKB_POINT), dtype=np.uint8)
-    buf[:, 1:5] = hdr
-    buf[:, 5:13] = np.asarray(xs, dtype="<f8").view(np.uint8).reshape(n, 8)
-    buf[:, 13:21] = np.asarray(ys, dtype="<f8").view(np.uint8).reshape(n, 8)
-    b = buf.tobytes()
-    return [b[i * 21 : (i + 1) * 21] for i in range(n)]
-
-
 class _WkbReader:
     def __init__(self, data: bytes):
         self.data = data

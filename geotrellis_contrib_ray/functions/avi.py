@@ -8,8 +8,8 @@ chunks + fps from the stream header.  Everything here is the public AVI
 RIFF layout (Microsoft "AVI RIFF File Reference").
 
 Scope: one video stream, MJPG fourcc, no interleaved audio, no OpenDML
-extensions — a deployed pipeline hands exotic containers to PyAV in the
-actor pool; this keeps the Ray-side video plumbing testable with REAL
+extensions — a deployed pipeline hands exotic containers to PyAV behind a
+DecodeBackend; this keeps the Ray-side video plumbing testable with REAL
 encoded bytes end-to-end.
 """
 

@@ -10,7 +10,7 @@ libjpeg 5000/Q formula.
 Scope: baseline DCT (SOF0), 8-bit, 1 or 3 components, sampling factors in
 {1, 2} (4:4:4, 4:2:2, 4:2:0), optional restart intervals.  Progressive
 (SOF2) and arithmetic coding are out of scope — a deployed pipeline hands
-those to libjpeg-turbo in the actor pool; this codec keeps the Ray-side
+those to libjpeg-turbo behind a DecodeBackend; this codec keeps the Ray-side
 plumbing testable end-to-end with REAL entropy-coded bytes.
 
 Encoder is deterministic; decoder is exact for the subset (the lossy step is

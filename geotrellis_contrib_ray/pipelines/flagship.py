@@ -121,23 +121,6 @@ def flagship_over(docs_ds: "rd.Dataset", stats_sink: dict | None = None) -> "rd.
     ))
 
 
-def media_points(sf_dir: str) -> "rd.Dataset":
-    """Read documents, lift to interleaved spans, explode + geocode media
-    spans, assign cells and layout tile keys."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    ds = ds.map_batches(docs_to_spans, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,)
-    ds = ds.map_batches(explode_media_spans, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,)
-    ds = ds.map_batches(
-        lambda b: spatial.add_cell(
-            spatial.add_tile_key(b, QUERY_LAYOUT), CELL_RES, PARENT_RES
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=None,
-    )
-    return ds
-
-
 def flagship(sf_dir: str) -> "rd.Dataset":
     """Full flagship over the driver's documents table: lift to interleaved
     spans -> media points -> PIP join vs broadcast zones -> per

@@ -16,7 +16,7 @@ integral the source reports int32 cells, else float64 — the GDAL AAIGrid
 type-sniffing convention.  A text format has no internal tiling, so the
 whole grid parses on first read (one vectorized split+array pass)
 and windowed reads slice the cached array — the honest cost model, same
-as png.py.  ``__getstate__`` ships only the path (ST1 re-open per actor).
+as png.py.  ``__getstate__`` ships only the path (ST1 re-open per worker).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ SPI surface (CHANGELOG.md:52 "SPI interface for RasterSource").
 PNG has no internal tiling or overviews, so the WHOLE image decodes on first
 read and windowed reads slice the cached array — the honest cost model of
 the format (GDAL does the same for PNG).  The decoded array is held per
-handle, and `__getstate__` ships only the path (ST1: each actor re-opens in
+handle, and `__getstate__` ships only the path (ST1: each worker re-opens in
 its own process).
 """
 

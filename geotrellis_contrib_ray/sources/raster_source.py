@@ -17,7 +17,7 @@ Semantics carried over:
   (convertRaster, RasterSourceF.scala:178-184)
 
 No Ray here: sources are small picklable handles; Ray stages hold them in
-actor state (ST1/ST2) and call ``read`` per window.
+per-worker state (ST1/ST2) and call ``read`` per window.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ class RasterSource:
         - ``base``: always the full-resolution grid;
         - ``level-N``: the N-th overview (clamped), file order.
 
-        (ST4: memoized per (source, target grid) in reader actors; pure here.)
+        (ST4: memoized per (source, target grid) in reader workers; pure here.)
         """
         res = self.resolutions
         if strategy == "base":

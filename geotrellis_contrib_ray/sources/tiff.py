@@ -22,7 +22,7 @@ here for the classic tiled layout:
 
 ``TiffRasterSource`` parses the header LAZILY and exactly once per instance
 (`parse_count` is observable for tests); decoded tiles are memoized in a
-small per-instance LRU so repeated window reads inside one reader actor
+small per-instance LRU so repeated window reads inside one reader worker
 (ST1) do not re-inflate shared tiles.
 """
 
@@ -562,7 +562,7 @@ class TiffRasterSource(RasterSource):
             pass
 
     def __getstate__(self):
-        # ST1 semantics: the handle is NOT shipped — each actor re-opens and
+        # ST1 semantics: the handle is NOT shipped — each worker re-opens and
         # re-parses lazily in its own process (a broadcast source list stays
         # a list of small path handles, not file bodies)
         return {"path": self.path, "_cache_cap": self._cache_cap}

@@ -39,8 +39,8 @@ def _embedding_matrix(col) -> np.ndarray:
 class CosineTopK:
     """Per-batch partial top-k by cosine similarity against broadcast queries.
 
-    Query matrix is normalized once in __init__ (actor-pool pattern);
-    each batch does one (B, d) x (d, Q) matmul."""
+    Query matrix is normalized once in __init__ (built once per worker via
+    ``util.worker_cached``); each batch does one (B, d) x (d, Q) matmul."""
 
     def __init__(self, queries: np.ndarray, k: int, id_col: str = "vec_id"):
         q = np.asarray(queries, dtype=np.float64)
@@ -79,43 +79,27 @@ class CosineTopK:
         )
 
 
-# worker-global scorer cache for the task-pool tier (see knn_indexed)
-_WORKER_SCORER_CACHE: dict = {}
+def _scored_partials(ds, scorer_cls, queries: np.ndarray, k: int, id_col: str, batch_size):
+    """Per-batch partial top-k in plain tasks: the query matrix is broadcast
+    once and the scorer built once per worker process."""
+    import ray
+
+    from ..util import worker_cached
+
+    qref = ray.put(np.asarray(queries, dtype=np.float64))
+
+    def score(batch: pa.Table) -> pa.Table:
+        scorer = worker_cached("ann.scorer", (scorer_cls.__name__, qref.hex(), k, id_col),
+                               lambda: scorer_cls(ray.get(qref), k, id_col))
+        return scorer(batch)
+
+    return ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=batch_size)
 
 
-def ann_topk(ds, queries: np.ndarray, k: int, id_col: str = "vec_id", batch_size=65536,
-             concurrency: int | None = None):
-    """Brute-force cosine top-k: map_batches partial -> groupby(query) final.
-
-    Default tier = task pool with the normalized query matrix broadcast via
-    ray.put and memoized per worker (no actor-pool spin-up); explicit
-    ``concurrency=`` selects the actor pool."""
-    if concurrency is not None:
-        partial = ds.map_batches(
-            CosineTopK,
-            fn_constructor_kwargs={"queries": queries, "k": k, "id_col": id_col},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
-    else:
-        import ray
-
-        qref = ray.put(np.asarray(queries, dtype=np.float64))
-
-        def score(batch: pa.Table) -> pa.Table:
-            key = (qref.hex(), k, id_col)
-            scorer = _WORKER_SCORER_CACHE.get(key)
-            if scorer is None:
-                scorer = CosineTopK(ray.get(qref), k, id_col)
-                _WORKER_SCORER_CACHE.clear()
-                _WORKER_SCORER_CACHE[key] = scorer
-            return scorer(batch)
-
-        partial = ds.map_batches(
-            score, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
-        )
+def ann_topk(ds, queries: np.ndarray, k: int, id_col: str = "vec_id", batch_size=65536):
+    """Brute-force cosine top-k: map_batches partial -> groupby(query) final."""
+    partial = _scored_partials(ds, CosineTopK, queries, k, id_col, batch_size)
 
     # total merge: vectorized bounded-salt top-k (no per-query pandas groups)
     from .stats import top_k_per_group
@@ -125,7 +109,7 @@ def ann_topk(ds, queries: np.ndarray, k: int, id_col: str = "vec_id", batch_size
 
 
 def ann_topk_ranks(ds, queries: np.ndarray, k: int, query_ids, id_col: str = "vec_id",
-                   batch_size=65536, concurrency: int | None = None):
+                   batch_size=65536):
     """ann_topk with an integer-only output (query_id, vec_id, rnk).
 
     The float similarity is dropped so the result is hash-comparable against
@@ -134,35 +118,8 @@ def ann_topk_ranks(ds, queries: np.ndarray, k: int, query_ids, id_col: str = "ve
     (~1e-7 here vs ~1e-3 gaps on the synthetic embeddings), but never on the
     similarity BITS (different summation order).  query_id is remapped from
     the positional index to the caller's stable id (the query row's vec_id)."""
-    import ray
-
     qid = np.asarray(query_ids, dtype=np.int64)
-    if concurrency is not None:
-        partial = ds.map_batches(
-            CosineTopK,
-            fn_constructor_kwargs={"queries": queries, "k": k, "id_col": id_col},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
-    else:
-        # task tier with the normalized query matrix memoized per worker
-        # (same pattern as ann_topk above)
-        qref = ray.put(np.asarray(queries, dtype=np.float64))
-
-        def score(batch: pa.Table) -> pa.Table:
-            key = (qref.hex(), k, id_col)
-            scorer = _WORKER_SCORER_CACHE.get(key)
-            if scorer is None:
-                scorer = CosineTopK(ray.get(qref), k, id_col)
-                _WORKER_SCORER_CACHE.clear()
-                _WORKER_SCORER_CACHE[key] = scorer
-            return scorer(batch)
-
-        partial = ds.map_batches(
-            score, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
-        )
+    partial = _scored_partials(ds, CosineTopK, queries, k, id_col, batch_size)
 
     from .stats import top_k_per_group
 
@@ -362,24 +319,10 @@ def ann_topk_exact(ds, queries: np.ndarray, k: int, query_ids, id_col: str = "ve
     rnk) — every column integer, hash-comparable against the generated SQL
     twin with NO float-margin assumption anywhere (unlike ann_topk_ranks,
     which relies on rank gaps exceeding float noise)."""
-    import ray
-
     from .stats import top_k_per_group
 
     qid = np.asarray(query_ids, dtype=np.int64)
-    qref = ray.put(np.asarray(queries, dtype=np.float64))
-
-    def score(batch: pa.Table) -> pa.Table:
-        key = ("exact", qref.hex(), k, id_col)
-        scorer = _WORKER_SCORER_CACHE.get(key)
-        if scorer is None:
-            scorer = QuantizedCosineTopK(ray.get(qref), k, id_col)
-            _WORKER_SCORER_CACHE.clear()
-            _WORKER_SCORER_CACHE[key] = scorer
-        return scorer(batch)
-
-    partial = ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True,
-                             batch_size=batch_size)
+    partial = _scored_partials(ds, QuantizedCosineTopK, queries, k, id_col, batch_size)
     top = top_k_per_group(partial, group_col="query_id", order_col="score",
                           k=k, tie_col="vec_id", ascending=False, rank_col="rnk")
 

@@ -24,8 +24,6 @@ def _shuffle_parts() -> int:
 
     return _default_shuffle_partitions()
 
-# worker-process-global sketcher cache (task-pool tier; see knn_indexed)
-_WORKER_SKETCHER_CACHE: dict[tuple, object] = {}
 
 # over-cap LSH buckets are skipped, but never silently: the drop is logged
 # with its size so truncated coverage is visible in worker logs/metrics
@@ -226,10 +224,10 @@ def _shingle_hashes(texts: pa.Array, k: int) -> list[np.ndarray]:
 
 
 class MinHashLSH:
-    """Actor-pool stage: doc text -> (band_id, band_hash, doc_id) rows.
+    """Stage: doc text -> (band_id, band_hash, doc_id) rows.
 
     num_perm minhashes via the standard (a*x+b) mod p universal family;
-    permutation parameters generated once per actor in __init__ (seed-fixed).
+    permutation parameters generated once in __init__ (seed-fixed).
     Bands of r rows each; near-duplicates collide in >=1 band and are grouped
     by a downstream groupby(["band_id", "band_hash"]).
     """
@@ -328,10 +326,10 @@ def _bucket_runs(hashes: np.ndarray, order: np.ndarray):
     return starts, ends
 
 
-def minhash_candidate_pairs(ds, num_perm=64, bands=16, shingle_k=5, concurrency=None,
+def minhash_candidate_pairs(ds, num_perm=64, bands=16, shingle_k=5,
                             group_salt: int = 64, max_bucket: int = 1000,
                             distinct: bool = True):
-    """Near-dup candidate pairs via LSH banding: actor-pool signature stage ->
+    """Near-dup candidate pairs via LSH banding: signature stage ->
     groupby((band, band_hash % group_salt)) -> vectorized run-based pair
     emission -> distinct.
 
@@ -343,32 +341,18 @@ def minhash_candidate_pairs(ds, num_perm=64, bands=16, shingle_k=5, concurrency=
     (corpus x bands / (bands x group_salt) rows) fits a worker — scale
     ``group_salt`` with the corpus.  Output: id1 < id2 candidate pairs
     (verify Jaccard downstream)."""
-    if concurrency is not None:
-        # explicit actor pool (long-lived repeat workloads)
-        banded = ds.map_batches(
-            MinHashLSH,
-            fn_constructor_kwargs={"num_perm": num_perm, "bands": bands, "shingle_k": shingle_k},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-            concurrency=concurrency,
-        )
-    else:
-        # task pool with the (seed-fixed, deterministic) sketcher memoized in
-        # worker module state: same compile-once-per-worker semantics as the
-        # actor pool without its ~1.3 s spin-up (see knn_indexed)
-        key = (num_perm, bands, shingle_k)
+    from ..util import worker_cached
 
-        def band_rows(batch: pa.Table) -> pa.Table:
-            sk = _WORKER_SKETCHER_CACHE.get(key)
-            if sk is None:
-                sk = MinHashLSH(num_perm=num_perm, bands=bands, shingle_k=shingle_k)
-                _WORKER_SKETCHER_CACHE[key] = sk
-            return sk(batch)
+    def band_rows(batch: pa.Table) -> pa.Table:
+        # the seed-fixed sketcher is built once per worker process
+        sk = worker_cached(
+            "dedup.minhash", (num_perm, bands, shingle_k),
+            lambda: MinHashLSH(num_perm=num_perm, bands=bands, shingle_k=shingle_k))
+        return sk(batch)
 
-        banded = ds.map_batches(
-            band_rows, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        )
+    banded = ds.map_batches(
+        band_rows, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    )
 
     def add_salt(b: pa.Table) -> pa.Table:
         salt = (b["band_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
@@ -420,23 +404,6 @@ def minhash_candidate_pairs(ds, num_perm=64, bands=16, shingle_k=5, concurrency=
 
     return salted_group_reduce(cand, ["id1", "id2"],
                                [(None, "count", "n_bands")], salt=group_salt)
-
-
-def jaccard_verify(pairs_df, texts_by_id: dict, shingle_k: int = 5, threshold: float = 0.7):
-    """Driver-side verification for small candidate sets (tests); the scaled
-    path re-joins text via broadcast and verifies inside map_batches."""
-    import pandas as pd
-
-    def shingles(t: str):
-        return {t[i : i + shingle_k] for i in range(max(0, len(t) - shingle_k + 1))}
-
-    rows = []
-    for id1, id2 in zip(pairs_df["id1"], pairs_df["id2"]):
-        s1, s2 = shingles(texts_by_id[id1]), shingles(texts_by_id[id2])
-        j = len(s1 & s2) / max(1, len(s1 | s2))
-        if j >= threshold:
-            rows.append((id1, id2, j))
-    return pd.DataFrame(rows, columns=["id1", "id2", "jaccard"])
 
 
 # ---------------------------------------------------------------------------
@@ -1348,41 +1315,21 @@ def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
 
 
 class MultiBandHyperplaneLSH:
-    """Actor-pool stage: banded random-hyperplane signatures — ``n_bands``
-    independent hash tables of ``n_planes`` planes each (2^n_planes buckets
-    per band).  A near-dup pair collides in >=1 band with high probability;
-    each band's bucket space is 2^n_planes (>= 2^12 by default), so no bucket
-    holds a constant fraction of the corpus the way a single-table 2^4 layout
-    did.  Plane matrices are seed-fixed and built once per actor on the first
-    batch (dimension comes from the data)."""
+    """Banded random-hyperplane signatures — ``n_bands`` independent hash
+    tables of ``n_planes`` planes each (2^n_planes buckets per band).  A
+    near-dup pair collides in >=1 band with high probability; each band's
+    bucket space is 2^n_planes (>= 2^12 by default), so no bucket holds a
+    constant fraction of the corpus the way a single-table 2^4 layout did.
+    Plane matrices are seed-fixed and sized for one embedding dimension
+    ``dim``."""
 
-    def __init__(self, n_planes: int = 12, n_bands: int = 4, seed: int = 42):
+    def __init__(self, dim: int, n_planes: int = 12, n_bands: int = 4, seed: int = 42):
         self.n_planes = n_planes
-        self.n_bands = n_bands
-        self.seed = seed
-        self._planes: list[np.ndarray] | None = None
+        rng = np.random.default_rng(seed)
+        self._planes = [rng.standard_normal((dim, n_planes)) for _ in range(n_bands)]
 
-    def _ensure_planes(self, dim: int):
-        if self._planes is None:
-            rng = np.random.default_rng(self.seed)
-            self._planes = [
-                rng.standard_normal((dim, self.n_planes)) for _ in range(self.n_bands)
-            ]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .ann import _embedding_matrix
-
-        emb = _embedding_matrix(batch["embedding"])
-        if emb.shape[0] == 0:
-            return pa.table(
-                {
-                    "vec_id": batch["vec_id"],
-                    "embedding": batch["embedding"],
-                    "band": pa.array([], pa.int32()),
-                    "bucket": pa.array([], pa.int64()),
-                }
-            )
-        self._ensure_planes(emb.shape[1])
+    def __call__(self, batch: pa.Table, emb: np.ndarray) -> pa.Table:
+        """``emb``: the batch's (n, dim) embedding matrix, n >= 1."""
         weights = 1 << np.arange(self.n_planes, dtype=np.int64)
         outs = []
         for b, planes in enumerate(self._planes):
@@ -1400,6 +1347,30 @@ class MultiBandHyperplaneLSH:
         return pa.concat_tables(outs)
 
 
+def _lsh_buckets(ds, namespace: str, params: tuple, make_sketcher):
+    """Banded LSH bucket rows in plain tasks.  The sketcher's planes are
+    sized from the data, so it is built once per worker process AND
+    embedding dimension (``make_sketcher(dim)``)."""
+    from ..util import worker_cached
+    from .ann import _embedding_matrix
+
+    def bucket_rows(batch: pa.Table) -> pa.Table:
+        emb = _embedding_matrix(batch["embedding"])
+        if emb.shape[0] == 0:
+            return pa.table({
+                "vec_id": batch["vec_id"],
+                "embedding": batch["embedding"],
+                "band": pa.array([], pa.int32()),
+                "bucket": pa.array([], pa.int64()),
+            })
+        dim = emb.shape[1]
+        sk = worker_cached(namespace, params + (dim,), lambda: make_sketcher(dim))
+        return sk(batch, emb)
+
+    return ds.map_batches(bucket_rows, batch_format="pyarrow", zero_copy_batch=True,
+                          batch_size=None)
+
+
 def embedding_neardup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
                             n_planes: int = 12, n_bands: int = 4, max_bucket: int = 2000):
     """Embedding-cosine near-dup: multi-band hyperplane LSH (n_bands tables x
@@ -1409,16 +1380,8 @@ def embedding_neardup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     Over-cap buckets are skipped with a LOGGED drop (never silent); shuffle
     payload is n_bands copies of (id, embedding, band, bucket).
     Output: id1 < id2, cosine."""
-    from ..util import default_pool_size
-
-    bucketed = ds.map_batches(
-        MultiBandHyperplaneLSH,
-        fn_constructor_kwargs={"n_planes": n_planes, "n_bands": n_bands},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=None,
-        concurrency=default_pool_size(),
-    )
+    bucketed = _lsh_buckets(ds, "dedup.hyperplane_lsh", (n_planes, n_bands),
+                            lambda dim: MultiBandHyperplaneLSH(dim, n_planes, n_bands))
 
     def pairs(g):
         ids = g[id_col].to_numpy()
@@ -1482,42 +1445,16 @@ def integer_planes(dim: int, n_planes: int, n_bands: int, seed: int = 42) -> lis
             for _ in range(n_bands)]
 
 
-class QuantizedMultiBandLSH:
+class QuantizedMultiBandLSH(MultiBandHyperplaneLSH):
     """MultiBandHyperplaneLSH with integer planes over quantized embeddings:
     bucket bit j of band b = sign(sum_i q_i * plane[b][i, j]) — exact."""
 
-    def __init__(self, n_planes: int = 6, n_bands: int = 6, seed: int = 42):
+    def __init__(self, dim: int, n_planes: int = 6, n_bands: int = 6, seed: int = 42):
         self.n_planes = n_planes
-        self.n_bands = n_bands
-        self.seed = seed
-        self._planes: list[np.ndarray] | None = None
+        self._planes = integer_planes(dim, n_planes, n_bands, seed)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .ann import _embedding_matrix
-
-        emb = _embedding_matrix(batch["embedding"])
-        if emb.shape[0] == 0:
-            return pa.table({
-                "vec_id": batch["vec_id"],
-                "embedding": batch["embedding"],
-                "band": pa.array([], pa.int32()),
-                "bucket": pa.array([], pa.int64()),
-            })
-        if self._planes is None:
-            self._planes = integer_planes(emb.shape[1], self.n_planes,
-                                          self.n_bands, self.seed)
-        q = quantize_embeddings(emb)
-        weights = 1 << np.arange(self.n_planes, dtype=np.int64)
-        outs = []
-        for b, planes in enumerate(self._planes):
-            bucket = ((q @ planes) > 0).astype(np.int64) @ weights
-            outs.append(pa.table({
-                "vec_id": batch["vec_id"],
-                "embedding": batch["embedding"],
-                "band": pa.array(np.full(len(batch), b, dtype=np.int32)),
-                "bucket": pa.array(bucket),
-            }))
-        return pa.concat_tables(outs)
+    def __call__(self, batch: pa.Table, emb: np.ndarray) -> pa.Table:
+        return super().__call__(batch, quantize_embeddings(emb))
 
 
 def embedding_neardup_pairs_exact(ds, threshold_num: int = 9, threshold_den: int = 100,
@@ -1533,22 +1470,9 @@ def embedding_neardup_pairs_exact(ds, threshold_num: int = 9, threshold_den: int
     Output: id1 < id2, dot_q, d1, d2 — all int64, hash-comparable against
     the generated DuckDB twin.  Over-cap buckets are logged drops, same
     policy as the float variant.  The sketcher's state is PURE DERIVED
-    (seed-fixed integer planes), so the default tier is plain tasks with
-    the instance memoized per worker (the CLAUDE.md task-tier rule —
-    actor pools cost ~1.3 s spin-up per query here)."""
-    key = ("qlsh", n_planes, n_bands)
-
-    def bucket_rows(batch: pa.Table) -> pa.Table:
-        sk = _WORKER_SKETCHER_CACHE.get(key)
-        if sk is None:
-            sk = QuantizedMultiBandLSH(n_planes=n_planes, n_bands=n_bands)
-            _WORKER_SKETCHER_CACHE[key] = sk
-        return sk(batch)
-
-    bucketed = ds.map_batches(
-        bucket_rows, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None,
-    )
+    (seed-fixed integer planes), built once per worker process."""
+    bucketed = _lsh_buckets(ds, "dedup.quantized_lsh", (n_planes, n_bands),
+                            lambda dim: QuantizedMultiBandLSH(dim, n_planes, n_bands))
 
     def pairs(g):
         ids = g[id_col].to_numpy()
@@ -1603,14 +1527,6 @@ def embedding_neardup_pairs_exact(ds, threshold_num: int = 9, threshold_den: int
 
 
 _POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized 64-bit hamming distance via a byte popcount LUT (8 table
-    gathers per word instead of 64 shift-mask rounds)."""
-    x = np.ascontiguousarray(np.bitwise_xor(a, b))
-    by = x.view(np.uint8).reshape(x.shape + (8,))
-    return _POPCNT8[by].sum(axis=-1, dtype=np.int64)
 
 
 def contamination_check(ds, bench_ds, shingle_k: int = 8,
@@ -2765,7 +2681,7 @@ def priority_dedup_keep_best(ds, priority_of: dict, default_priority: int,
             raise ValueError("priority_dedup_keep_best: priorities must be "
                              "in [0, 2^23) for the packed winner key")
     srcs = sorted(priority_of)
-    src_arr = np.array(srcs, dtype=object)
+    src_set = pa.array(srcs, pa.string())
     prio_arr = np.array([priority_of[s] for s in srcs], np.int64)
 
     def rows(batch: pa.Table) -> pa.Table:
@@ -2778,18 +2694,20 @@ def priority_dedup_keep_best(ds, priority_of: dict, default_priority: int,
         valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
         sel = pa.array(valid)
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[valid]
-        src = batch[source_col].to_numpy(zero_copy_only=False)[valid]
+        src = batch[source_col]
+        if isinstance(src, pa.ChunkedArray):
+            src = src.combine_chunks()
+        src = src.filter(sel).cast(pa.string())
         texts = texts.filter(sel).cast(pa.string())
         if len(ids) and (ids.min() < 0 or ids.max() >= (1 << _PRIO_ID_BITS)):
             raise ValueError("priority_dedup_keep_best: ids must fit 2^40")
-        # vectorized priority lookup: searchsorted into the sorted source
-        # table (unknown sources take the default)
-        if len(src_arr) and len(src):
-            pos = np.clip(np.searchsorted(src_arr, src), 0, len(src_arr) - 1)
-            known = src_arr[pos] == src
-            prio = np.where(known, prio_arr[pos], default_priority)
-        else:
-            prio = np.full(len(src), default_priority, np.int64)
+        # vectorized priority lookup: unknown AND NULL sources take the
+        # default (the SQL twin's CASE ... ELSE)
+        prio = np.full(len(src), default_priority, np.int64)
+        if len(srcs):
+            pos = pc.index_in(src, value_set=src_set)
+            known = pc.is_valid(pos).to_numpy(zero_copy_only=False)
+            prio[known] = prio_arr[pos.drop_null().to_numpy(zero_copy_only=False)]
         packed = (prio.astype(np.int64) << _PRIO_ID_BITS) | ids
         return pa.table({"h1": pa.array(hash_utf8_array(texts, seed=0)),
                          "h2": pa.array(hash_utf8_array(texts, seed=1)),

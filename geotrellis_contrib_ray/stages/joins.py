@@ -1,6 +1,6 @@
 """Join strategies for the engine.
 
-Three tiers, picked by side sizes (README scale rules):
+Two tiers, picked by side sizes (README scale rules):
 1. broadcast — small side via ray.put, lookup inside map_batches (see
    __ray_entry__.q_orders_by_segment);
 2. bucketed hash join — the DEFAULT when both sides are large: hash both
@@ -8,30 +8,16 @@ Three tiers, picked by side sizes (README scale rules):
    Arrow-merge within the bucket.  One sort-shuffle pass per side, no extra
    actor pools; B and the optional per-key salt are the documented skew
    knobs.  B defaults to ~2x cluster CPUs (measured sweet spot — enough
-   reduce parallelism without per-bucket overhead dominating).
-3. native hash join — ``Dataset.join`` (Ray's hash-shuffle operator with a
-   dedicated aggregator-actor pool).  Kept as an alternate tier: on this
-   sandbox its aggregator-pool startup dominates (measured sf0.1
-   lineitem x orders: bucketed b32 4.2 s vs native p32 25 s / p16 14 s), and
-   mid-pipeline it competes for CPUs with neighboring stages; on a
-   long-lived multi-node cluster with warm actor pools the economics can
-   flip, so the tier stays selectable.
+   reduce parallelism without per-bucket overhead dominating).  Ray's
+   native ``Dataset.join`` is not used: its aggregator-actor pool start-up
+   dominates (sf0.1 lineitem x orders: bucketed b32 4.2 s vs native
+   p32 25 s / p16 14 s).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-
-def native_hash_join(left, right, on: str, *, num_partitions: int | None = None, join_type: str = "inner"):
-    """Tier-3 alternate: Ray's built-in hash-partitioned join.
-
-    num_partitions defaults to ~cluster CPUs (bounded by Ray's 64-aggregator
-    cap) — more partitions than aggregators only adds scheduling overhead."""
-    if num_partitions is None:
-        num_partitions = default_join_partitions(factor=1, cap=64)
-    return left.join(right, join_type, num_partitions, on=(on,))
 
 
 def default_join_partitions(factor: int = 8, floor: int = 16, cap: int = 512) -> int:
@@ -99,8 +85,12 @@ def bucketed_hash_join(left, right, on: str, *, buckets: int | None = None, how:
         rschema = right.schema()
         if lschema is None or rschema is None:
             # a zero-block side with no declared schema: the inner join is
-            # empty and its column set is unknowable — return the uniform
-            # zero-block empty (downstream UDFs never run on zero blocks)
+            # empty, so return the uniform zero-block empty (downstream UDFs
+            # never run on zero blocks); an outer join keeps the other
+            # side's rows, whose output columns are unknowable here
+            if how != "inner":
+                raise ValueError(
+                    f"how={how!r} join with a schema-less empty side: pass schemas=")
             import ray.data as rd
 
             return rd.range(0)
@@ -265,27 +255,22 @@ def asof_join(left, right, *, by: str, on: str, right_value: str, buckets: int =
 
 # --- interval / range join -------------------------------------------------
 
-# worker-process-global stab-tree cache (same reuse semantics as the index
-# caches in state/spatial_index.py: prestarted workers persist module state)
-_WORKER_INTERVAL_CACHE: dict = {}
-
-
 def _cached_interval_tree(ref):
+    """(interval ids, stab tree) built once per worker from the broadcast."""
     import ray
 
-    key = ref.hex()
-    entry = _WORKER_INTERVAL_CACHE.get(key)
-    if entry is None:
+    from ..util import worker_cached
+
+    def build():
         from ..state.rtree import HilbertRTree
 
         ivals = np.asarray(ray.get(ref), dtype=np.float64)  # (n, 3): id, lo, hi
         boxes = np.column_stack(
             [ivals[:, 1], np.zeros(len(ivals)), ivals[:, 2], np.ones(len(ivals))]
         )
-        entry = (ivals[:, 0].astype(np.int64), HilbertRTree(boxes))
-        _WORKER_INTERVAL_CACHE.clear()  # one live interval set per worker
-        _WORKER_INTERVAL_CACHE[key] = entry
-    return entry
+        return ivals[:, 0].astype(np.int64), HilbertRTree(boxes)
+
+    return worker_cached("joins.interval_tree", ref.hex(), build)
 
 
 def interval_join(points, intervals, *, on: str, keep_cols=("event_id",),

@@ -2,7 +2,8 @@
 
 Media payloads are ``binary`` columns + typed metadata (media_type, width,
 height, sample_rate...).  Decode / resize / feature-extract / frame-sample
-are actor-pool map_batches stages behind a pluggable ``DecodeBackend``:
+are plain-task map_batches stages behind a pluggable ``DecodeBackend``
+(the stage object, backend included, ships once in the task closure):
 
 - ``StdlibDecodeBackend`` — REAL decoding, zero dependencies: PPM/BMP/PNG
   images and PCM WAV audio via ``functions/codecs.py`` (struct+zlib+wave).
@@ -118,11 +119,11 @@ def synth_media_table(refs: list[str], media_type: str = "image") -> pa.Table:
 
 
 class ImageFeatureExtractor:
-    """Actor-pool stage: decode -> resize (mean-pool to target) -> global
-    stats features.  Backend constructed once per actor (model-load slot).
+    """Stage: decode -> resize (mean-pool to target) -> global stats
+    features.
 
     Batch sizing note: payloads are wide rows — callers should pass a small
-    batch_size so batch x concurrency fits the worker heap."""
+    batch_size so one batch per worker fits the worker heap."""
 
     def __init__(self, backend: DecodeBackend | None = None, target: int = 8):
         self.backend = backend or FakeDecodeBackend()
@@ -175,7 +176,7 @@ class ImageFeatureExtractor:
 
 
 class AudioFrameSampler:
-    """Actor-pool stage: decode audio -> fixed-rate frame energy samples."""
+    """Stage: decode audio -> fixed-rate frame energy samples."""
 
     def __init__(self, backend: DecodeBackend | None = None, frame: int = 256):
         self.backend = backend or FakeDecodeBackend()
@@ -201,7 +202,7 @@ class AudioFrameSampler:
 
 
 class AudioEnergy:
-    """Actor-pool stage: decode 16-bit PCM WAV -> integer energy stats over
+    """Stage: decode 16-bit PCM WAV -> integer energy stats over
     the RAW samples (sum of squares, peak amplitude, sample count) — the
     loudness/clipping screen of an audio data pipeline, integer-exact so a
     SQL oracle can replay it from the generator formula."""
@@ -225,31 +226,23 @@ class AudioEnergy:
         })
 
 
-def audio_energy(ds, *, concurrency=None, batch_size=256):
-    """Default tier = plain tasks (the stdlib decode backends are PURE
-    derived state — nothing to hold open, so the actor pool's ~1.3 s
-    per-query spin-up buys nothing; README tier rules).  Pass
-    ``concurrency=`` for an explicit pool (native handles / model state)."""
-    if concurrency is None:
-        stage = AudioEnergy()
-        return ds.map_batches(
-            lambda b: stage(b), batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=batch_size,
-        )
-    return ds.map_batches(
-        AudioEnergy,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def _map_stage(ds, stage, batch_size):
+    """Run a stage in plain tasks.  The stdlib decode backends are PURE
+    derived state — nothing to hold open — so the stage ships in the task
+    closure and no per-worker cache is needed."""
+    return ds.map_batches(lambda b: stage(b), batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=batch_size)
+
+
+def audio_energy(ds, *, batch_size=256):
+    return _map_stage(ds, AudioEnergy(), batch_size)
 
 
 class VideoFrameSampler:
-    """Actor-pool stage: decode video -> sample every ``stride``-th frame ->
+    """Stage: decode video -> sample every ``stride``-th frame ->
     per-sampled-frame mean intensity + dims.  Video rows are the WIDEST
     media payloads — callers should size batch_size small (default pipeline
-    uses 16) so batch x concurrency fits the worker heap."""
+    uses 16) so one batch per worker fits the worker heap."""
 
     def __init__(self, backend: DecodeBackend | None = None, stride: int = 2):
         self.backend = backend or StdlibDecodeBackend()
@@ -281,61 +274,21 @@ class VideoFrameSampler:
 
 
 def sample_video_frames(ds, *, backend: DecodeBackend | None = None, stride: int = 2,
-                        concurrency=None, batch_size=16):
-    """Video frame-sample pipeline stage (REAL MJPEG-AVI decode by default).
-    Task tier by default (pure stdlib codecs); ``concurrency=`` opts into an
-    actor pool for stateful backends."""
-    if concurrency is None:
-        stage = VideoFrameSampler(backend=backend or StdlibDecodeBackend(), stride=stride)
-        return ds.map_batches(
-            lambda b: stage(b), batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=batch_size,
-        )
-    return ds.map_batches(
-        VideoFrameSampler,
-        fn_constructor_kwargs={"backend": backend or StdlibDecodeBackend(), "stride": stride},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+                        batch_size=16):
+    """Video frame-sample pipeline stage (REAL MJPEG-AVI decode by default)."""
+    return _map_stage(ds, VideoFrameSampler(backend=backend or StdlibDecodeBackend(),
+                                            stride=stride), batch_size)
 
 
-def extract_image_features(ds, *, backend: DecodeBackend | None = None,
-                           concurrency=None, batch_size=256):
-    """Feature-extraction pipeline stage: small batches (wide binary rows),
-    actor pool holding the decoder.  Default backend = the real stdlib
-    codecs (PPM/BMP/PNG); pass FakeDecodeBackend() for synthetic payloads or
-    RealDecodeBackend() at deploy time for exotic formats."""
-    if concurrency is None:
-        stage = ImageFeatureExtractor(backend=backend or StdlibDecodeBackend())
-        return ds.map_batches(
-            lambda b: stage(b), batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=batch_size,
-        )
-    return ds.map_batches(
-        ImageFeatureExtractor,
-        fn_constructor_kwargs={"backend": backend or StdlibDecodeBackend()},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def extract_image_features(ds, *, backend: DecodeBackend | None = None, batch_size=256):
+    """Feature-extraction pipeline stage: small batches (wide binary rows).
+    Default backend = the real stdlib codecs (PPM/BMP/PNG); pass
+    FakeDecodeBackend() for synthetic payloads or RealDecodeBackend() at
+    deploy time for exotic formats."""
+    return _map_stage(ds, ImageFeatureExtractor(backend=backend or StdlibDecodeBackend()),
+                      batch_size)
 
 
-def sample_audio_frames(ds, *, backend: DecodeBackend | None = None,
-                        concurrency=None, batch_size=256):
-    if concurrency is None:
-        stage = AudioFrameSampler(backend=backend or StdlibDecodeBackend())
-        return ds.map_batches(
-            lambda b: stage(b), batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=batch_size,
-        )
-    return ds.map_batches(
-        AudioFrameSampler,
-        fn_constructor_kwargs={"backend": backend or StdlibDecodeBackend()},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def sample_audio_frames(ds, *, backend: DecodeBackend | None = None, batch_size=256):
+    return _map_stage(ds, AudioFrameSampler(backend=backend or StdlibDecodeBackend()),
+                      batch_size)

@@ -1,14 +1,15 @@
-"""Ray Data raster stages: tile tables, reader actor pools, mosaic merge,
-pyramid build, per-tile transforms, polygonal summary over rasters.
+"""Ray Data raster stages: tile tables, per-worker window readers, mosaic
+merge, pyramid build, per-tile transforms, polygonal summary over rasters.
 
 Tile-table model (SURVEY.md §1.2): one row per tile —
   (src_id:int32, tile_col:int64, tile_row:int64, band_count:int16,
    cols:int32, rows:int32, cell_type:string, xmin/ymin/xmax/ymax:float64,
    pixels:binary)                       # C-order (bands, rows, cols) bytes
 
-Reader state (ST1/ST2): sources are opened ONCE per actor in __init__ and
-reused across windows — the actor is the single-threaded owner of its handle
-(designs away tiff.synchronized, GeoTiffRasterSource.scala:84,92).
+Reader state (ST1/ST2): sources are opened ONCE per worker process
+(``util.worker_cached``) and reused across windows — the task worker is the
+single-threaded owner of its handles (designs away tiff.synchronized,
+GeoTiffRasterSource.scala:84,92).
 The wide ops shuffle on (tile_col, tile_row); merge order inside a group is
 made deterministic by carrying src_id (J2 determinism, SURVEY.md hard part b).
 """
@@ -111,23 +112,14 @@ class _TileBatch:
             int(self.meta["cols"][i]))
 
 
-# worker-process-global source-list cache for the task tier of tile_dataset
-# (same reuse semantics as joins._WORKER_INTERVAL_CACHE: Ray's prestarted
-# workers persist module state, so headers/handles are constructed once per
-# WORKER, not once per task — ST1 without per-query actor-pool spin-up).
-_WORKER_SOURCE_CACHE: dict = {}
-
-
 def _cached_sources(sources_ref):
+    """The broadcast source list, unpickled once per worker.  keep=1: each
+    source carries its own decoded-tile cache, so one live list per worker."""
     import ray
 
-    key = sources_ref.hex()
-    srcs = _WORKER_SOURCE_CACHE.get(key)
-    if srcs is None:
-        srcs = ray.get(sources_ref)
-        _WORKER_SOURCE_CACHE.clear()  # one live source list per worker
-        _WORKER_SOURCE_CACHE[key] = srcs
-    return srcs
+    from ..util import worker_cached
+
+    return worker_cached("raster.sources", sources_ref.hex(), lambda: ray.get(sources_ref))
 
 
 def _read_windows(sources, layout, bands, batch: pa.Table) -> pa.Table:
@@ -147,45 +139,23 @@ def _read_windows(sources, layout, bands, batch: pa.Table) -> pa.Table:
     return pa.Table.from_pylist(out, schema=TILE_SCHEMA)
 
 
-class WindowReader:
-    """Actor-pool stage (ST1): batch of (src_id, tile_col, tile_row) window
-    requests -> tile rows.  Sources are constructed once per actor from the
-    broadcast source list; per-source overview choice is memoized (ST4)."""
-
-    def __init__(self, sources_ref, layout: LayoutDefinition, bands=None):
-        import ray
-
-        src = sources_ref
-        self.sources: list[RasterSource] = ray.get(src) if not isinstance(src, list) else src
-        self.layout = layout
-        self.bands = bands
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _read_windows(self.sources, self.layout, self.bands, batch)
-
-
-def tile_dataset(sources: list[RasterSource], layout: LayoutDefinition, *, concurrency=None,
-                 bands=None, key_filter=None, compute: str = "tasks"):
+def tile_dataset(sources: list[RasterSource], layout: LayoutDefinition, *,
+                 bands=None, key_filter=None):
     """RasterSourceRDD.read analog (CHANGELOG.md:71,85): enumerate layout keys
     intersecting each source (row-major, J4), fan the (src, key) request table
     through a window-reader stage -> tile-row Dataset.
 
-    ``compute="tasks"`` (default) reads windows in plain Ray tasks with the
-    source list cached once per WORKER process (module-global, keyed on the
-    broadcast ref) — ST1 handle reuse without actor-pool spin-up, which
-    costs ~1.3 s of fixed wall per query on this host (measured: 36-tile
-    layer 1.8-2.0 s actor pool vs 0.5-0.8 s tasks).  ``compute="actors"``
-    keeps the dedicated WindowReader pool — the right tier when source
-    construction is so expensive that per-worker duplication hurts (every
-    worker caches its own copy under tasks; an actor pool bounds the number
-    of live handle sets to the pool size)."""
+    Windows are read in plain Ray tasks with the source list cached once per
+    WORKER process (keyed on the broadcast ref) — ST1 handle reuse without
+    actor-pool spin-up, which cost ~1.3 s of fixed wall per query on the
+    4-CPU test host (36-tile layer: 1.8-2.0 s on an actor pool vs 0.5-0.8 s
+    on tasks)."""
     import ray
     import ray.data as rd
 
     from ..util import default_pool_size
 
-    if concurrency is None:
-        concurrency = default_pool_size()
+    parallelism = default_pool_size()
     sources_ref = ray.put(sources)
 
     # request generation is DATAFLOW, not a driver loop: the driver holds one
@@ -217,18 +187,9 @@ def tile_dataset(sources: list[RasterSource], layout: LayoutDefinition, *, concu
 
     reqs = (
         rd.from_arrow(src_table)
-        .map_batches(expand, batch_format="pyarrow", batch_size=max(1, len(sources) // (concurrency * 2)) if sources else 1)
-        .repartition(concurrency * 4)
+        .map_batches(expand, batch_format="pyarrow", batch_size=max(1, len(sources) // (parallelism * 2)) if sources else 1)
+        .repartition(parallelism * 4)
     )
-    if compute == "actors":
-        return reqs.map_batches(
-            WindowReader,
-            fn_constructor_kwargs={"sources_ref": sources_ref, "layout": layout, "bands": bands},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-            concurrency=concurrency,
-        )
 
     def read_windows(batch: pa.Table) -> pa.Table:
         return _read_windows(_cached_sources(sources_ref), layout, bands, batch)

@@ -161,7 +161,7 @@ def spatial_sort(ds, order: int = HILBERT_ORDER, parts_bits: int = 10):
 
 class ZoneMatcher:
     """Broadcast-side PIP refine.  Zones are small (carried in the task
-    closure); big polygon sides use state/spatial_index.StrTreeActor instead.
+    closure); big polygon sides use state/spatial_index.pip_join_indexed.
 
     Each batch: for every zone, a vectorized containment mask; emits one row
     per (point, zone) hit.  Box zones use closed-range (SQL BETWEEN)
@@ -209,7 +209,7 @@ def pip_join(ds, boxes, convex_zones=(), keep_cols=("doc_id",), batch_size=65536
 
     No shuffle at all — the small side rides in the task closure, each block
     is filtered independently (the scale path for few-thousand-zone sides;
-    beyond that use the cell-cover + STRtree actor pool)."""
+    beyond that use state/spatial_index.pip_join_indexed)."""
     return ds.map_batches(
         ZoneMatcher(boxes, convex_zones, keep_cols),
         batch_format="pyarrow",

@@ -1,9 +1,10 @@
 """Text-analysis stages for large-scale training-data pipelines: token
 counting, quality scoring, language profiling, document fingerprinting.
 
-All vectorized pyarrow.compute / numpy; the regex-bearing scorer is an actor
-pool (compile once per actor).  Oracle-matched outputs use only expressions
-DuckDB reproduces bit-for-bit (integer arithmetic, count_substring).
+All vectorized pyarrow.compute / numpy; the regex-bearing scorer is built
+once per worker process (``util.worker_cached``).  Oracle-matched outputs
+use only expressions DuckDB reproduces bit-for-bit (integer arithmetic,
+count_substring).
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class QualityScorer:
       list equals splitting on its complement (empty split fragments are
       never stopwords and cost nothing).
 
-    Kept as a class for the actor-pool API (``map_batches(QualityScorer,
-    concurrency=N)``); state is just the shared pattern constants."""
+    State is just the shared pattern constants, built once per worker by
+    ``quality_score``."""
 
     def __init__(self):
         # patterns/stoplist shared with the DuckDB oracle (pipelines/query_defs)
@@ -109,34 +110,6 @@ class QualityScorer:
             .append_column("n_stop_words", pa.array(n_stop))
             .append_column("n_alpha_chars", pa.array(n_alpha))
         )
-
-
-# simple n-gram language-ID heuristic over a tiny per-language profile;
-# deterministic, pure-python-free scoring via numpy bincount
-_LANG_MARKERS = {
-    "en": [" the ", " and ", " of "],
-    "es": [" el ", " la ", " de "],
-    "de": [" der ", " und ", " die "],
-    "fr": [" le ", " la ", " et "],
-}
-
-
-def add_lang_guess(batch: pa.Table) -> pa.Table:
-    """Language-ID by marker-ngram counting (vectorized count_substring per
-    marker); emits lang_guess + the marker hit count."""
-    texts = batch["text"]
-    best_lang = np.full(len(batch), "und", dtype=object)
-    best_hits = np.zeros(len(batch), dtype=np.int64)
-    for lang, markers in _LANG_MARKERS.items():
-        hits = np.zeros(len(batch), dtype=np.int64)
-        for m in markers:
-            hits += pc.count_substring(texts, m).to_numpy(zero_copy_only=False)
-        better = hits > best_hits
-        best_lang[better] = lang
-        best_hits[better] = hits[better]
-    return batch.append_column("lang_guess", pa.array(best_lang, pa.string())).append_column(
-        "lang_hits", pa.array(best_hits)
-    )
 
 
 def hash_utf8_array(texts, seed: int = 0) -> np.ndarray:
@@ -464,26 +437,12 @@ def vocab_coverage(ds, top_v: int = 32, id_col: str = "doc_id",
                           batch_size=None)
 
 
-# worker-process-global scorer cache for the task tier (see stages/raster.py
-# _WORKER_SOURCE_CACHE for the pattern; regex state is pure derived state)
-_WORKER_SCORER_CACHE: dict = {}
-
-
-def quality_score(ds, *, batch_size=None, concurrency=None):
-    """QualityScorer over a Dataset — task tier by default, actor pool when
-    ``concurrency`` is given."""
-    if concurrency is not None:
-        return ds.map_batches(
-            QualityScorer, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=batch_size, concurrency=concurrency,
-        )
+def quality_score(ds, *, batch_size=None):
+    """QualityScorer over a Dataset in plain tasks, one scorer per worker."""
+    from ..util import worker_cached
 
     def score(batch):
-        inst = _WORKER_SCORER_CACHE.get("q")
-        if inst is None:
-            inst = QualityScorer()
-            _WORKER_SCORER_CACHE["q"] = inst
-        return inst(batch)
+        return worker_cached("text.quality_scorer", None, QualityScorer)(batch)
 
     return ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True,
                           batch_size=batch_size)
@@ -714,12 +673,6 @@ def top_bigrams_hh(ds, k: int = 20, text_col: str = "text",
     return top_bigrams(ds, k=k, text_col=text_col)
 
 
-# subword/PII extraction: the pattern rides as a plain string; workers
-# memoize the compiled program per (pattern) in this module-global (task
-# tier, CLAUDE.md rule: pure derived state needs no actor pool)
-_REGEX_CACHE: dict = {}
-
-
 def regex_token_counts(ds, pattern: str, text_col: str = "text"):
     """Corpus-wide counts of every regex match (re.finditer semantics:
     leftmost, non-overlapping) — the extraction dual of redact_regex:
@@ -740,6 +693,7 @@ def regex_token_counts(ds, pattern: str, text_col: str = "text"):
     character-class runs like ``[a-z]{2,}`` are exactly portable)."""
     import re
 
+    from ..util import worker_cached
     from .agg import salted_group_reduce
 
     if re.compile(pattern).groups:
@@ -749,9 +703,8 @@ def regex_token_counts(ds, pattern: str, text_col: str = "text"):
             "full match) — use (?:...) for grouping")
 
     def partial(b: pa.Table) -> pa.Table:
-        rx = _REGEX_CACHE.get(pattern)
-        if rx is None:
-            rx = _REGEX_CACHE[pattern] = re.compile(pattern)
+        # the pattern rides as a plain string; each worker compiles it once
+        rx = worker_cached("text.regex", pattern, lambda: re.compile(pattern))
         texts = b[text_col]
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()

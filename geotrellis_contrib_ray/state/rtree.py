@@ -2,7 +2,7 @@
 
 The reference's PIP / kNN probes ride PostGIS's GiST R-tree implicitly
 (slick ``PostgisSpec.scala:162-188``); the north star asks for the index to
-be explicit actor/worker state: "stateful actor pools holding per-partition
+be explicit worker state: "stateful actor pools holding per-partition
 STRtree/packed-Hilbert R-tree indexes for PIP and kNN probes".  This module
 is that packed-Hilbert R-tree, built from public algorithm descriptions
 (Kamel & Faloutsos 1994 Hilbert R-tree packing; the flatbush static layout):
@@ -10,7 +10,7 @@ is that packed-Hilbert R-tree, built from public algorithm descriptions
 * leaf boxes are sorted by the Hilbert code of their center on a 2^16 grid,
 * nodes are formed by grouping ``node_size`` consecutive entries bottom-up,
 * the whole tree is a list of flat numpy arrays — zero pointers, picklable,
-  cheap to build per partition inside an actor/worker (ST5 contract).
+  cheap to build per partition inside a worker (ST5 contract).
 
 Probes are vectorized: point queries descend all points level-by-level as a
 (point, node) frontier expanded with the same CSR arithmetic the grid index
@@ -178,7 +178,7 @@ class HilbertRTree:
 class HilbertPolygonIndex:
     """Polygons in a packed Hilbert R-tree (bbox filter) + exact PIP refine.
     Same interface/results as ``GridPolygonIndex`` — interchangeable in
-    ``PolygonIndexActor`` / ``pip_join_indexed``."""
+    ``pip_join_indexed``."""
 
     def __init__(self, polygons: list[tuple[str, np.ndarray]], node_size: int = 16):
         self.names = [p[0] for p in polygons]

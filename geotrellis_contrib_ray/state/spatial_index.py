@@ -1,12 +1,11 @@
-"""Per-partition spatial indexes held in actor state (ST5).
+"""Per-partition spatial indexes held in per-worker state (ST5).
 
 The reference's PIP / distance lookups ride PostGIS's GiST index implicitly
 (slick PostgisSpec.scala:162-188); our engine builds the index explicitly:
 a packed grid-bucket index (flat cell -> polygon/point id lists, numpy CSR
 layout — the same access pattern as a packed STRtree) constructed ONCE per
-actor in __init__ and probed per batch.  For polygon sides too large to
-broadcast, the index is built from a parquet path each actor reads itself;
-small sides ride through ray.put.
+worker process (``util.worker_cached``) and probed per batch.  Polygon
+sides ride through ray.put.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from ..core import geom as geommod
 
 class GridPolygonIndex:
     """Bucket polygons by bbox cover over a fixed grid; probe = bucket lookup
-    + exact PIP refine.  Pure (picklable) — the actor-state payload."""
+    + exact PIP refine.  Pure (picklable) — the per-worker state payload."""
 
     def __init__(self, polygons: list[tuple[str, np.ndarray]], nx: int = 64, ny: int = 64):
         self.names = [p[0] for p in polygons]
@@ -266,109 +265,6 @@ class GridPointIndex:
         return oq[order], oi[order], od[order]
 
 
-class PolygonIndexActor:
-    """map_batches actor: builds GridPolygonIndex once per actor from a
-    broadcast ref (ray.put) or a parquet side path; probes each batch.
-
-    Output: keep_cols of matched points + zone_name."""
-
-    def __init__(self, polygons_ref=None, parquet_path: str | None = None, keep_cols=("doc_id",),
-                 index: str = "grid"):
-        if parquet_path is not None:
-            import pyarrow.parquet as pq
-
-            t = pq.read_table(parquet_path)
-            polygons = [
-                (n.as_py(), geommod.wkb_to_geometry(w.as_py())[1][0])
-                for n, w in zip(t["name"], t["wkb"])
-            ]
-        else:
-            import ray
-
-            polygons = ray.get(polygons_ref)
-            polygons = [(n, np.asarray(r, dtype=np.float64)) for n, r in polygons]
-        if index == "rtree":
-            from .rtree import HilbertPolygonIndex
-
-            self.index = HilbertPolygonIndex(polygons)
-        else:
-            self.index = GridPolygonIndex(polygons)
-        self.keep_cols = list(keep_cols)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        px = batch["lon"].to_numpy(zero_copy_only=False)
-        py = batch["lat"].to_numpy(zero_copy_only=False)
-        pt_idx, pids = self.index.query_points(px, py)
-        names = pa.DictionaryArray.from_arrays(
-            pa.array(pids.astype(np.int32)), pa.array(self.index.names, pa.string())
-        ).cast(pa.string())
-        out = batch.select(self.keep_cols).take(pa.array(pt_idx))
-        return out.append_column("zone_name", names)
-
-
-class KnnIndexPartial:
-    """O4 scale path: per-partition point index probed by the broadcast query
-    set, held in ACTOR state (ST5): indexes are cached per actor keyed by a
-    cheap block fingerprint (row count + id endpoints), so a static corpus
-    probed by successive query batches builds each partition's index ONCE.
-    Grid resolution adapts to the block size (~8 points/bucket).  Emits <= k
-    rows per query per batch; final merge is the same tiny groupby as the
-    brute path — output is IDENTICAL to the brute-force kNN (exact index)."""
-
-    def __init__(self, queries, k: int, id_col: str = "doc_id", cache_blocks: int = 8):
-        self.queries = [(int(q[0]), float(q[1]), float(q[2])) for q in queries]
-        self.k = k
-        self.id_col = id_col
-        self._cache: dict[tuple, GridPointIndex] = {}
-        self._cache_cap = cache_blocks
-
-    def _index_for(self, ids, xs, ys) -> GridPointIndex:
-        key = _block_key(ids, xs, ys)
-        idx = self._cache.get(key)
-        if idx is None:
-            n_side = int(np.clip(np.sqrt(len(ids) / 8.0), 8, 128))
-            idx = GridPointIndex(ids, xs, ys, nx=n_side, ny=n_side)
-            if len(self._cache) >= self._cache_cap:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = idx
-        return idx
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        xs = batch["lon"].to_numpy(zero_copy_only=False)
-        ys = batch["lat"].to_numpy(zero_copy_only=False)
-        if len(ids) == 0:
-            return pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "dist": pa.array([], pa.float64()),
-                }
-            )
-        idx = self._index_for(ids, xs, ys)
-        out_q, out_id, out_d = [], [], []
-        for qid, qx, qy in self.queries:
-            nid, nd = idx.nearest_k(qx, qy, self.k)
-            out_q.append(np.full(len(nid), qid, dtype=np.int64))
-            out_id.append(nid)
-            out_d.append(nd)
-        return pa.table(
-            {
-                "query_id": np.concatenate(out_q),
-                "doc_id": np.concatenate(out_id),
-                "dist": np.concatenate(out_d),
-            }
-        )
-
-
-# worker-process-global index cache for the task-pool tier: Ray reuses
-# prestarted worker processes across tasks, so module state gives actor-like
-# memoization WITHOUT paying actor-pool spin-up (~1.3 s fixed on this host —
-# the entire gap between knn_indexed and brute knn in BENCH_r01).  Purely an
-# optimization: a miss rebuilds, results are identical either way.
-_WORKER_GRID_CACHE: dict[tuple, GridPointIndex] = {}
-
-
 def _block_key(ids, xs, ys) -> tuple:
     """Content key for a block's point set: a blake2b digest of the raw
     coordinate/id bytes.  (len, first-id, last-id) alone is NOT safe —
@@ -384,95 +280,82 @@ def _block_key(ids, xs, ys) -> tuple:
     return (len(ids), h.digest())
 
 
-def _cached_grid_index(ids, xs, ys, cap: int = 16, index: str = "grid"):
-    key = (*_block_key(ids, xs, ys), index)
-    idx = _WORKER_GRID_CACHE.get(key)
-    if idx is None:
+def _cached_grid_index(ids, xs, ys, index: str = "grid"):
+    """The block's point index, built once per worker.  Keyed on block
+    CONTENT, so a static corpus probed by successive query sets reuses
+    each block's index; keep=16 blocks per worker.  Purely an
+    optimization: a miss rebuilds, results are identical either way."""
+    from ..util import worker_cached
+
+    def build():
         if index == "rtree":
             from .rtree import HilbertPointIndex
 
-            idx = HilbertPointIndex(ids, xs, ys)
-        else:
-            n_side = int(np.clip(np.sqrt(len(ids) / 8.0), 8, 128))
-            idx = GridPointIndex(ids, xs, ys, nx=n_side, ny=n_side)
-        if len(_WORKER_GRID_CACHE) >= cap:
-            _WORKER_GRID_CACHE.pop(next(iter(_WORKER_GRID_CACHE)))
-        _WORKER_GRID_CACHE[key] = idx
-    return idx
+            return HilbertPointIndex(ids, xs, ys)
+        n_side = int(np.clip(np.sqrt(len(ids) / 8.0), 8, 128))
+        return GridPointIndex(ids, xs, ys, nx=n_side, ny=n_side)
+
+    return worker_cached("spatial_index.points", (*_block_key(ids, xs, ys), index), build,
+                         keep=16)
 
 
-def knn_indexed(ds, queries, k: int, id_col: str = "doc_id", concurrency=None,
-                actor_pool: bool = False, index: str = "grid"):
+def knn_indexed(ds, queries, k: int, id_col: str = "doc_id", index: str = "grid"):
     """kNN via per-partition point indexes (ST5) — identical results to the
     brute-force path, sub-linear probe cost per query.
 
-    Default tier is a TASK pool with the index memoized in worker-process
-    module state (same reuse semantics as the actor pool, zero spin-up;
-    measured 30% faster than the actor pool on this host);
-    ``actor_pool=True`` selects the explicit actor-held-state variant for
-    long-lived repeat-probe services.
+    Runs in plain tasks with each block's index memoized per worker process
+    (zero actor spin-up; measured 30% faster than an actor pool on the
+    4-CPU test host).
 
     Tier rule (measured, sf0.1 = 2M points @32 CPUs): the vectorized brute
     partial (spatial.knn) wins below ~2k probe points (Q=4: 0.43 s vs
     1.8 s; Q=1024: 4.8 s vs 5.8 s); the indexed tier's wall is ~flat in Q
     and wins 7x at Q=4096 (4.9 s vs 34.8 s).  Route small probe sets to
     brute, probe-heavy workloads here."""
-    if actor_pool:
-        from ..util import default_pool_size
+    qlist = [(int(q[0]), float(q[1]), float(q[2])) for q in queries]
+    qids = np.array([q[0] for q in qlist], np.int64)
+    qxs = np.array([q[1] for q in qlist], np.float64)
+    qys = np.array([q[2] for q in qlist], np.float64)
 
-        partial = ds.map_batches(
-            KnnIndexPartial,
-            fn_constructor_kwargs={"queries": queries, "k": k, "id_col": id_col},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-            concurrency=concurrency if concurrency is not None else default_pool_size(),
-        )
-    else:
-        qlist = [(int(q[0]), float(q[1]), float(q[2])) for q in queries]
-        qids = np.array([q[0] for q in qlist], np.int64)
-        qxs = np.array([q[1] for q in qlist], np.float64)
-        qys = np.array([q[2] for q in qlist], np.float64)
-
-        def probe(batch: pa.Table) -> pa.Table:
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
-            if len(ids) == 0:
-                return pa.table(
-                    {
-                        "query_id": pa.array([], pa.int64()),
-                        "doc_id": pa.array([], pa.int64()),
-                        "dist": pa.array([], pa.float64()),
-                    }
-                )
-            xs = batch["lon"].to_numpy(zero_copy_only=False)
-            ys = batch["lat"].to_numpy(zero_copy_only=False)
-            idx = _cached_grid_index(ids, xs, ys, index=index)
-            if hasattr(idx, "nearest_k_bulk"):
-                # vectorized whole-query-set probe (one numpy pass per
-                # radius round, no per-query python ring loop)
-                qpos, nid, nd = idx.nearest_k_bulk(qxs, qys, k)
-                return pa.table({
-                    "query_id": pa.array(qids[qpos]),
-                    "doc_id": pa.array(nid),
-                    "dist": pa.array(nd),
-                })
-            out_q, out_id, out_d = [], [], []
-            for qid, qx, qy in qlist:
-                nid, nd = idx.nearest_k(qx, qy, k)
-                out_q.append(np.full(len(nid), qid, dtype=np.int64))
-                out_id.append(nid)
-                out_d.append(nd)
+    def probe(batch: pa.Table) -> pa.Table:
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        if len(ids) == 0:
             return pa.table(
                 {
-                    "query_id": np.concatenate(out_q),
-                    "doc_id": np.concatenate(out_id),
-                    "dist": np.concatenate(out_d),
+                    "query_id": pa.array([], pa.int64()),
+                    "doc_id": pa.array([], pa.int64()),
+                    "dist": pa.array([], pa.float64()),
                 }
             )
-
-        partial = ds.map_batches(
-            probe, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+        xs = batch["lon"].to_numpy(zero_copy_only=False)
+        ys = batch["lat"].to_numpy(zero_copy_only=False)
+        idx = _cached_grid_index(ids, xs, ys, index=index)
+        if hasattr(idx, "nearest_k_bulk"):
+            # vectorized whole-query-set probe (one numpy pass per
+            # radius round, no per-query python ring loop)
+            qpos, nid, nd = idx.nearest_k_bulk(qxs, qys, k)
+            return pa.table({
+                "query_id": pa.array(qids[qpos]),
+                "doc_id": pa.array(nid),
+                "dist": pa.array(nd),
+            })
+        out_q, out_id, out_d = [], [], []
+        for qid, qx, qy in qlist:
+            nid, nd = idx.nearest_k(qx, qy, k)
+            out_q.append(np.full(len(nid), qid, dtype=np.int64))
+            out_id.append(nid)
+            out_d.append(nd)
+        return pa.table(
+            {
+                "query_id": np.concatenate(out_q),
+                "doc_id": np.concatenate(out_id),
+                "dist": np.concatenate(out_d),
+            }
         )
+
+    partial = ds.map_batches(
+        probe, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    )
 
     # total merge: vectorized bounded-salt top-k (no per-query pandas groups)
     from ..stages.stats import top_k_per_group
@@ -481,46 +364,39 @@ def knn_indexed(ds, queries, k: int, id_col: str = "doc_id", concurrency=None,
                            k=k, tie_col="doc_id", ascending=True)
 
 
-# worker-global polygon-index cache for the task-pool tier (see knn_indexed)
-_WORKER_POLY_CACHE: dict = {}
-
-
-def pip_join_indexed(ds, polygons: list[tuple[str, np.ndarray]], keep_cols=("doc_id",), concurrency=None,
+def pip_join_indexed(ds, polygons: list[tuple[str, np.ndarray]], keep_cols=("doc_id",),
                      index: str = "grid"):
     """J1 at scale: PIP semi-join via an index built once per worker from a
     broadcast ref (ray.put) — never re-shipped per batch, never shuffled.
-
-    Default tier = task pool with the index memoized in worker module state
-    keyed by the broadcast ObjectRef (same build-once semantics as the actor
-    pool without its ~1.3 s spin-up — see knn_indexed's measured gap);
-    ``concurrency=`` selects the explicit actor pool.
+    Output: keep_cols of matched points + zone_name.
 
     ``index="grid"`` (bucket CSR) or ``"rtree"`` (packed Hilbert R-tree,
     state/rtree.py) — both exact, identical output; the R-tree wins when the
     polygon set's bboxes are highly non-uniform (skewed sizes/clusters)."""
     import ray
 
-    ref = ray.put([(n, np.asarray(r).tolist()) for n, r in polygons])
-    if concurrency is not None:
-        return ds.map_batches(
-            PolygonIndexActor,
-            fn_constructor_kwargs={"polygons_ref": ref, "keep_cols": keep_cols,
-                                   "index": index},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-            concurrency=concurrency,
-        )
+    from ..util import worker_cached
 
-    kc = tuple(keep_cols)
+    ref = ray.put([(n, np.asarray(r).tolist()) for n, r in polygons])
+    keep_cols = list(keep_cols)
+
+    def build():
+        polys = [(n, np.asarray(r, dtype=np.float64)) for n, r in ray.get(ref)]
+        if index == "rtree":
+            from .rtree import HilbertPolygonIndex
+
+            return HilbertPolygonIndex(polys)
+        return GridPolygonIndex(polys)
 
     def probe(batch: pa.Table) -> pa.Table:
-        key = (ref.hex(), kc, index)
-        actor = _WORKER_POLY_CACHE.get(key)
-        if actor is None:
-            actor = PolygonIndexActor(polygons_ref=ref, keep_cols=kc, index=index)
-            _WORKER_POLY_CACHE.clear()  # one live polygon set per worker
-            _WORKER_POLY_CACHE[key] = actor
-        return actor(batch)
+        idx = worker_cached("spatial_index.polygons", (ref.hex(), index), build)
+        px = batch["lon"].to_numpy(zero_copy_only=False)
+        py = batch["lat"].to_numpy(zero_copy_only=False)
+        pt_idx, pids = idx.query_points(px, py)
+        names = pa.DictionaryArray.from_arrays(
+            pa.array(pids.astype(np.int32)), pa.array(idx.names, pa.string())
+        ).cast(pa.string())
+        out = batch.select(keep_cols).take(pa.array(pt_idx))
+        return out.append_column("zone_name", names)
 
     return ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)

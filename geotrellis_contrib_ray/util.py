@@ -1,10 +1,10 @@
-"""Cluster-aware sizing helpers shared by every actor-pool stage.
+"""Cluster-aware sizing and per-worker state shared by the stages.
 
-Hardcoded ``concurrency=2`` is right for the 4-CPU test fixture but starves
-32-CPU (and 256-node) runs; pool sizes here derive from the live cluster
-resources with a small floor and a cap, keeping the invariant that a pool
-never claims all CPUs (an actor pool with concurrency >= num_cpus starves
-the rest of the pipeline — CLAUDE.md environment note).
+Per-worker state goes through :func:`worker_cached`; no stage runs an actor
+pool.  Ray's prestarted task workers keep module globals alive between
+tasks, so state built once per worker process is reused by every later task
+that worker runs, with no per-query actor spin-up (~1.3 s per query on the
+test host).
 """
 
 from __future__ import annotations
@@ -24,14 +24,29 @@ def cluster_cpus(default: int = 4) -> int:
 
 
 def default_pool_size(cap: int = 8, floor: int = 2) -> int:
-    """Actor-pool concurrency: half the cluster CPUs, bounded to [floor, cap].
-
-    4-CPU test fixture -> 2 (matches the documented starvation limit);
-    32-CPU bench node -> 8 (measured: actor STARTUP is serialized and
-    expensive in this sandbox, so past ~8 actors pool spin-up outweighs the
-    extra parallelism at bench data sizes; raise ``cap`` for stages that are
-    genuinely compute-bound on big inputs)."""
+    """Parallelism width for request batching: half the cluster CPUs,
+    bounded to [floor, cap].  4-CPU test fixture -> 2; 32-CPU node -> 8."""
     return max(floor, min(cap, cluster_cpus() // 2))
+
+
+_WORKER_CACHE: dict[str, dict] = {}
+
+
+def worker_cached(namespace: str, key, build, keep: int = 1):
+    """Return the value cached under ``(namespace, key)`` in this worker
+    process, calling ``build()`` on a miss.
+
+    Each namespace holds at most ``keep`` entries; a miss on a full
+    namespace drops the oldest entry before building, so state keyed on a
+    fresh per-run broadcast ref never piles up across runs.  No lock: a Ray
+    task worker runs one task at a time."""
+    entries = _WORKER_CACHE.setdefault(namespace, {})
+    if key in entries:
+        return entries[key]
+    while len(entries) >= keep:
+        entries.pop(next(iter(entries)))
+    value = entries[key] = build()
+    return value
 
 
 def strip_schema_metadata(b):

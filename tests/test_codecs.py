@@ -1,5 +1,5 @@
 """Stdlib multimedia codecs: exact round-trips + real decode through the
-multimodal actor-pool stages."""
+multimodal stages."""
 
 import numpy as np
 import pyarrow as pa
@@ -128,8 +128,8 @@ def test_sniffing():
 
 
 def test_multimodal_stage_real_decode(ray_session):
-    """End-to-end: real PNG/BMP/PPM payloads through the image-feature actor
-    pool and a real WAV through the audio frame sampler."""
+    """End-to-end: real PNG/BMP/PPM payloads through the image-feature stage
+    and a real WAV through the audio frame sampler."""
     import ray.data as rd
 
     from geotrellis_contrib_ray.stages import multimodal as mm
@@ -147,7 +147,7 @@ def test_multimodal_stage_real_decode(ray_session):
     )
     out = (
         mm.extract_image_features(
-            rd.from_arrow(t), concurrency=2, batch_size=2
+            rd.from_arrow(t), batch_size=2
         )
         .to_pandas()
         .set_index("media_ref")
@@ -164,7 +164,7 @@ def test_multimodal_stage_real_decode(ray_session):
             "payload": pa.array([wav], pa.binary()),
         }
     )
-    res = mm.sample_audio_frames(rd.from_arrow(ta), concurrency=2).to_pandas()
+    res = mm.sample_audio_frames(rd.from_arrow(ta)).to_pandas()
     assert res["n_frames"][0] == 4  # 1024 // 256
     assert np.allclose(res["frame_energy"][0], 0.25, atol=1e-3)  # (0.5)^2
 

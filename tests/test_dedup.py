@@ -100,16 +100,16 @@ def test_simhash_planted_recall(ray_session):
     assert hit / len(planted) >= 0.7, (hit, len(planted))
 
 
-def test_embedding_neardup_planted_recall(ray_session):
+def _check_embedding_neardup_recall(dim: int):
     import ray.data as rd
 
     rng = np.random.default_rng(9)
-    base = rng.standard_normal((80, 16))
+    base = rng.standard_normal((80, dim))
     vecs, planted = [], []
     for i in range(80):
         vecs.append(base[i])
         if i % 4 == 0:
-            vecs.append(base[i] + rng.normal(0, 0.01, 16))  # cosine ~0.9999
+            vecs.append(base[i] + rng.normal(0, 0.01, dim))  # cosine ~0.9999
             planted.append((len(vecs) - 2, len(vecs) - 1))
     vecs = np.asarray(vecs)
     t = pa.table(
@@ -126,6 +126,18 @@ def test_embedding_neardup_planted_recall(ray_session):
     norm = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     for i, j in got:
         assert float(norm[i] @ norm[j]) >= 0.99
+
+
+def test_embedding_neardup_planted_recall(ray_session):
+    _check_embedding_neardup_recall(16)
+
+
+def test_embedding_neardup_two_dims_one_session(ray_session):
+    """The per-worker sketcher sizes its planes from the data: a second run
+    at another embedding dimension in the same Ray session (same worker
+    processes) must build fresh planes, not reuse the first run's."""
+    _check_embedding_neardup_recall(24)
+    _check_embedding_neardup_recall(16)
 
 
 def test_exact_dedup_keep_first_vectorized(ray_session):
@@ -811,25 +823,29 @@ def test_bow_sig_rows_on_sliced_batch(ray_session):
 def test_priority_dedup_keep_best_planted(ray_session):
     """Winner = lexicographic min (priority, doc_id): a curated copy with a
     HIGHER doc_id beats an earlier crawl copy; ties break on id; unknown
-    sources take the default; NULL text drops; guards fire on bad ranges."""
+    sources take the default, and so do NULL sources (the SQL twin's
+    CASE ... ELSE); NULL text drops; guards fire on bad ranges."""
     import pytest
     import ray
 
     from geotrellis_contrib_ray.stages.dedup import priority_dedup_keep_best
 
     ds = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([0, 1, 2, 3, 4, 5], pa.int64()),
+        "doc_id": pa.array([0, 1, 2, 3, 4, 5, 6, 7, 8], pa.int64()),
         "text": pa.array(["dup body", "dup body", "dup body",
-                          "only one", None, "tie body"], pa.string()),
-        "source": pa.array(["web", "wiki", "web", "unknown", "wiki", "web"],
-                           pa.string()),
+                          "only one", None, "tie body",
+                          "null src", "null src", "lone null"], pa.string()),
+        "source": pa.array(["web", "wiki", "web", "unknown", "wiki", "web",
+                            "unknown", None, None], pa.string()),
     }))
     prio = {"wiki": 0, "web": 1}
     out = (priority_dedup_keep_best(ds, prio, 2).to_pandas()
            .sort_values("doc_id").reset_index(drop=True))
-    # 'dup body': wiki copy id=1 beats web ids 0 and 2 despite 0 < 1
-    assert out["doc_id"].tolist() == [1, 3, 5]
-    assert out["n_dups"].tolist() == [3, 1, 1]
+    # 'dup body': wiki copy id=1 beats web ids 0 and 2 despite 0 < 1;
+    # 'null src': the NULL source ties the unknown one at the default, so
+    # the lower id 6 wins
+    assert out["doc_id"].tolist() == [1, 3, 5, 6, 8]
+    assert out["n_dups"].tolist() == [3, 1, 1, 2, 1]
 
     with pytest.raises(ValueError, match="2\\^23"):
         priority_dedup_keep_best(ds, {"wiki": -1}, 2)

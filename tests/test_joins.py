@@ -2,7 +2,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from geotrellis_contrib_ray.stages.joins import bucketed_hash_join, native_hash_join
+from geotrellis_contrib_ray.stages.joins import bucketed_hash_join
 
 
 def _sides():
@@ -41,18 +41,16 @@ def test_bucketed_join_matches_pandas(ray_session):
     assert got[["k", "v", "w"]].astype(np.int64).equals(exp[["k", "v", "w"]].astype(np.int64))
 
 
-def test_native_join_same_result(ray_session):
-    lds, rds, lt, rt = _sides()
-    got = (
-        native_hash_join(lds, rds, on="k", num_partitions=4)
-        .to_pandas()
-        .sort_values(["k", "v"])
-        .reset_index(drop=True)
-    )
-    exp = (
-        lt.to_pandas().merge(rt.to_pandas(), on="k").sort_values(["k", "v"]).reset_index(drop=True)
-    )
-    assert got[["k", "v", "w"]].astype(np.int64).equals(exp[["k", "v", "w"]].astype(np.int64))
+def test_bucketed_join_schemaless_empty_side(ray_session):
+    """A zero-block side with no schema: the inner join is the empty
+    Dataset, but a left join would drop the left rows, so it must ask for
+    ``schemas=`` instead of returning an empty result."""
+    lds, _, _, _ = _sides()
+    empty = lds.filter(lambda r: False).materialize()
+    assert empty.schema() is None
+    assert bucketed_hash_join(lds, empty, on="k").count() == 0
+    with pytest.raises(ValueError, match="schemas="):
+        bucketed_hash_join(lds, empty, on="k", how="left")
 
 
 def test_bucketed_join_preserves_dtypes(ray_session):

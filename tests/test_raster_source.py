@@ -262,7 +262,7 @@ def test_png_worldfile_source_roundtrip(tmp_path, ray_session):
     via_registry = source_for_uri(f"png://{path}")
     assert via_registry.grid == grid
     layout = LayoutDefinition(grid.extent, 16, 16, 3, 2)
-    tiles = rst.tile_dataset([via_registry], layout, concurrency=2).take_all()
+    tiles = rst.tile_dataset([via_registry], layout).take_all()
     assert len(tiles) == 6
     total = sum(np.frombuffer(t["pixels"], dtype=np.uint8).sum() for t in tiles)
     assert total == int(img.sum())
@@ -343,10 +343,10 @@ def test_aaigrid_source_roundtrip(tmp_path, ray_session):
     via_uri = source_for_uri(f"asc://{path}")
     assert np.array_equal(via_uri.read().pixels, r.pixels)
     layout = LayoutDefinition.floating(grid, 16)
-    got = rst.tile_dataset([src], layout, concurrency=2).to_pandas()
+    got = rst.tile_dataset([src], layout).to_pandas()
     exp = rst.tile_dataset(
         [InMemoryRasterSource(vals[None], grid, "EPSG:4326", src.cell_type)],
-        layout, concurrency=2).to_pandas()
+        layout).to_pandas()
     key = ["tile_col", "tile_row"]
     got = got.sort_values(key).reset_index(drop=True)
     exp = exp.sort_values(key).reset_index(drop=True)

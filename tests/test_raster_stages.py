@@ -19,7 +19,7 @@ GRID = GridExtent(EXT, 10.0, 10.0, 1500, 1350)
 def tile_ds(ray_session):
     src = SyntheticRasterSource(GRID)
     layout = LayoutDefinition.floating(GRID, 256)
-    return rst.tile_dataset([src], layout, concurrency=2), src, layout
+    return rst.tile_dataset([src], layout), src, layout
 
 
 def test_tile_dataset_covers_source(tile_ds):
@@ -44,7 +44,7 @@ def test_mosaic_merge_dataset(ray_session):
     a = InMemoryRasterSource(np.full((1, 10, 10), 1.0), g1)
     b = InMemoryRasterSource(np.full((1, 10, 10), 2.0), g2)
     layout = LayoutDefinition(Extent(0.0, 0.0, 150.0, 100.0), 5, 5, 3, 2)
-    tiles = rst.tile_dataset([a, b], layout, concurrency=2)
+    tiles = rst.tile_dataset([a, b], layout)
     merged = rst.mosaic_merge(tiles, layout).take_all()
     # overlap tile (x in [50,100)) -> first source wins
     key_cols = sorted({(m["tile_col"], m["tile_row"]) for m in merged})
@@ -58,7 +58,7 @@ def test_mosaic_merge_dataset(ray_session):
 def test_convert_tiles(ray_session):
     src = SyntheticRasterSource(GRID)
     layout = LayoutDefinition.floating(GRID, 512)
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     conv = rst.convert_tiles(tiles, CellType.of("float32nd")).take_all()
     px = rst.tile_pixels(conv[0])
     assert px.dtype == np.float32
@@ -67,7 +67,7 @@ def test_convert_tiles(ray_session):
 def test_pyramid_build_levels(ray_session):
     src = SyntheticRasterSource(GRID)
     layout = LayoutDefinition.floating(GRID, 256)
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     levels = rst.pyramid_build(tiles, 2)
     assert len(levels) == 3
     l1 = levels[1].take_all()
@@ -87,7 +87,7 @@ def test_polygonal_summary_tiles(ray_session):
     g = GridExtent(Extent(0.0, 0.0, 100.0, 100.0), 10.0, 10.0, 10, 10)
     src = InMemoryRasterSource(np.full((1, 10, 10), 5.0), g)
     layout = LayoutDefinition(g.extent, 5, 5, 2, 2)
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     ring = np.array([[0.0, 0.0], [50.0, 0.0], [50.0, 100.0], [0.0, 100.0], [0.0, 0.0]])
     res = rst.polygonal_summary_tiles(tiles, ring)
     assert res["count"] == 50  # 5 cols x 10 rows of cell centers inside
@@ -99,7 +99,7 @@ def test_polygonal_summary_tiles(ray_session):
 def test_write_tiles_resumable_layout(ray_session, tmp_path):
     src = SyntheticRasterSource(GRID)
     layout = LayoutDefinition.floating(GRID, 512)
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     out = rst.write_tiles(tiles, str(tmp_path / "tiles"))
     import pyarrow.parquet as pq
     import glob
@@ -110,7 +110,7 @@ def test_write_tiles_resumable_layout(ray_session, tmp_path):
     assert total == 9  # 3x3 512px layout
 
     # partitioned variant: one directory per tile_col (resumable layout)
-    tiles2 = rst.tile_dataset([src], layout, concurrency=2)
+    tiles2 = rst.tile_dataset([src], layout)
     out2 = rst.write_tiles(tiles2, str(tmp_path / "tiles_part"), partition_key="tile_col")
     part_dirs = sorted(glob.glob(f"{out2}/tile_col=*"))
     assert len(part_dirs) == 3
@@ -125,7 +125,7 @@ def test_sparse_stitch(ray_session):
     # stitch 3 of 4 tiles of a 2x2 layout: gap stays nodata
     src = SyntheticRasterSource(GridExtent(Extent(0.0, 0.0, 200.0, 200.0), 10.0, 10.0, 20, 20))
     layout = LayoutDefinition(Extent(0.0, 0.0, 200.0, 200.0), 10, 10, 2, 2)
-    rows = rst.tile_dataset([src], layout, concurrency=2).take_all()
+    rows = rst.tile_dataset([src], layout).take_all()
     sparse = [r for r in rows if not (r["tile_col"] == 1 and r["tile_row"] == 1)]
     stitched = rst.sparse_stitch(sparse)
     assert stitched.pixels.shape == (1, 20, 20)
@@ -162,7 +162,7 @@ def test_pyramid_build_average_method(ray_session):
     px = np.indices((8, 8)).sum(axis=0) % 2 * 4.0
     src = InMemoryRasterSource(px[None], g)
     layout = LayoutDefinition(g.extent, 4, 4, 2, 2)
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     level1 = rst.pyramid_build(tiles, 1, layout, method="average")[1].take_all()
     assert len(level1) == 1
     vals = rst.tile_pixels(level1[0])
@@ -189,7 +189,7 @@ def test_focal_sum_halo_exchange_matches_reference(ray_session):
     g = GridExtent(Extent(0.0, 0.0, 200.0, 200.0), 10.0, 10.0, 20, 20)
     src = InMemoryRasterSource(full[None], g)
     layout = LayoutDefinition(g.extent, 10, 10, 2, 2)
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     res = rst.focal_tiles(tiles, op="sum", radius=1).take_all()
     assert len(res) == 4
     stitched = rst.sparse_stitch(res)
@@ -203,7 +203,7 @@ def test_focal_mean_and_extrema(ray_session):
     g = GridExtent(Extent(0.0, 0.0, 120.0, 120.0), 10.0, 10.0, 12, 12)
     src = InMemoryRasterSource(full[None], g)
     layout = LayoutDefinition(g.extent, 8, 8, 2, 2)  # ragged 12 = 8 + 4
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     for op in ("mean", "min", "max"):
         res = rst.focal_tiles(tiles, op=op, radius=1).take_all()
         stitched = rst.sparse_stitch(res)
@@ -219,7 +219,7 @@ def test_focal_gradient_matches_stencil(ray_session):
     g = GridExtent(Extent(0.0, 0.0, 160.0, 160.0), 10.0, 10.0, 16, 16)
     src = InMemoryRasterSource(full[None], g)
     layout = LayoutDefinition(g.extent, 8, 8, 2, 2)
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     padded = np.pad(full, 1)
     for op, wx in (("gradient_x", True), ("gradient_y", False)):
         exp = np.zeros((16, 16))
@@ -240,7 +240,7 @@ def test_focal_mean_nodata_excluded(ray_session):
     g = GridExtent(Extent(0.0, 0.0, 80.0, 80.0), 10.0, 10.0, 8, 8)
     src = InMemoryRasterSource(full[None], g)  # default ct = float64, NaN nodata
     layout = LayoutDefinition(g.extent, 4, 4, 2, 2)
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     res = rst.focal_tiles(tiles, op="mean", radius=1).take_all()
     stitched = rst.sparse_stitch(res)
     px = stitched.pixels[0]
@@ -258,7 +258,7 @@ def test_focal_hillshade_matches_reference(ray_session):
     g = GridExtent(Extent(0.0, 0.0, 160.0, 160.0), 10.0, 10.0, 16, 16)
     src = InMemoryRasterSource(full[None], g)
     layout = LayoutDefinition(g.extent, 8, 8, 2, 2)
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     res = rst.focal_tiles(tiles, op="hillshade", radius=1).take_all()
     stitched = rst.sparse_stitch(res)
 
@@ -356,7 +356,7 @@ def test_bit_celltype_through_tile_pipeline(ray_session):
     px = rng.integers(0, 2, (1, 64, 64)).astype(np.uint8)
     src = InMemoryRasterSource(px, grid, "EPSG:4326", CellType("bit", None))
     layout = LayoutDefinition.floating(grid, 32)
-    tiles = rst.tile_dataset([src], layout, concurrency=2)
+    tiles = rst.tile_dataset([src], layout)
     merged = rst.mosaic_merge(tiles, layout).to_pandas()
     assert len(merged) == 4
     assert set(merged["cell_type"]) == {"bit"}

@@ -1,4 +1,4 @@
-"""Spatial-index actors, checkpoint/resume, multimodal stages."""
+"""Per-worker spatial indexes, checkpoint/resume, multimodal stages."""
 
 import numpy as np
 import pyarrow as pa
@@ -112,7 +112,7 @@ def test_pip_join_indexed_matches_broadcast(ray_session):
     ds = rd.from_arrow(pa.table({"doc_id": np.arange(20000), "lon": px, "lat": py}))
     polys = [(n, geommod.box(x0, y0, x1, y1).exterior) for n, x0, y0, x1, y1 in ZONE_BOXES]
     got = (
-        pip_join_indexed(ds, polys, concurrency=2)
+        pip_join_indexed(ds, polys)
         .to_pandas()
         .sort_values(["doc_id", "zone_name"])
         .reset_index(drop=True)
@@ -165,12 +165,12 @@ def test_multimodal_image_features(ray_session):
     # synthetic (non-media) payloads: the deterministic Fake backend tests
     # the plumbing; real formats go through StdlibDecodeBackend (test_codecs)
     t = synth_media_table([f"media://b/{i}" for i in range(50)])
-    out = extract_image_features(rd.from_arrow(t), backend=FakeDecodeBackend(), concurrency=2).to_pandas()
+    out = extract_image_features(rd.from_arrow(t), backend=FakeDecodeBackend()).to_pandas()
     assert len(out) == 50
     assert set(out.columns) == {"media_ref", "width", "height", "pixel_sum", "features"}
     assert all(len(f) == 8 * 8 * 3 for f in out["features"])
     # deterministic across runs
-    out2 = extract_image_features(rd.from_arrow(t), backend=FakeDecodeBackend(), concurrency=2).to_pandas()
+    out2 = extract_image_features(rd.from_arrow(t), backend=FakeDecodeBackend()).to_pandas()
     a = out.sort_values("media_ref").reset_index(drop=True)
     b = out2.sort_values("media_ref").reset_index(drop=True)
     assert (a["width"] == b["width"]).all()
@@ -187,7 +187,7 @@ def test_multimodal_audio_frames(ray_session):
     )
 
     t = synth_media_table([f"media://a/{i}" for i in range(20)], media_type="audio")
-    out = sample_audio_frames(rd.from_arrow(t), backend=FakeDecodeBackend(), concurrency=2).to_pandas()
+    out = sample_audio_frames(rd.from_arrow(t), backend=FakeDecodeBackend()).to_pandas()
     assert len(out) == 20
     assert (out["n_frames"] > 0).all()
     assert all(len(e) == n for e, n in zip(out["frame_energy"], out["n_frames"]))

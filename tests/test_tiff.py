@@ -136,7 +136,7 @@ def test_pickle_reopens_not_ships(tmp_path):
 
 
 def test_tile_dataset_reads_tiff_windows(ray_session, tmp_path):
-    """WindowReader actor pool over a real TIFF: tile table byte-equal to the
+    """tile_dataset window reads over a real TIFF: tile table byte-equal to the
     in-memory source's tiles (S1 + ST1 end-to-end)."""
     from geotrellis_contrib_ray.core.grid import LayoutDefinition
     from geotrellis_contrib_ray.stages import raster as rst
@@ -149,7 +149,7 @@ def test_tile_dataset_reads_tiff_windows(ray_session, tmp_path):
     layout = LayoutDefinition.floating(grid, 256)
 
     def tiles_of(source):
-        df = rst.tile_dataset([source], layout, concurrency=2).to_pandas()
+        df = rst.tile_dataset([source], layout).to_pandas()
         return df.sort_values(["tile_col", "tile_row"]).reset_index(drop=True)
 
     got = tiles_of(TiffRasterSource(path))
