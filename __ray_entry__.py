@@ -2868,11 +2868,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # CHANGED this round, (c) oldest-driver-checked first; recently
         # green rows ride last and rotate forward next round.
         # -- (a) NEW this round, never driver-checked: token-sort dedup,
-        #    regex extraction, broadcast z-score, heavy-hitter top-k tier,
+        #    broadcast z-score, heavy-hitter top-k tier,
         #    then the earlier r5 waves (edit distance, bigrams, pivot, set
         #    ops, graph rank, window functions, product analytics, ...)
         "bow_dedup": q_bow_dedup,
-        "regex_tokens": q_regex_tokens,
         "zscore_chars": q_zscore_chars,
         "top_bigrams_hh": q_top_bigrams_hh,
         "dedup_keep_best": q_dedup_keep_best,
@@ -2897,7 +2896,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "mode_chars": q_mode_chars,
         "price_histogram": q_price_histogram,
         "corr_stats": q_corr_stats,
-        # -- (b) implementation changed in r5 (adaptive simhash sharding,
+        # -- (b) implementation changed: exact-key dedup now runs on one
+        #    shared kernel (keyed reduce / keep-first shuffle, one chunk
+        #    builder), and regex extraction refuses separator matches
+        "dedup_exact": q_dedup_exact,
+        "corpus_clean": q_corpus_clean,
+        "paragraph_dedup": q_paragraph_dedup,
+        "paragraph_dup_ratio": q_paragraph_dup_ratio,
+        "regex_tokens": q_regex_tokens,
+        # -- (b cont.) implementation changed in r5 (adaptive simhash sharding,
         #    NULL-text delta filter, mixture persist tiers, subsampled skew
         #    census, chunked distance kernels, rollup typing, shared
         #    quantile level passes, graph-rank broadcast tier, edit-distance
@@ -2931,7 +2938,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "knn": q_knn,
         "zonal_summary": q_zonal_summary,
         "pyramid": q_pyramid,
-        "dedup_exact": q_dedup_exact,
         "raster_tile_read": q_raster_tile_read,
         "raster_mosaic": q_raster_mosaic,
         "order_lineitem_join": q_order_lineitem_join,
@@ -2998,14 +3004,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "tile_assign": q_tile_assign,
         "cell_assign": q_cell_assign,
         # -- r4-checked block (most recently green, rides last)
-        "paragraph_dedup": q_paragraph_dedup,
-        "paragraph_dup_ratio": q_paragraph_dup_ratio,
         "raster_band_math": q_raster_band_math,
         "span_redact": q_span_redact,
         "normalize_text": q_normalize_text,
         "orders_no_lineitem": q_orders_no_lineitem,
         "customer_order_totals": q_customer_order_totals,
-        "corpus_clean": q_corpus_clean,
         "pack_sequences": q_pack_sequences,
         "tfidf_terms": q_tfidf_terms,
         "raster_hillshade": q_raster_hillshade,

@@ -491,9 +491,15 @@ def _unpack_at(fmt: str, data, off: int):
     return struct.unpack(fmt, data[off : off + struct.calcsize(fmt)])
 
 
+_MAX_IFDS = 256  # IFD chain cap: a pyramid never has this many levels
+
+
 def _parse_tiff(data) -> tuple[list[_TiffLevel], dict]:
     """-> (levels, ifd0 tags).  ``data``: bytes / mmap / LazyRangeBytes —
-    anything supporting contiguous slicing; only IFD pages are touched."""
+    anything supporting contiguous slicing and len(); only IFD pages are
+    touched.  A hostile header raises ValueError: an IFD chain that loops
+    or runs past ``_MAX_IFDS`` levels, or an IFD / tag value lying outside
+    the file."""
     order = data[:2]
     endian = "<" if order == b"II" else ">" if order == b"MM" else None
     if endian is None:
@@ -502,9 +508,20 @@ def _parse_tiff(data) -> tuple[list[_TiffLevel], dict]:
     if magic != 42:
         raise ValueError("not a classic TIFF (magic != 42)")
     (ifd_off,) = _unpack_at(endian + "I", data, 4)
-    levels, tags0 = [], None
+    file_len = len(data)
+    levels, tags0, seen = [], None, set()
     while ifd_off:
+        if ifd_off in seen or len(seen) >= _MAX_IFDS:
+            raise ValueError(f"TIFF IFD chain loops or exceeds {_MAX_IFDS} "
+                             f"levels (IFD offset {ifd_off})")
+        seen.add(ifd_off)
+        if ifd_off + 2 > file_len:
+            raise ValueError(f"TIFF IFD offset {ifd_off} is past the end of "
+                             f"the file ({file_len} bytes)")
         (n,) = _unpack_at(endian + "H", data, ifd_off)
+        if ifd_off + 2 + 12 * n + 4 > file_len:
+            raise ValueError(f"TIFF IFD at {ifd_off} ({n} entries) runs past "
+                             f"the end of the file ({file_len} bytes)")
         tags: dict[int, list] = {}
         for i in range(n):
             tag, ft, cnt, raw = _unpack_at(endian + "HHI4s", data, ifd_off + 2 + 12 * i)
@@ -516,6 +533,10 @@ def _parse_tiff(data) -> tuple[list[_TiffLevel], dict]:
                 vals = struct.unpack_from(endian + str(cnt) + _FT_FMT[ft], raw)
             else:
                 (voff,) = struct.unpack(endian + "I", raw)
+                if voff + total > file_len:
+                    raise ValueError(
+                        f"TIFF tag {tag} value [{voff}, {voff + total}) lies "
+                        f"outside the file ({file_len} bytes)")
                 vals = _unpack_at(endian + str(cnt) + _FT_FMT[ft], data, voff)
             tags[tag] = list(vals)
         if T_TILE_OFFSETS not in tags and T_STRIP_OFFSETS not in tags:

@@ -219,8 +219,7 @@ def driver_group_rollup(ds, keys: list[str],
 
 def salted_group_reduce(ds, keys: list[str],
                         aggs: list[tuple[str | None, str, str]],
-                        *, salt: int = 64, carry: tuple[str, ...] = (),
-                        shuffle_partitions: int | None = None):
+                        *, salt: int = 64, carry: tuple[str, ...] = ()):
     """groupby(keys) total reduction via one bounded-salt shuffle.
 
     ``aggs``: (source_col, op, alias) with op in sum|min|max|count|first
@@ -229,22 +228,20 @@ def salted_group_reduce(ds, keys: list[str],
     columns keys + carry + aliases; dtypes are preserved (int sums stay
     int64, strings stay utf8 — empty results keep utf8 via explicit types).
 
-    ``shuffle_partitions``: Ray's sort-shuffle cost scales with the BLOCK
-    count of its input (measured here: 0.82 s at 64 blocks vs 0.22 s at 8
-    for the same 500k rows), so the input is narrowly repartitioned to
-    ~cluster_CPUs/2 partitions before the wide step by default — enough
-    reduce-side parallelism for the <= ``salt`` groups, without the
-    64x64 task-matrix fixed cost.  Scales with the cluster (more nodes ->
-    more partitions); pass an explicit value for very large reductions.
+    Ray's sort-shuffle cost scales with the BLOCK count of its input
+    (measured here: 0.82 s at 64 blocks vs 0.22 s at 8 for the same 500k
+    rows), so the input is narrowly repartitioned to ~cluster_CPUs/2
+    partitions before the wide step — enough reduce-side parallelism for
+    the <= ``salt`` groups, without the 64x64 task-matrix fixed cost, and
+    scaling with the cluster (more nodes -> more partitions).
     """
     def reduce_groups(g):
         return _reduce_columns(lambda c: g[c].to_numpy(), keys, aggs, carry)
 
-    parts = shuffle_partitions or _default_shuffle_partitions()
     return (
         ds.map_batches(_add_salt(keys, salt), batch_format="pyarrow",
                        zero_copy_batch=True, batch_size=None)
-        .repartition(parts)
+        .repartition(_default_shuffle_partitions())
         .groupby("_gsalt")
         .map_groups(reduce_groups, batch_format="pandas")
     )

@@ -1,8 +1,17 @@
-"""Deduplication stages: exact, MinHash+LSH, SimHash, n-gram Jaccard.
+"""Deduplication stages: exact keyed dedup, MinHash+LSH, SimHash, n-gram
+Jaccard, PassJoin edit distance, cross-document paragraph dedup.
 
 Scale pattern (per the Ray Data aggregation guidance): hash/sketch per batch
 (narrow, vectorized), shuffle only the small (key, id) projection, resolve
 groups with groupby; never move document bodies through the shuffle.
+
+Every exact-key dedup (derive a key, keep one winner per key: the
+reference's D1 window collapse) runs on one of two private primitives:
+``_keyed_reduce`` (one bounded-salt reduce, one row per key) or
+``_keep_first_rows`` (one bucket shuffle keeping whole first rows).  Both
+hold one collision contract: the 64-bit key h1 travels with an independent
+64-bit hash h2, and a key whose h2 varies is refused (combined miss
+~2^-128); string keys (paragraph chunks) compare by exact text instead.
 """
 
 from __future__ import annotations
@@ -13,16 +22,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import _default_shuffle_partitions
+
 _log = logging.getLogger("geotrellis_contrib_ray.dedup")
-
-
-def _shuffle_parts() -> int:
-    """Shuffle partition count for the pair-emission groupbys: Ray's sort
-    cost scales with input BLOCK count (see stages/agg.py measurements), so
-    narrow-repartition small pair streams to ~CPUs/2 before the wide step."""
-    from .agg import _default_shuffle_partitions
-
-    return _default_shuffle_partitions()
 
 
 # over-cap LSH buckets are skipped, but never silently: the drop is logged
@@ -37,9 +39,11 @@ def _log_bucket_drop(kind: str, size: int, cap: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact dedup
+# keyed dedup kernel
 # ---------------------------------------------------------------------------
 
+# seed of the second, independent FNV family (h2) behind the collision check
+_H2_SEED = 0x9E3779B97F4A7C15
 
 # reserved fingerprints for NULL texts: SQL GROUP BY text makes every NULL
 # one group DISTINCT from '' while hash_utf8_array returns the FNV basis
@@ -48,137 +52,216 @@ _NULL_TEXT_FP = np.int64(-0x61C8864680B583EB)
 _NULL_TEXT_H2 = np.int64(0x3C79AC492BA7B653)
 
 
-def exact_dedup_groups(ds, id_col: str = "doc_id", text_col: str = "text"):
-    """Exact duplicate groups: hash-partition on a 64-bit content FINGERPRINT
-    (not the text itself) — the shuffle key is 8 bytes/group at any corpus
-    size.  Per-batch partial aggregation collapses in-batch duplicates before
-    the shuffle; one exemplar text per group rides along for the output.
+def _combined(col):
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
-    Collision check: a SECOND independent 64-bit hash family (different FNV
-    seed) rides the shuffle as int min/max per group — unequal means two
-    distinct texts collided in the primary fingerprint (refused with an
-    error).  Combined miss probability ~2^-128 per text pair (both families
-    colliding at once), vs the old string min/max pair which shuffled two
-    extra TEXT columns and forced Ray's per-group native aggregate (~1 group
-    per distinct text; the bounded-salt reduceat plan is ~40x cheaper, see
-    stages/agg.py).
 
-    Output: text, first_doc (min id), n_copies.
-    SQL twin: SELECT text, min(doc_id) first_doc, count(*) n_copies GROUP BY text.
-    """
-    from .agg import salted_group_reduce
+def _split_tokens(texts: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """Space-split ``texts``: the flat token array and the int64 offsets
+    (from 0, one per doc + 1) of each doc's tokens in it."""
+    toks = _combined(pc.split_pattern(texts, " "))
+    off_dt = np.int64 if pa.types.is_large_list(toks.type) else np.int32
+    offs = np.frombuffer(toks.buffers()[1], dtype=off_dt)[
+        toks.offset : toks.offset + len(texts) + 1].astype(np.int64)
+    lo, hi = int(offs[0]), int(offs[-1])
+    return _combined(toks.values).slice(lo, hi - lo), offs - lo
+
+
+def _join_tokens(flat: pa.Array, offs: np.ndarray) -> pa.Array:
+    """One string per run ``flat[offs[i]:offs[i+1]]``, joined by a space."""
+    lists = (pa.ListArray.from_arrays(pa.array(offs, pa.int32()), flat)
+             if offs[-1] < (1 << 31)
+             else pa.LargeListArray.from_arrays(pa.array(offs, pa.int64()), flat))
+    return pc.binary_join(lists, " ").cast(pa.string())
+
+
+def _refuse_collision(h2_lo: np.ndarray, h2_hi: np.ndarray) -> None:
+    """The collision contract: h2 is constant within every h1 group."""
+    if (h2_lo != h2_hi).any():
+        raise ValueError(
+            "fingerprint collision: two distinct keys share a 64-bit "
+            "fingerprint (the independent h2 hash disagrees) — widen the "
+            "fingerprint for this corpus")
+
+
+def _text_keys(text_col: str, null_group: bool):
+    """Exact-text signature: ``batch -> batch + (_key, _h2)`` with the key
+    h1 = text.add_fingerprint and h2 the independent family.  The hashers
+    are looked up HERE, when the plan is built, and ride the closure to the
+    workers.
+
+    NULL rule: ``null_group`` gives NULL texts one group of their own,
+    distinct from '' (SQL GROUP BY text); otherwise NULL rows are dropped
+    (the SQL twins' equality predicates never match NULL)."""
     from .text import add_fingerprint, hash_utf8_array
 
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = add_fingerprint(batch)
-        h2 = hash_utf8_array(batch[text_col], seed=0x9E3779B97F4A7C15)
-        # SQL GROUP BY text puts every NULL in ONE group DISTINCT from '' —
-        # but hash_utf8_array returns the FNV basis for both.  Reserved
-        # constants give NULLs their own group (a real text colliding with
-        # the sentinel trips the h2 refusal, never a silent merge).
-        texts = batch[text_col]
-        nulls = pc.is_null(
-            texts.combine_chunks() if isinstance(texts, pa.ChunkedArray)
-            else texts).to_numpy(zero_copy_only=False)
-        if nulls.any():
-            fp = batch["fingerprint"].to_numpy(zero_copy_only=False).copy()
-            fp[nulls] = _NULL_TEXT_FP
-            h2 = h2.copy()
-            h2[nulls] = _NULL_TEXT_H2
-            batch = batch.set_column(
-                batch.schema.get_field_index("fingerprint"), "fingerprint",
-                pa.array(fp, pa.int64()))
-        batch = batch.append_column("_h2", pa.array(h2, pa.int64()))
-        g = (
-            batch.select(["fingerprint", text_col, id_col, "_h2"])
-            .group_by("fingerprint", use_threads=False)
-            .aggregate(
-                [(id_col, "min"), (id_col, "count"), (text_col, "min"),
-                 ("_h2", "min"), ("_h2", "max")]
-            )
-        )
-        return g.rename_columns(
-            ["fingerprint", "pmin", "pcnt", "ptext", "ph2min", "ph2max"])
+    def keys(batch: pa.Table):
+        texts = _combined(batch[text_col])
+        valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
+        if not null_group:
+            batch, texts = batch.filter(pa.array(valid)), texts.filter(pa.array(valid))
+        h1 = add_fingerprint(pa.table({"text": texts}))["fingerprint"].to_numpy()
+        h2 = hash_utf8_array(texts, seed=_H2_SEED)
+        if null_group and not valid.all():
+            h1, h2 = h1.copy(), h2.copy()
+            h1[~valid], h2[~valid] = _NULL_TEXT_FP, _NULL_TEXT_H2
+        return batch.append_column("_key", pa.array(h1)).append_column(
+            "_h2", pa.array(h2))
 
-    part = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,)
-    agg = salted_group_reduce(
-        part, ["fingerprint"],
-        [("pmin", "min", "first_doc"), ("pcnt", "sum", "n_copies"),
-         ("ptext", "first", text_col),
-         ("ph2min", "min", "_h2min"), ("ph2max", "max", "_h2max")],
+    return keys
+
+
+_PARTIAL_OP = {"min": "min", "count": "count", "first": "min"}
+_COMBINE_OP = {"min": "min", "count": "sum", "first": "first"}
+
+
+def _keyed_reduce(ds, rows, aggs: list[tuple[str | None, str, str]], out=None):
+    """One output row per key: the salted total reduce of the kernel.
+
+    ``rows(batch)`` -> table (_key, _h2, *sources): the 64-bit signature
+    hash h1, its independent check hash and the winner / payload columns —
+    texts never move.  Every batch pre-aggregates per key (a key repeated
+    inside a block ships once), the partials ride ONE bounded-salt reduce,
+    and a key whose h2 min != max is refused (_refuse_collision).
+
+    ``aggs``: (source, op, alias) with op min | count (source None) | first
+    (a payload constant per key, e.g. the exemplar text).  ``out(b)`` maps
+    the reduced (_key, _h2min, _h2max, *aliases) table to the output; by
+    default the aliases, in order."""
+    from .agg import salted_group_reduce
+
+    part = [("_h2", "min"), ("_h2", "max")] + [
+        (src or "_key", _PARTIAL_OP[op]) for src, op, _ in aggs]
+    names = ["_key", "_h2min", "_h2max"] + [f"_p{i}" for i in range(len(aggs))]
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return (rows(batch).group_by("_key", use_threads=False)
+                .aggregate(part).rename_columns(names))
+
+    reduced = salted_group_reduce(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
+                       batch_size=None),
+        ["_key"],
+        [("_h2min", "min", "_h2min"), ("_h2max", "max", "_h2max")]
+        + [(f"_p{i}", _COMBINE_OP[op], alias)
+           for i, (_, op, alias) in enumerate(aggs)],
         salt=256,
     )
 
     def finalize(b: pa.Table) -> pa.Table:
-        neq = pc.not_equal(b["_h2min"], b["_h2max"])
-        if len(b) and pc.any(neq).as_py():
-            raise ValueError(
-                "fingerprint collision: two distinct texts share a 64-bit "
-                "fingerprint — widen the fingerprint (128-bit) for this corpus"
-            )
-        return b.select([text_col, "first_doc", "n_copies"])
+        _refuse_collision(b["_h2min"].to_numpy(), b["_h2max"].to_numpy())
+        return out(b) if out else b.select([alias for _, _, alias in aggs])
 
-    return agg.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+    return reduced.map_batches(finalize, batch_format="pyarrow",
+                               zero_copy_batch=True, batch_size=None)
 
 
-def exact_dedup_keep_first(ds, id_col: str = "doc_id", text_col: str = "text",
-                           buckets: int | None = None):
-    """Keep one row per distinct text (the min-id row), fully vectorized:
+def _run_first(t: pa.Table, key: str, order: tuple[str, ...]) -> np.ndarray:
+    """Ascending row indices of the first row, by ``order``, of every
+    ``key`` run of ``t``.  An integer key is a fingerprint, checked against
+    ``_h2`` when that column rides along; a string key is compared by exact
+    equality (dictionary codes)."""
+    if len(t) == 0:
+        return np.zeros(0, np.int64)
+    k = _combined(t[key])
+    if pa.types.is_string(k.type) or pa.types.is_large_string(k.type):
+        k = pc.dictionary_encode(k).indices
+    k = k.to_numpy(zero_copy_only=False)
+    srt = np.lexsort(tuple(t[c].to_numpy() for c in reversed(order)) + (k,))
+    ks = k[srt]
+    starts = np.nonzero(np.r_[True, ks[1:] != ks[:-1]])[0]
+    if "_h2" in t.column_names:
+        h2 = t["_h2"].to_numpy()[srt]
+        _refuse_collision(np.minimum.reduceat(h2, starts),
+                          np.maximum.reduceat(h2, starts))
+    return np.sort(srt[starts])
 
-    1. fingerprint per batch (8-byte key; the text itself is never a
-       shuffle KEY — rows hash-partition on ``fingerprint % buckets``);
-    2. ONE groupby(bucket) shuffle: inside each bucket every fingerprint's
-       rows are complete, so the winner (min id per fingerprint) is an
-       in-group lexsort + run mask and survivors are filtered in place.
 
-    The previous layout (winner aggregate, then a join of the corpus back
-    against the winner table) was two corpus SCANS + a full-row join
-    shuffle — a Dataset consumed by two plans re-executes its upstream.
-    This plan scans once and shuffles once.
+def _keep_first_rows(sides, order: tuple[str, ...], *, key: str = "_key",
+                     finish=None, pre_collapse: bool = False):
+    """Keep the first row, by ``order``, of every key: ONE groupby shuffle.
 
-    No per-group python per DISTINCT TEXT (the old groupby(fingerprint)
-    .map_groups(head(1)) paid ~1 ms per group); group count is bounded by
-    ``buckets``.  Skew note: a fingerprint duplicated millions of times
-    lands in one bucket — raise ``buckets`` or pre-thin with
-    skew.dedup_keep_first_salted for adversarial corpora."""
+    ``sides``: (dataset, tag) pairs whose rows shuffle together;
+    ``tag(batch)`` returns the rows to shuffle: the ``key`` column (an int64
+    fingerprint with an optional ``_h2`` check column, or a string), the
+    ``order`` columns and any payload.  Rows hash-partition on
+    ``key % buckets``, so a bucket holds every row of its keys and the
+    winners are one in-group lexsort run mask (_run_first) — no python per
+    key, group count bounded by the bucket count.
+
+    ``finish(group, first)`` maps a bucket and its run-first row indices to
+    output; by default those rows, minus the ``_key`` / ``_h2`` / ``_bucket``
+    columns.  ``pre_collapse`` applies the same run mask inside every batch
+    first, so a hot key ships at most one row per block (the intermediate
+    reduce of FP-Hadoop); only valid when ``finish`` needs no losing rows."""
+    from ..util import strip_schema_metadata
     from .joins import default_join_partitions
-    from .text import add_fingerprint
+    from .text import hash_utf8_array
 
-    n_buckets = buckets if buckets is not None else default_join_partitions()
+    n_buckets = np.uint64(default_join_partitions())
 
-    def tag(b: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
+    def route(tag):
+        def f(b: pa.Table) -> pa.Table:
+            b = strip_schema_metadata(tag(b))  # unhashable-schema rule
+            if pre_collapse:
+                b = b.take(pa.array(_run_first(b, key, order)))
+            k = _combined(b[key])
+            h = (k.to_numpy(zero_copy_only=False) if pa.types.is_integer(k.type)
+                 else hash_utf8_array(k))
+            return b.append_column("_bucket", pa.array(
+                (h.view(np.uint64) % n_buckets).astype(np.int64)))
 
-        b = strip_schema_metadata(add_fingerprint(b))  # unhashable-schema rule
-        fp = b["fingerprint"].to_numpy(zero_copy_only=False)
-        texts = b[text_col]
-        nulls = pc.is_null(
-            texts.combine_chunks() if isinstance(texts, pa.ChunkedArray)
-            else texts).to_numpy(zero_copy_only=False)
-        if nulls.any():
-            # NULL texts form their OWN group distinct from '' (the GROUP
-            # BY text semantics; see _NULL_TEXT_FP)
-            fp = fp.copy()
-            fp[nulls] = _NULL_TEXT_FP
-            b = b.set_column(b.schema.get_field_index("fingerprint"),
-                             "fingerprint", pa.array(fp, pa.int64()))
-        bucket = (fp.view(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-        return b.append_column("_bucket", pa.array(bucket))
+        return f
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True,
-                            batch_size=None)
+    def first_rows(g: pa.Table, first: np.ndarray) -> pa.Table:
+        internal = [c for c in ("_key", "_h2", "_bucket") if c in g.column_names]
+        return g.take(pa.array(first)).drop_columns(internal)
+
+    fin = finish or first_rows
+    # each side routes before the union: only its tagged rows cross it
+    tagged = [ds.map_batches(route(tag), batch_format="pyarrow",
+                             zero_copy_batch=True, batch_size=None)
+              for ds, tag in sides]
+    tagged = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
     # sort-shuffle fixed cost scales with input block count — coalesce narrow
-    tagged = tagged.repartition(_shuffle_parts())
+    return (tagged.repartition(_default_shuffle_partitions())
+            .groupby("_bucket")
+            .map_groups(lambda g: fin(g, _run_first(g, key, order)),
+                        batch_format="pyarrow"))
 
-    def keep_first(g: pa.Table) -> pa.Table:
-        fp = g["fingerprint"].to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, fp))
-        first = np.r_[True, fp[order][1:] != fp[order][:-1]]
-        sel = np.sort(order[first])
-        return g.take(pa.array(sel)).drop_columns(["_bucket", "fingerprint"])
 
-    return tagged.groupby("_bucket").map_groups(keep_first, batch_format="pyarrow")
+# ---------------------------------------------------------------------------
+# exact dedup
+# ---------------------------------------------------------------------------
+
+
+def exact_dedup_groups(ds, id_col: str = "doc_id", text_col: str = "text"):
+    """Exact duplicate groups, keyed on a 64-bit content FINGERPRINT (not
+    the text itself) — 8 bytes of key per group at any corpus size; one
+    exemplar text per group rides the reduce for the output.  The keyed
+    reduce of the kernel, with its collision refusal; NULL texts form one
+    group of their own.
+
+    Output: text, first_doc (min id), n_copies.
+    SQL twin: SELECT text, min(doc_id) first_doc, count(*) n_copies GROUP BY text.
+    """
+    keys = _text_keys(text_col, null_group=True)
+    return _keyed_reduce(
+        ds, lambda b: keys(b).select(["_key", "_h2", id_col, text_col]),
+        [(text_col, "first", text_col), (id_col, "min", "first_doc"),
+         (None, "count", "n_copies")])
+
+
+def exact_dedup_keep_first(ds, id_col: str = "doc_id", text_col: str = "text"):
+    """Keep one row per distinct text (the min-id row): the keep-first
+    shuffle of the kernel over the exact-text fingerprint — the corpus is
+    scanned once and shuffled once, whole rows, with the collision refusal.
+    NULL texts form one group of their own (SQL GROUP BY text).
+
+    Skew note: a fingerprint duplicated millions of times lands in one
+    bucket — pre-thin with skew.dedup_keep_first_salted for adversarial
+    corpora."""
+    return _keep_first_rows([(ds, _text_keys(text_col, null_group=True))], (id_col,))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +469,7 @@ def minhash_candidate_pairs(ds, num_perm=64, bands=16, shingle_k=5,
         return pa.table({"id1": pa.array(np.concatenate(id1s).astype(np.int64)),
                          "id2": pa.array(np.concatenate(id2s).astype(np.int64))})
 
-    cand = (salted.repartition(_shuffle_parts())
+    cand = (salted.repartition(_default_shuffle_partitions())
             .groupby(["band_id", "gsalt"]).map_groups(pairs, batch_format="pandas"))
 
     # Each (pair, band) is emitted exactly once (one band_hash per
@@ -764,7 +847,7 @@ def simhash_candidate_pairs(ds, max_hamming: int = 3, bands: int = 4,
         return pa.table({"id1": pa.array(lo[keep]), "id2": pa.array(hi[keep]),
                          "hamming": pa.array(hd[keep])})
 
-    return (banded.repartition(_shuffle_parts())
+    return (banded.repartition(_default_shuffle_partitions())
             .groupby(["band_id", "gslot"]).map_groups(pairs, batch_format="pandas"))
 
 
@@ -859,7 +942,7 @@ def ngram_jaccard_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
     # sort-shuffle fixed cost scales with partition count (stages/agg.py)
     attached = bucketed_hash_join(probes, texts, on="doc_id",
                                   schemas=(probe_schema, text_schema),
-                                  buckets=2 * _shuffle_parts())
+                                  buckets=2 * _default_shuffle_partitions())
 
     # final verify: pairs grouped by a SALT of the pair key (bounded group
     # count — one map_groups call per pair would pay per-group overhead for
@@ -1054,7 +1137,7 @@ def jaccard_similarity_join(ds, shingle_k: int = 5, threshold: float = 0.5,
                          "sz1": pa.array(q1[o][st].astype(np.int64)),
                          "sz2": pa.array(q2[o][st].astype(np.int64))})
 
-    pairs = (tok_ds.repartition(_shuffle_parts())
+    pairs = (tok_ds.repartition(_default_shuffle_partitions())
              .groupby("gsalt").map_groups(pair_partials, batch_format="pandas"))
     shared = salted_group_reduce(
         pairs, ["id1", "id2"], [("cnt", "sum", "n_shared")],
@@ -1221,7 +1304,7 @@ def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
 
         pref = (joined.map_batches(add_dsalt, batch_format="pyarrow",
                                    zero_copy_batch=True, batch_size=None)
-                .repartition(_shuffle_parts())
+                .repartition(_default_shuffle_partitions())
                 .groupby("dsalt").map_groups(prefix_sel, batch_format="pandas"))
 
     # --- stage 4: candidate pairs from prefix-token runs ---------------------
@@ -1254,7 +1337,7 @@ def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
         return pa.table({"id1": pa.array(a[first]), "id2": pa.array(b[first])})
 
     cand = salted_group_reduce(
-        pref.repartition(_shuffle_parts())
+        pref.repartition(_default_shuffle_partitions())
         .groupby("gsalt").map_groups(cand_pairs, batch_format="pandas"),
         ["id1", "id2"], [(None, "count", "_nb")],  # global distinct
     )
@@ -1286,7 +1369,7 @@ def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
             pa.schema([("doc_id", i64), (text_col, pa.string())]),
         ),
         # small verify join: buckets ~ CPUs, not the 8x large-join default
-        buckets=2 * _shuffle_parts(),
+        buckets=2 * _default_shuffle_partitions(),
     )
 
     def add_pair_salt(b: pa.Table) -> pa.Table:
@@ -1402,7 +1485,7 @@ def embedding_neardup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
                          "id2": pa.array(ids[jj][keep].astype(np.int64)),
                          "cosine": pa.array(sims[ii, jj][keep])})
 
-    cand = (bucketed.repartition(_shuffle_parts())
+    cand = (bucketed.repartition(_default_shuffle_partitions())
             .groupby(["band", "bucket"]).map_groups(pairs, batch_format="pandas"))
 
     # distinct across bands: a true pair can collide in several bands
@@ -1508,7 +1591,7 @@ def embedding_neardup_pairs_exact(ds, threshold_num: int = 9, threshold_den: int
             "d2": pa.array(d2v[keep].astype(np.int64)),
         })
 
-    cand = (bucketed.repartition(_shuffle_parts())
+    cand = (bucketed.repartition(_default_shuffle_partitions())
             .groupby(["band", "bucket"]).map_groups(pairs, batch_format="pandas"))
 
     # distinct across bands (values are identical wherever a pair collides)
@@ -1682,7 +1765,7 @@ def substring_match_pairs(ds, win: int = 32, stride: int = 16,
 
     salted = w.map_batches(add_salt, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
-    salted = salted.repartition(_shuffle_parts())
+    salted = salted.repartition(_default_shuffle_partitions())
 
     def pairs(gdf):
         ids = gdf[id_col].to_numpy().astype(np.int64)
@@ -1725,9 +1808,71 @@ def substring_match_pairs(ds, win: int = 32, stride: int = 16,
 # ---------------------------------------------------------------------------
 
 
+_IDX_BITS = 20  # chunk_idx < 2^20 guard -> the owner key packs into int64
+
+
+def _chunk_rows(batch: pa.Table, k_tokens: int, id_col: str, text_col: str,
+                who: str) -> pa.Table:
+    """Split every non-NULL doc into fixed ``k_tokens``-token chunks: one
+    row (owner = doc_id << 20 | chunk_idx, n_total, chunk) per chunk.
+
+    pc.split_pattern flattens the batch once, the chunk token lists are one
+    take over the flat tokens, and pc.binary_join materializes the chunk
+    strings in one kernel."""
+    texts = _combined(batch[text_col])
+    valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[valid]
+    texts = texts.filter(pa.array(valid))
+    n = len(texts)
+    if n == 0:
+        return pa.table({"owner": pa.array([], pa.int64()),
+                         "n_total": pa.array([], pa.int64()),
+                         "chunk": pa.array([], pa.string())})
+    flat, doc_offs = _split_tokens(texts)
+    n_chunks = -(-np.diff(doc_offs) // k_tokens)  # ceil; >= 1 (split of '' -> [''])
+    if (n_chunks >= (1 << _IDX_BITS)).any():
+        raise ValueError(
+            f"{who}: a document has >= 2^{_IDX_BITS} chunks — raise "
+            "_IDX_BITS (the packed owner key) for this corpus")
+    total_chunks = int(n_chunks.sum())
+    # chunk list offsets over the FLAT token child: every k-th token
+    # boundary within each doc plus the doc end
+    starts = np.repeat(doc_offs[:-1], n_chunks)
+    within = np.arange(total_chunks) - np.repeat(
+        np.cumsum(n_chunks) - n_chunks, n_chunks)
+    chunk_starts = starts + within * k_tokens
+    # chunk ends: k tokens on, clamped at the doc's token end
+    ends = np.minimum(chunk_starts + k_tokens,
+                      np.repeat(doc_offs[1:], n_chunks))
+    # chunk token lists as one take over the flat token child (ListArray
+    # offsets must be monotone, which raw (start, end) pairs are not
+    # across doc boundaries)
+    lens = ends - chunk_starts
+    tot = int(lens.sum())
+    take_idx = np.repeat(chunk_starts, lens) + (
+        np.arange(tot) - np.repeat(np.cumsum(lens) - lens, lens))
+    chunks = _join_tokens(flat.take(pa.array(take_idx, pa.int64())),
+                          np.r_[0, np.cumsum(lens)])
+    owner = (np.repeat(ids, n_chunks) << np.int64(_IDX_BITS)) | within.astype(np.int64)
+    return pa.table({
+        "owner": pa.array(owner),
+        "n_total": pa.array(np.repeat(n_chunks, n_chunks).astype(np.int64)),
+        "chunk": chunks,
+    })
+
+
+def _first_chunks(ds, k_tokens: int, id_col: str, text_col: str, who: str,
+                  finish=None):
+    """The chunk rows through the keep-first shuffle: runs are EXACT chunk
+    texts (the hash only routes, so 64-bit collisions cannot merge distinct
+    chunks) and the corpus-first copy — min (doc_id, chunk_idx) — wins."""
+    return _keep_first_rows(
+        [(ds, lambda b: _chunk_rows(b, k_tokens, id_col, text_col, who))],
+        ("owner",), key="chunk", finish=finish)
+
+
 def paragraph_dedup(ds, k_tokens: int = 10, id_col: str = "doc_id",
-                    text_col: str = "text", buckets: int | None = None,
-                    doc_salt: int = 256):
+                    text_col: str = "text"):
     """CCNet/Dolma-style CROSS-DOCUMENT paragraph dedup: segment every doc
     into fixed ``k_tokens``-token chunks (the deterministic stand-in for
     paragraph/line splits on a newline-free corpus), drop every chunk whose
@@ -1736,119 +1881,19 @@ def paragraph_dedup(ds, k_tokens: int = 10, id_col: str = "doc_id",
     chunks in order.
 
     Scale shape — two shuffles, both on the chunk projection:
-    1. chunk rows hash-partition on fingerprint(chunk) % buckets; within a
-       bucket every copy of a chunk text is present, so the winner is one
-       arrow multi-key sort + run mask — TEXT equality decides (the hash
-       only routes, so 64-bit collisions cannot merge distinct chunks);
+    1. the keep-first chunk shuffle (_first_chunks);
     2. survivors regroup on a bounded doc salt; per doc the chunks are
        rejoined in chunk_idx order via one vectorized ListArray
        binary_join per group — no per-row python string building.
 
-    Chunk segmentation is zero-copy end-to-end: pc.split_pattern flattens
-    the corpus once, chunk LISTS are re-offset views over the flat token
-    buffer, and pc.binary_join materializes chunk strings in one kernel.
-
     Output: (doc_id, clean_text, n_kept, n_total); docs whose every chunk
     was dropped do not appear (same GROUP-BY-survivors semantics as the
     SQL twin).  Null texts are excluded on both engines."""
-    from .joins import default_join_partitions
-    from .text import hash_utf8_array
-
-    n_buckets = buckets if buckets is not None else default_join_partitions()
-    IDX_BITS = 20  # chunk_idx < 2^20 guard -> owner key packs into int64
-
-    def chunk_rows(batch: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        batch = strip_schema_metadata(batch)
-        texts = batch[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[valid]
-        texts = texts.filter(pa.array(valid))
-        n = len(texts)
-        empty = pa.table({
-            "owner": pa.array([], pa.int64()),
-            "chunk_idx": pa.array([], pa.int64()),
-            "n_total": pa.array([], pa.int64()),
-            "chunk": pa.array([], pa.string()),
-            "_bucket": pa.array([], pa.int64()),
-        })
-        if n == 0:
-            return empty
-        toks = pc.split_pattern(texts, " ")
-        toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        off_dt = np.int64 if pa.types.is_large_list(toks.type) else np.int32
-        doc_offs = np.frombuffer(toks.buffers()[1], dtype=off_dt)[
-            toks.offset : toks.offset + n + 1].astype(np.int64)
-        tok_counts = np.diff(doc_offs)
-        n_chunks = -(-tok_counts // k_tokens)  # ceil; >= 1 (split of '' -> [''])
-        if (n_chunks >= (1 << IDX_BITS)).any():
-            raise ValueError(
-                f"paragraph_dedup: a document has >= 2^{IDX_BITS} chunks — "
-                "raise IDX_BITS (the packed owner key) for this corpus")
-        total_chunks = int(n_chunks.sum())
-        if total_chunks == 0:
-            return empty
-        # chunk list offsets over the FLAT token child: every k-th token
-        # boundary within each doc plus the doc end
-        starts = np.repeat(doc_offs[:-1], n_chunks)
-        within = np.arange(total_chunks) - np.repeat(
-            np.cumsum(n_chunks) - n_chunks, n_chunks)
-        chunk_starts = starts + within * k_tokens
-        # chunk ends: k tokens on, clamped at the doc's token end
-        ends = np.minimum(chunk_starts + k_tokens,
-                          np.repeat(doc_offs[1:], n_chunks))
-        flat = toks.values
-        flat = flat.combine_chunks() if isinstance(flat, pa.ChunkedArray) else flat
-        # chunk token lists as one take over the flat token child (ListArray
-        # offsets must be monotone, which raw (start, end) pairs are not
-        # across doc boundaries)
-        lens = ends - chunk_starts
-        tot = int(lens.sum())
-        take_idx = np.repeat(chunk_starts, lens) + (
-            np.arange(tot) - np.repeat(np.cumsum(lens) - lens, lens))
-        gathered = flat.take(pa.array(take_idx, pa.int64()))
-        list_offs = np.empty(total_chunks + 1, dtype=np.int64)
-        list_offs[0] = 0
-        np.cumsum(lens, out=list_offs[1:])
-        chunk_lists = pa.ListArray.from_arrays(
-            pa.array(list_offs, pa.int32()) if list_offs[-1] < (1 << 31)
-            else pa.array(list_offs, pa.int64()),
-            gathered)
-        chunks = pc.binary_join(chunk_lists, " ")
-        doc_of_chunk = np.repeat(ids, n_chunks)
-        owner = (doc_of_chunk << np.int64(IDX_BITS)) | within.astype(np.int64)
-        h = hash_utf8_array(chunks)
-        bucket = (h.view(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table({
-            "owner": pa.array(owner),
-            "chunk_idx": pa.array(within.astype(np.int64)),
-            "n_total": pa.array(np.repeat(n_chunks, n_chunks).astype(np.int64)),
-            "chunk": chunks.cast(pa.string()),
-            "_bucket": pa.array(bucket),
-        })
-
-    rows = ds.map_batches(chunk_rows, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None)
-    rows = rows.repartition(_shuffle_parts())
-
-    def keep_first(g: pa.Table) -> pa.Table:
-        g = g.sort_by([("chunk", "ascending"), ("owner", "ascending")])
-        ch = g["chunk"]
-        ch = ch.combine_chunks() if isinstance(ch, pa.ChunkedArray) else ch
-        if len(g) == 0:
-            return g.drop_columns(["_bucket"])
-        eq_prev = pc.equal(ch.slice(1), ch.slice(0, len(ch) - 1))
-        first = np.r_[True, ~eq_prev.to_numpy(zero_copy_only=False)]
-        return g.filter(pa.array(first)).drop_columns(["_bucket"])
-
-    kept = rows.groupby("_bucket").map_groups(keep_first, batch_format="pyarrow")
+    kept = _first_chunks(ds, k_tokens, id_col, text_col, "paragraph_dedup")
 
     def add_dsalt(b: pa.Table) -> pa.Table:
-        doc = (b["owner"].to_numpy(zero_copy_only=False) >> np.int64(IDX_BITS))
-        salt = ((doc * np.int64(2654435761)) % np.int64(doc_salt)).astype(np.int64)
+        doc = (b["owner"].to_numpy(zero_copy_only=False) >> np.int64(_IDX_BITS))
+        salt = ((doc * np.int64(2654435761)) % np.int64(256)).astype(np.int64)
         return b.append_column("_dsalt", pa.array(salt))
 
     def reassemble(g: pa.Table) -> pa.Table:
@@ -1859,20 +1904,14 @@ def paragraph_dedup(ds, k_tokens: int = 10, id_col: str = "doc_id",
                              "n_total": pa.array([], pa.int64())})
         g = g.sort_by([("owner", "ascending")])  # (doc, chunk_idx) order
         owner = g["owner"].to_numpy(zero_copy_only=False)
-        doc = owner >> np.int64(IDX_BITS)
+        doc = owner >> np.int64(_IDX_BITS)
         starts = np.nonzero(np.r_[True, doc[1:] != doc[:-1]])[0]
         lens = np.diff(np.r_[starts, len(doc)])
-        offs = np.empty(len(starts) + 1, dtype=np.int64)
-        offs[0] = 0
-        np.cumsum(lens, out=offs[1:])
-        ch = g["chunk"]
-        ch = ch.combine_chunks() if isinstance(ch, pa.ChunkedArray) else ch
-        lists = pa.ListArray.from_arrays(pa.array(offs, pa.int32()), ch)
-        joined = pc.binary_join(lists, " ")
         n_tot = g["n_total"].to_numpy(zero_copy_only=False)[starts]
         return pa.table({
             "doc_id": pa.array(doc[starts]),
-            "clean_text": joined.cast(pa.string()),
+            "clean_text": _join_tokens(_combined(g["chunk"]),
+                                       np.r_[0, np.cumsum(lens)]),
             "n_kept": pa.array(lens.astype(np.int64)),
             "n_total": pa.array(n_tot.astype(np.int64)),
         })
@@ -1883,116 +1922,34 @@ def paragraph_dedup(ds, k_tokens: int = 10, id_col: str = "doc_id",
 
 
 def paragraph_dup_ratio(ds, k_tokens: int = 10, drop_above: float | None = None,
-                        id_col: str = "doc_id", text_col: str = "text",
-                        buckets: int | None = None):
+                        id_col: str = "doc_id", text_col: str = "text"):
     """Dolma-style FUZZY document dedup signal: per doc, the fraction of its
     ``k_tokens``-token chunks whose exact text occurs in some OTHER document
     (or earlier in this one).  ``drop_above`` filters docs whose ratio
     exceeds the threshold (the usual pipeline gate); None returns the scored
     table for downstream policy.
 
-    Same two-shuffle chunk machinery as paragraph_dedup, but the winner
-    stage only needs per-chunk OWNERSHIP counts, so the second shuffle moves
-    (doc_id, flags) pairs — chunk text never travels twice.
+    Same keep-first chunk shuffle as paragraph_dedup, but each bucket only
+    emits per-doc (n_chunks, n_dup) partials — a chunk is a dup when it is
+    not its run's first — so the second shuffle moves (doc_id, counts)
+    rows and chunk text never travels twice.
     Output: doc_id, n_chunks, n_dup_chunks, dup_ratio (n_dup/n int-division
     avoided: emitted as exact int64 counts + one float64 division, the same
     expression as the SQL twin)."""
     from .agg import salted_group_reduce
-    from .joins import default_join_partitions
-    from .text import hash_utf8_array
 
-    n_buckets = buckets if buckets is not None else default_join_partitions()
-    IDX_BITS = 20
+    def doc_partials(g: pa.Table, first: np.ndarray) -> pa.Table:
+        is_dup = np.ones(len(g), np.int64)
+        is_dup[first] = 0
+        doc = g["owner"].to_numpy() >> np.int64(_IDX_BITS)
+        docs, inv, n = np.unique(doc, return_inverse=True, return_counts=True)
+        return pa.table({"doc_id": pa.array(docs, pa.int64()),
+                         "pn": pa.array(n.astype(np.int64)),
+                         "pd": pa.array(np.bincount(inv, is_dup, len(docs))
+                                        .astype(np.int64))})
 
-    def chunk_rows(batch: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        batch = strip_schema_metadata(batch)
-        texts = batch[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[valid]
-        texts = texts.filter(pa.array(valid))
-        n = len(texts)
-        empty = pa.table({
-            "owner": pa.array([], pa.int64()),
-            "chunk": pa.array([], pa.string()),
-            "_bucket": pa.array([], pa.int64()),
-        })
-        if n == 0:
-            return empty
-        toks = pc.split_pattern(texts, " ")
-        toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        off_dt = np.int64 if pa.types.is_large_list(toks.type) else np.int32
-        doc_offs = np.frombuffer(toks.buffers()[1], dtype=off_dt)[
-            toks.offset : toks.offset + n + 1].astype(np.int64)
-        tok_counts = np.diff(doc_offs)
-        n_chunks = -(-tok_counts // k_tokens)
-        if (n_chunks >= (1 << IDX_BITS)).any():
-            raise ValueError("paragraph_dup_ratio: doc exceeds 2^20 chunks")
-        total_chunks = int(n_chunks.sum())
-        if total_chunks == 0:
-            return empty
-        starts = np.repeat(doc_offs[:-1], n_chunks)
-        within = np.arange(total_chunks) - np.repeat(
-            np.cumsum(n_chunks) - n_chunks, n_chunks)
-        chunk_starts = starts + within * k_tokens
-        ends = np.minimum(chunk_starts + k_tokens,
-                          np.repeat(doc_offs[1:], n_chunks))
-        flat = toks.values
-        flat = flat.combine_chunks() if isinstance(flat, pa.ChunkedArray) else flat
-        lens = ends - chunk_starts
-        tot = int(lens.sum())
-        take_idx = np.repeat(chunk_starts, lens) + (
-            np.arange(tot) - np.repeat(np.cumsum(lens) - lens, lens))
-        gathered = flat.take(pa.array(take_idx, pa.int64()))
-        list_offs = np.empty(total_chunks + 1, dtype=np.int64)
-        list_offs[0] = 0
-        np.cumsum(lens, out=list_offs[1:])
-        chunk_lists = pa.ListArray.from_arrays(
-            pa.array(list_offs, pa.int32()) if list_offs[-1] < (1 << 31)
-            else pa.array(list_offs, pa.int64()),
-            gathered)
-        chunks = pc.binary_join(chunk_lists, " ")
-        doc_of_chunk = np.repeat(ids, n_chunks)
-        owner = (doc_of_chunk << np.int64(IDX_BITS)) | within.astype(np.int64)
-        h = hash_utf8_array(chunks)
-        bucket = (h.view(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table({"owner": pa.array(owner),
-                         "chunk": chunks.cast(pa.string()),
-                         "_bucket": pa.array(bucket)})
-
-    rows = ds.map_batches(chunk_rows, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None)
-    rows = rows.repartition(_shuffle_parts())
-
-    def flag_dups(g: pa.Table) -> pa.Table:
-        """Per chunk row: is_dup = this occurrence is NOT the corpus-first
-        (min owner) of its exact text.  Text equality decides runs."""
-        if len(g) == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "pn": pa.array([], pa.int64()),
-                             "pd": pa.array([], pa.int64())})
-        g = g.sort_by([("chunk", "ascending"), ("owner", "ascending")])
-        ch = g["chunk"]
-        ch = ch.combine_chunks() if isinstance(ch, pa.ChunkedArray) else ch
-        eq_prev = pc.equal(ch.slice(1), ch.slice(0, len(ch) - 1))
-        is_dup = np.r_[False, eq_prev.to_numpy(zero_copy_only=False)]
-        doc = g["owner"].to_numpy(zero_copy_only=False) >> np.int64(IDX_BITS)
-        # in-group partial per doc: (n_chunks_here, n_dup_here)
-        order = np.argsort(doc, kind="stable")
-        d, f = doc[order], is_dup[order]
-        starts = np.nonzero(np.r_[True, d[1:] != d[:-1]])[0]
-        lens = np.diff(np.r_[starts, len(d)])
-        csum = np.r_[0, np.cumsum(f.astype(np.int64))]
-        ends_ix = np.r_[starts[1:], len(d)]
-        dups = csum[ends_ix] - csum[starts]
-        return pa.table({"doc_id": pa.array(d[starts]),
-                         "pn": pa.array(lens.astype(np.int64)),
-                         "pd": pa.array(dups)})
-
-    partials = rows.groupby("_bucket").map_groups(flag_dups, batch_format="pyarrow")
+    partials = _first_chunks(ds, k_tokens, id_col, text_col,
+                             "paragraph_dup_ratio", finish=doc_partials)
     scored = salted_group_reduce(
         partials, ["doc_id"],
         [("pn", "sum", "n_chunks"), ("pd", "sum", "n_dup_chunks")], salt=256)
@@ -2014,19 +1971,16 @@ def paragraph_dup_ratio(ds, k_tokens: int = 10, drop_above: float | None = None,
 
 
 def incremental_dedup_keep_first(existing, delta, id_col: str = "doc_id",
-                                 text_col: str = "text",
-                                 buckets: int | None = None):
+                                 text_col: str = "text"):
     """INCREMENTAL ingestion dedup — the daily-crawl pattern at corpus
     scale: keep each ``delta`` row whose text appears nowhere in
     ``existing`` and is the min-id first among its own delta duplicates.
 
-    ONE shuffle total: both sides project to (fingerprint, h2, id, side)
-    — 32 bytes/row, the text itself never moves — and hash-partition on
-    fingerprint % buckets; within a bucket every copy of a text is
-    present, so the winner rule is one lexsort + run masks.  A SECOND
-    independent 64-bit hash (h2) rides along and the op REFUSES on a
-    within-run mismatch (two distinct texts colliding in the primary
-    fingerprint — the exact_dedup_groups contract, combined miss ~2^-128).
+    The keep-first shuffle of the kernel over the union of both sides,
+    ordered by (side, id): a key run's first row is its existing copy when
+    there is one, so a row survives iff it is first in its run AND from the
+    delta.  Only (fingerprint, h2, id, side) — 32 bytes/row — moves, with
+    the collision refusal.
 
     NULL texts are dropped on BOTH sides before hashing: hash_utf8_array
     maps NULL and '' to the same FNV basis, so without the filter a
@@ -2035,63 +1989,21 @@ def incremental_dedup_keep_first(existing, delta, id_col: str = "doc_id",
     same null-semantics gate corpus_clean applies).
 
     Output: (doc_id) of kept delta rows."""
-    from .joins import default_join_partitions
-    from .text import add_fingerprint, hash_utf8_array
-
-    n_buckets = buckets if buckets is not None else default_join_partitions()
+    keys = _text_keys(text_col, null_group=False)
 
     def project(side: int):
         def f(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            from ..util import strip_schema_metadata
-
-            b = b.filter(pc.is_valid(b[text_col]))
-            b = strip_schema_metadata(add_fingerprint(b))
-            h2 = hash_utf8_array(b[text_col], seed=0x9E3779B97F4A7C15)
-            fp = b["fingerprint"].to_numpy(zero_copy_only=False)
-            bucket = (fp.view(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-            return pa.table({
-                "fingerprint": pa.array(fp),
-                "_h2": pa.array(h2, pa.int64()),
-                id_col: b[id_col],
-                "_side": pa.array(np.full(len(b), side, np.int8)),
-                "_bucket": pa.array(bucket),
-            })
+            b = keys(b).select(["_key", "_h2", id_col])
+            return b.append_column("_side", pa.array(np.full(len(b), side, np.int8)))
 
         return f
 
-    tagged = (existing.map_batches(project(0), batch_format="pyarrow",
-                                   zero_copy_batch=True, batch_size=None)
-              .union(delta.map_batches(project(1), batch_format="pyarrow",
-                                       zero_copy_batch=True, batch_size=None)))
-    tagged = tagged.repartition(_shuffle_parts())
+    def delta_firsts(g: pa.Table, first: np.ndarray) -> pa.Table:
+        first = first[g["_side"].to_numpy()[first] == 1]
+        return pa.table({id_col: pa.array(np.sort(g[id_col].to_numpy()[first]))})
 
-    def winners(g: pa.Table) -> pa.Table:
-        if len(g) == 0:
-            return pa.table({id_col: pa.array([], pa.int64())})
-        fp = g["fingerprint"].to_numpy(zero_copy_only=False)
-        h2 = g["_h2"].to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, fp))
-        fp_o, h2_o, id_o, sd_o = fp[order], h2[order], ids[order], side[order]
-        starts = np.nonzero(np.r_[True, fp_o[1:] != fp_o[:-1]])[0]
-        ends = np.r_[starts[1:], len(fp_o)]
-        # collision check: h2 must be constant within each fingerprint run
-        h2_min = np.minimum.reduceat(h2_o, starts)
-        h2_max = np.maximum.reduceat(h2_o, starts)
-        if (h2_min != h2_max).any():
-            raise ValueError(
-                "fingerprint collision: two distinct texts share a 64-bit "
-                "fingerprint — widen the fingerprint for this corpus")
-        # runs with NO existing row: min(side)=1; winner = first row (ids
-        # ascending within the run by the lexsort)
-        side_min = np.minimum.reduceat(sd_o, starts)
-        keep = starts[side_min == 1]
-        return pa.table({id_col: pa.array(np.sort(id_o[keep]))})
-
-    return tagged.groupby("_bucket").map_groups(winners, batch_format="pyarrow")
+    return _keep_first_rows([(existing, project(0)), (delta, project(1))],
+                            ("_side", id_col), finish=delta_firsts)
 
 
 # --- edit-distance near-dup join (PassJoin) ---------------------------------
@@ -2476,7 +2388,7 @@ def edit_distance_pairs(ds, max_dist: int = 4, id_col: str = "doc_id",
         first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
         return pa.table({"id1": pa.array(a[first]), "id2": pa.array(b[first])})
 
-    cand = (salted.repartition(_shuffle_parts())
+    cand = (salted.repartition(_default_shuffle_partitions())
             .groupby("gsalt").map_groups(pairs, batch_format="pandas"))
 
     # --- text re-attach + banded DP verify (jaccard_prefix_pairs pattern) --
@@ -2510,7 +2422,7 @@ def edit_distance_pairs(ds, max_dist: int = 4, id_col: str = "doc_id",
         schemas=(pa.schema([("doc_id", i64), ("id1", i64), ("id2", i64),
                             ("slot", pa.int8())]),
                  pa.schema([("doc_id", i64), (text_col, pa.string())])),
-        buckets=2 * _shuffle_parts(),
+        buckets=2 * _default_shuffle_partitions(),
     )
 
     def add_pair_salt(b: pa.Table) -> pa.Table:
@@ -2557,8 +2469,7 @@ def edit_distance_pairs(ds, max_dist: int = 4, id_col: str = "doc_id",
     return salted_p.groupby("psalt").map_groups(verify, batch_format="pandas")
 
 
-def bow_keep_first(ds, id_col: str = "doc_id", text_col: str = "text",
-                   group_salt: int = 256):
+def bow_keep_first(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Bag-of-words (token-sort) dedup groups — the word-ORDER-invariant
     near-dup tier between exact dedup and MinHash: two docs collide iff
     their sorted token multisets are identical (shuffled boilerplate,
@@ -2566,48 +2477,29 @@ def bow_keep_first(ds, id_col: str = "doc_id", text_col: str = "text",
     collapse (geotrellis-contrib semantics: dedup by a derived key, keep a
     canonical winner) with a text-derived key.
 
-    Scale shape: the canonical signature (tokens sorted, joined by one
-    space) is hashed per doc INSIDE the batch — only (h1, h2, doc_id)
-    24 B/row ever shuffles (texts never move, the incremental_dedup
-    contract); one bounded-salt reduce; winner = min doc_id.  The per-doc
-    token sort is one np.lexsort over dictionary ranks (no per-row python).
-    64-bit h1 collisions across DIFFERENT signatures are detected via the
-    second independent hash family and REFUSED loudly (same contract as
-    incremental_dedup_keep_first; silent failure odds ~2^-128).
+    The signature (tokens sorted, joined by one space) is hashed per doc
+    INSIDE the batch and fed to the keyed reduce of the kernel: only (h1,
+    h2, doc_id) 24 B/row ever shuffles, winner = min doc_id, collision
+    refusal.  The per-doc token sort is one np.lexsort over dictionary ranks
+    (no per-row python).  NULL texts are dropped.
 
     Output: one row per signature group — doc_id (min = winner), n_dups.
     SQL twin groups by ``array_to_string(list_sort(string_split(text,
     ' ')), ' ')`` directly; list_sort's binary UTF-8 order equals the
     np codepoint sort order (UTF-8 byte order is codepoint order)."""
-    from .agg import salted_group_reduce
     from .text import hash_utf8_array
 
     def sig_rows(batch: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        batch = strip_schema_metadata(batch)
-        texts = batch[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
+        texts = _combined(batch[text_col])
         valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[valid]
         texts = texts.filter(pa.array(valid)).cast(pa.string())
         n = len(texts)
         if n == 0:
-            return pa.table({"h1": pa.array([], pa.int64()),
-                             "h2": pa.array([], pa.int64()),
+            return pa.table({"_key": pa.array([], pa.int64()),
+                             "_h2": pa.array([], pa.int64()),
                              "id": pa.array([], pa.int64())})
-        toks = pc.split_pattern(texts, " ")
-        toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        off_dt = np.int64 if pa.types.is_large_list(toks.type) else np.int32
-        doc_offs = np.frombuffer(toks.buffers()[1], dtype=off_dt)[
-            toks.offset : toks.offset + n + 1].astype(np.int64)
-        lo = int(doc_offs[0])
-        rel = doc_offs - lo
-        counts = np.diff(rel)
-        flat = toks.values
-        flat = flat.combine_chunks() if isinstance(flat, pa.ChunkedArray) else flat
-        flat = flat.slice(lo, int(rel[-1]))
+        flat, offs = _split_tokens(texts)
         if len(flat):
             # per-doc token sort without per-row python: rank each distinct
             # token once (codepoint order == list_sort's binary utf8 order),
@@ -2617,38 +2509,16 @@ def bow_keep_first(ds, id_col: str = "doc_id", text_col: str = "text",
             words = d.dictionary.to_numpy(zero_copy_only=False)
             rank_of = np.empty(len(words), np.int64)
             rank_of[np.argsort(words, kind="stable")] = np.arange(len(words))
-            doc_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
+            doc_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(offs))
             perm = np.lexsort((rank_of[codes], doc_idx))
             flat = flat.take(pa.array(perm, pa.int64()))
-        off_arr = (pa.array(rel, pa.int32()) if rel[-1] < (1 << 31)
-                   else pa.array(rel, pa.int64()))
-        cls = pa.ListArray if rel[-1] < (1 << 31) else pa.LargeListArray
-        sig = pc.binary_join(cls.from_arrays(off_arr, flat), " ")
-        return pa.table({"h1": pa.array(hash_utf8_array(sig, seed=0)),
-                         "h2": pa.array(hash_utf8_array(sig, seed=1)),
-                         "id": pa.array(ids)})
+        sig = _join_tokens(flat, offs)
+        return pa.table({"_key": hash_utf8_array(sig, seed=0),
+                         "_h2": hash_utf8_array(sig, seed=_H2_SEED),
+                         "id": ids})
 
-    rows = ds.map_batches(sig_rows, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None)
-    groups = salted_group_reduce(
-        rows, ["h1"],
-        [("h2", "min", "_h2min"), ("h2", "max", "_h2max"),
-         (None, "count", "n_dups"), ("id", "min", "doc_id")],
-        salt=group_salt,
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        h2min = b["_h2min"].to_numpy(zero_copy_only=False)
-        h2max = b["_h2max"].to_numpy(zero_copy_only=False)
-        if (h2min != h2max).any():
-            raise ValueError(
-                "bow_keep_first: 64-bit signature-hash collision detected "
-                "(h2 family disagrees within an h1 group) — rerun with a "
-                "different hash seed pair")
-        return b.select(["doc_id", "n_dups"])
-
-    return groups.map_batches(finalize, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None)
+    return _keyed_reduce(ds, sig_rows, [("id", "min", "doc_id"),
+                                        (None, "count", "n_dups")])
 
 
 _PRIO_ID_BITS = 40  # packed winner key: priority << 40 | doc_id
@@ -2656,26 +2526,22 @@ _PRIO_ID_BITS = 40  # packed winner key: priority << 40 | doc_id
 
 def priority_dedup_keep_best(ds, priority_of: dict, default_priority: int,
                              id_col: str = "doc_id", text_col: str = "text",
-                             source_col: str = "source", group_salt: int = 256):
+                             source_col: str = "source"):
     """Exact dedup keeping the BEST copy, not the first: one row per
     distinct text, winner = lexicographic min of (source priority, doc_id)
     — the practitioner's policy when the same document appears in several
     corpora of different quality (prefer wiki over web crawl, curated over
     raw).  The reference's D1 keyed collapse with a policy winner.
 
-    Scale shape: texts never move — per batch the text is hashed twice
-    (independent families, collision refusal as in bow_keep_first /
-    incremental_dedup) and the winner candidate rides as ONE packed int64
-    (priority << 40 | doc_id), so the shuffle is 24 B/row regardless of
-    document size; one bounded-salt reduce; min-combine of the packed key
-    IS the lexicographic policy.  Priorities must be < 2^23 and ids in
-    [0, 2^40) for the packing (guarded).
+    The keyed reduce of the kernel over the exact-text fingerprint (NULL
+    texts dropped) with the winner candidate riding as ONE packed int64
+    (priority << 40 | doc_id): the shuffle is 24 B/row regardless of
+    document size, and min-combine of the packed key IS the lexicographic
+    policy.  Priorities must be < 2^23 and ids in [0, 2^40) for the packing
+    (guarded).
 
     Output: doc_id (winner), n_dups — SQL twin groups by text and unpacks
     ``min(prio * 2^40 + doc_id)``."""
-    from .agg import salted_group_reduce
-    from .text import hash_utf8_array
-
     for p in list(priority_of.values()) + [default_priority]:
         if not (0 <= int(p) < (1 << 23)):
             raise ValueError("priority_dedup_keep_best: priorities must be "
@@ -2683,57 +2549,26 @@ def priority_dedup_keep_best(ds, priority_of: dict, default_priority: int,
     srcs = sorted(priority_of)
     src_set = pa.array(srcs, pa.string())
     prio_arr = np.array([priority_of[s] for s in srcs], np.int64)
+    keys = _text_keys(text_col, null_group=False)
 
     def rows(batch: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        batch = strip_schema_metadata(batch)
-        texts = batch[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
-        sel = pa.array(valid)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[valid]
-        src = batch[source_col]
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        src = src.filter(sel).cast(pa.string())
-        texts = texts.filter(sel).cast(pa.string())
+        batch = keys(batch)
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if len(ids) and (ids.min() < 0 or ids.max() >= (1 << _PRIO_ID_BITS)):
             raise ValueError("priority_dedup_keep_best: ids must fit 2^40")
         # vectorized priority lookup: unknown AND NULL sources take the
         # default (the SQL twin's CASE ... ELSE)
+        src = _combined(batch[source_col]).cast(pa.string())
         prio = np.full(len(src), default_priority, np.int64)
         if len(srcs):
             pos = pc.index_in(src, value_set=src_set)
             known = pc.is_valid(pos).to_numpy(zero_copy_only=False)
             prio[known] = prio_arr[pos.drop_null().to_numpy(zero_copy_only=False)]
-        packed = (prio.astype(np.int64) << _PRIO_ID_BITS) | ids
-        return pa.table({"h1": pa.array(hash_utf8_array(texts, seed=0)),
-                         "h2": pa.array(hash_utf8_array(texts, seed=1)),
-                         "w": pa.array(packed)})
+        return pa.table({"_key": batch["_key"], "_h2": batch["_h2"],
+                         "w": (prio << _PRIO_ID_BITS) | ids})
 
-    reduced = salted_group_reduce(
-        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=None),
-        ["h1"],
-        [("h2", "min", "_h2min"), ("h2", "max", "_h2max"),
-         (None, "count", "n_dups"), ("w", "min", "_w")],
-        salt=group_salt,
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        h2min = b["_h2min"].to_numpy(zero_copy_only=False)
-        h2max = b["_h2max"].to_numpy(zero_copy_only=False)
-        if (h2min != h2max).any():
-            raise ValueError(
-                "priority_dedup_keep_best: 64-bit text-hash collision "
-                "detected (h2 family disagrees within an h1 group)")
-        w = b["_w"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "doc_id": pa.array(w & ((1 << _PRIO_ID_BITS) - 1)),
-            "n_dups": b["n_dups"],
-        })
-
-    return reduced.map_batches(finalize, batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=None)
+    return _keyed_reduce(
+        ds, rows, [(None, "count", "n_dups"), ("w", "min", "_w")],
+        lambda b: pa.table({
+            "doc_id": pa.array(b["_w"].to_numpy() & ((1 << _PRIO_ID_BITS) - 1)),
+            "n_dups": b["n_dups"]}))

@@ -555,8 +555,8 @@ def mixture_sample(ds, budget_tokens: int, source_col: str = "source",
             "presum": pa.array(presum[keep]),
         })
 
-    from .dedup import _shuffle_parts
+    from .agg import _default_shuffle_partitions
 
-    return (keyed.repartition(_shuffle_parts())
+    return (keyed.repartition(_default_shuffle_partitions())
             .groupby([source_col, "_chunk"])
             .map_groups(take_prefix, batch_format="pyarrow"))

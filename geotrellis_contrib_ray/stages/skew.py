@@ -8,8 +8,8 @@ explicit salting for skewed hot cells".  Two layers:
    a hot key contributes ONE row per block to the shuffle regardless of its
    row count (see stages/spatial.py).
 
-2. Associative *group reductions* that go through ``map_groups`` (keep-first,
-   merge-reduce) get the salted two-phase below: phase 1 reduces
+2. Associative *group reductions* that go through ``map_groups``
+   (merge-reduce) get the salted two-phase below: phase 1 reduces
    (key, salt) sub-groups — a hot key's rows split across ``salt_buckets``
    reducers — phase 2 reduces the <= salt_buckets partials per key.
    Requires the reduce to be associative + commutative across sub-groups
@@ -17,7 +17,9 @@ explicit salting for skewed hot cells".  Two layers:
 
 ``detect_hot_keys`` gives the cheap pre-pass: per-batch partial counts ->
 tiny groupby -> keys above a threshold; cold keys can skip the salt (salt=0)
-so phase 2 is a near-no-op for them.
+so phase 2 is a near-no-op for them.  Keep-first needs neither: the per-batch
+pre-collapse of ``dedup_keep_first_salted`` caps a hot key at one row per
+block, like layer 1.
 """
 
 from __future__ import annotations
@@ -129,54 +131,12 @@ def salted_map_groups(
     return partials.groupby(keys).map_groups(phase2, batch_format=batch_format)
 
 
-def dedup_keep_first_salted(ds, id_col: str = "doc_id", key_col: str = "fingerprint",
-                            salt_buckets: int = 16, hot_threshold: int | None = None,
-                            buckets: int | None = None):
-    """Skew-safe exact-dedup keep-first over a precomputed key column.
+def dedup_keep_first_salted(ds, id_col: str = "doc_id", key_col: str = "fingerprint"):
+    """Skew-safe exact-dedup keep-first over a precomputed int64 key column:
+    the keep-first shuffle of dedup._keep_first_rows with its per-batch
+    pre-collapse, so ANY hot key (the boilerplate-document case) ships at
+    most one row per block and no hot-key census or salting is needed."""
+    from .dedup import _keep_first_rows
 
-    Fully vectorized two-phase plan (no per-key python groups):
-    1. NARROW per-batch pre-collapse — keep the min-id row per key within
-       each block, so ANY hot key (the boilerplate-document case) is capped
-       at one row per block before the shuffle;
-    2. one bounded groupby(hash(key) % buckets) shuffle with an in-group
-       lexsort + run mask for the global min-id winner (the
-       exact_dedup_keep_first kernel; group count bounded by ``buckets``).
-
-    ``salt_buckets`` / ``hot_threshold`` are retained for API compatibility;
-    the pre-collapse makes explicit hot-key detection unnecessary."""
-    from .joins import default_join_partitions
-
-    n_buckets = buckets if buckets is not None else default_join_partitions()
-
-    def collapse(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return b
-        k = b[key_col].to_numpy(zero_copy_only=False)
-        ids = b[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, k))
-        first = np.r_[True, k[order][1:] != k[order][:-1]]
-        return b.take(pa.array(np.sort(order[first])))
-
-    def tag(b: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        b = strip_schema_metadata(b)  # unhashable-schema rule (see util.py)
-        k = b[key_col].to_numpy(zero_copy_only=False)
-        bucket = (k.view(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-        return b.append_column("_bucket", pa.array(bucket))
-
-    def winners(g: pa.Table) -> pa.Table:
-        k = g[key_col].to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, k))
-        first = np.r_[True, k[order][1:] != k[order][:-1]]
-        return g.take(pa.array(np.sort(order[first]))).drop_columns(["_bucket"])
-
-    pre = ds.map_batches(collapse, batch_format="pyarrow", zero_copy_batch=True,
-                         batch_size=None)
-    tagged = pre.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True,
-                             batch_size=None)
-    from .agg import _default_shuffle_partitions
-
-    tagged = tagged.repartition(_default_shuffle_partitions())
-    return tagged.groupby("_bucket").map_groups(winners, batch_format="pyarrow")
+    return _keep_first_rows([(ds, lambda b: b)], (id_col,), key=key_col,
+                            pre_collapse=True)

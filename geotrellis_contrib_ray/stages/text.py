@@ -680,8 +680,8 @@ def regex_token_counts(ds, pattern: str, text_col: str = "text"):
     tallies.
 
     Scale shape: each batch's texts are joined into ONE string with a
-    separator the pattern cannot cross ('\\n'; callers pass patterns whose
-    character classes exclude it), so the compiled program makes a single
+    separator the pattern must not cross ('\\n'; a match containing it
+    raises ValueError), so the compiled program makes a single
     C-level pass per batch instead of a per-row python loop; matches are
     count-reduced inside the batch (np.unique) and only (tok, count)
     partials shuffle through one bounded-salt reduce.  Output: Dataset
@@ -721,6 +721,12 @@ def regex_token_counts(ds, pattern: str, text_col: str = "text"):
             return empty
         toks, counts = np.unique(np.asarray(matches, dtype=object),
                                  return_counts=True)
+        if any("\n" in t for t in toks):
+            # such a match can span the join separator, merging the counts
+            # of two documents
+            raise ValueError(
+                "regex_token_counts: a match contains '\\n', the document "
+                "separator — exclude '\\n' from the pattern")
         return pa.table({"tok": pa.array(toks, pa.string()),
                          "c": pa.array(counts.astype(np.int64))})
 

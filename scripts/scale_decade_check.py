@@ -13,6 +13,9 @@ copies of sf0.1 rather than a quadratic clone blow-up:
     original ids so the fixed ANN query ids still resolve).
 
 Usage: PYTHONPATH=/root/repo python scripts/scale_decade_check.py
+Env: GRAFT_DECADE_SKIP (comma list of checks to skip), GRAFT_DECADE_DIR
+(where the 10x corpus is written), GRAFT_DECADE_CPUS (Ray num_cpus),
+GRAFT_DECADE_REPLICAS, GRAFT_DECADE_BUDGET_S (DuckDB wall per check).
 """
 
 import sys
@@ -191,13 +194,14 @@ def main() -> int:
     import pandas as pd
     import ray
 
-    dst = "/tmp/scale_decade_sf1"
+    dst = os.environ.get("GRAFT_DECADE_DIR", "/tmp/scale_decade_sf1")
     t0 = time.time()
     build_corpus(dst)
     print(f"corpus built in {time.time() - t0:.0f}s", flush=True)
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=32, include_dashboard=False)
+        ray.init(address="local", include_dashboard=False,
+                 num_cpus=int(os.environ.get("GRAFT_DECADE_CPUS", "32")))
     import __ray_entry__ as e
 
     con = duckdb.connect()

@@ -856,3 +856,24 @@ def test_priority_dedup_keep_best_planted(ray_session):
     }))
     with pytest.raises(Exception, match="2\\^40"):
         priority_dedup_keep_best(bad, prio, 2).take_all()
+
+
+def test_exact_dedup_keep_first_refuses_fingerprint_collision(ray_session, monkeypatch):
+    """The keep-rows path holds the same collision contract as the grouped
+    one: two distinct texts sharing a primary fingerprint are refused, not
+    silently collapsed to the lower id."""
+    import ray
+
+    import geotrellis_contrib_ray.stages.text as text_mod
+
+    def fake_fingerprint(batch):
+        return batch.append_column(
+            "fingerprint", pa.array([7] * len(batch), pa.int64()))
+
+    monkeypatch.setattr(text_mod, "add_fingerprint", fake_fingerprint)
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2], pa.int64()),
+        "text": pa.array(["alpha", "omega"], pa.string()),
+    }))
+    with pytest.raises(Exception, match="fingerprint collision"):
+        dedup.exact_dedup_keep_first(ds).take_all()

@@ -41,7 +41,7 @@ def test_salted_keep_first_matches_plain(ray_session):
         .reset_index(drop=True)
     )
     salted = (
-        dedup_keep_first_salted(ds, hot_threshold=1000)
+        dedup_keep_first_salted(ds)
         .to_pandas()
         .sort_values("fingerprint")
         .reset_index(drop=True)

@@ -214,3 +214,19 @@ def test_regex_token_counts_rejects_capture_groups(ray_session):
     t = pa.table({"text": pa.array(["abc"], pa.string())})
     with pytest.raises(ValueError, match="capture groups"):
         regex_token_counts(ray.data.from_arrow(t), "([a-z])x")
+
+
+def test_regex_token_counts_rejects_separator_matches(ray_session):
+    """Texts join with '\\n' per batch: a pattern that can match it would
+    merge tokens across documents, so such a match is refused."""
+    import pytest
+    import ray
+
+    from geotrellis_contrib_ray.stages.text import regex_token_counts
+
+    t = pa.table({"text": pa.array(["ab", "cd"], pa.string())})
+    with pytest.raises(Exception, match="document separator"):
+        regex_token_counts(ray.data.from_arrow(t), "[a-z\n]+").take_all()
+    # the same texts under a separator-free class count per document
+    got = regex_token_counts(ray.data.from_arrow(t), "[a-z]+").to_pandas()
+    assert sorted(got["tok"]) == ["ab", "cd"]

@@ -473,3 +473,60 @@ def test_rangereader_s3_sigv4_parity(tmp_path, monkeypatch):
         assert len(server.auth_failures) == n_fail  # no new failures
     finally:
         server.close()
+
+
+def _ifd0(buf: bytearray):
+    """(offset, entry count) of a little-endian TIFF's first IFD."""
+    import struct
+
+    (off,) = struct.unpack_from("<I", buf, 4)
+    (n,) = struct.unpack_from("<H", buf, off)
+    return off, n
+
+
+def _hostile_parse(buf: bytearray):
+    import time
+
+    from geotrellis_contrib_ray.sources.tiff import _parse_tiff
+
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        _parse_tiff(bytes(buf))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_hostile_tiff_self_loop_ifd(tmp_path):
+    """IFD0's next-IFD pointer aimed at itself: the walk refuses instead of
+    looping forever."""
+    import struct
+
+    grid = _grid(64, 64)
+    path = str(tmp_path / "loop.tif")
+    write_tiff(path, _pixels(grid), grid, tile_size=32)
+    buf = bytearray(open(path, "rb").read())
+    off, n = _ifd0(buf)
+    struct.pack_into("<I", buf, off + 2 + 12 * n, off)
+    _hostile_parse(buf)
+
+
+def test_hostile_tiff_value_offset_out_of_range(tmp_path):
+    """An out-of-line tag value pointing past the end of the file raises
+    ValueError, not a raw struct.error."""
+    import struct
+
+    from geotrellis_contrib_ray.sources.tiff import _FT_SIZE
+
+    grid = _grid(64, 64)
+    path = str(tmp_path / "oob.tif")
+    write_tiff(path, _pixels(grid), grid, tile_size=32)
+    buf = bytearray(open(path, "rb").read())
+    off, n = _ifd0(buf)
+    for i in range(n):
+        at = off + 2 + 12 * i
+        _, ft, cnt = struct.unpack_from("<HHI", buf, at)
+        if _FT_SIZE.get(ft, 0) * cnt > 4:  # value stored out of line
+            struct.pack_into("<I", buf, at + 8, len(buf) + 16)
+            break
+    else:
+        raise AssertionError("no out-of-line tag value to corrupt")
+    _hostile_parse(buf)
