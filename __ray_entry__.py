@@ -2883,7 +2883,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "moving_stats": q_moving_stats,
         "funnel_stages": q_funnel_stages,
         "cohort_retention": q_cohort_retention,
-        "user_actions_outer": q_user_actions_outer,
         "cube_lang_source": q_cube_lang_source,
         "repetition": q_repetition,  # changed this round (char-gram fix)
         "jsonl_roundtrip": q_jsonl_roundtrip,
@@ -2896,7 +2895,23 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "mode_chars": q_mode_chars,
         "price_histogram": q_price_histogram,
         "corr_stats": q_corr_stats,
-        # -- (b) implementation changed: exact-key dedup now runs on one
+        # -- (b) implementation changed: every two-sided shuffle join (key,
+        #    anti, skew, as-of, interval, box and distance joins, TF-IDF term
+        #    buckets, keep-first dedup) runs on one co-partition shuffle
+        "order_lineitem_join": q_order_lineitem_join,
+        "orders_no_lineitem": q_orders_no_lineitem,
+        "skew_join": q_skew_join,
+        "asof_join": q_asof_join,
+        "interval_join_bucketed": q_interval_join_bucketed,
+        "user_actions_outer": q_user_actions_outer,
+        "customer_order_totals": q_customer_order_totals,
+        "orders_left_join": q_orders_left_join,
+        "semi_bloom": q_semi_bloom,
+        "tfidf_terms": q_tfidf_terms,
+        "box_join": q_box_join,
+        "distance_pairs": q_distance_pairs,
+        "dedup_delta": q_dedup_delta,
+        # -- (b cont.) implementation changed: exact-key dedup now runs on one
         #    shared kernel (keyed reduce / keep-first shuffle, one chunk
         #    builder), and regex extraction refuses separator matches
         "dedup_exact": q_dedup_exact,
@@ -2912,10 +2927,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ngram_jaccard_pairs": q_ngram_jaccard_pairs,
         "jaccard_prefix_pairs": q_jaccard_prefix_pairs,
         "simhash_pairs": q_simhash_pairs,
-        "dedup_delta": q_dedup_delta,
         "mixture_sample": q_mixture_sample,
-        "skew_join": q_skew_join,
-        "distance_pairs": q_distance_pairs,
         "distinct_lang_source": q_distinct_lang_source,
         "rollup_lang_source": q_rollup_lang_source,
         "quantile_price": q_quantile_price,
@@ -2940,7 +2952,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pyramid": q_pyramid,
         "raster_tile_read": q_raster_tile_read,
         "raster_mosaic": q_raster_mosaic,
-        "order_lineitem_join": q_order_lineitem_join,
         "hilbert_key": q_hilbert_key,
         "rasterize": q_rasterize,
         "raster_summary": q_raster_summary,
@@ -2948,7 +2959,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lang_profile": q_lang_profile,
         "event_windows": q_event_windows,
         "interval_join": q_interval_join,
-        "interval_join_bucketed": q_interval_join_bucketed,
         "sessionize": q_sessionize,
         "sliding_windows": q_sliding_windows,
         "lineitem_pricing": q_lineitem_pricing,
@@ -2960,8 +2970,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pip_zones_indexed": q_pip_zones_indexed,
         "pip_zones_rtree": q_pip_zones_rtree,
         "knn_rtree": q_knn_rtree,
-        "box_join": q_box_join,
-        "asof_join": q_asof_join,
         "media_audio_frames": q_media_audio_frames,
         "audio_energy": q_audio_energy,
         "media_image_checksum": q_media_image_checksum,
@@ -2979,7 +2987,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "substring_pairs": q_substring_pairs,
         "raster_focal": q_raster_focal,
         "kmeans_embed": q_kmeans_embed,
-        "semi_bloom": q_semi_bloom,
         "raster_gradient": q_raster_gradient,
         "mercator_cells": q_mercator_cells,
         "lambert_cells": q_lambert_cells,
@@ -2991,7 +2998,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "geohash_cells": q_geohash_cells,
         "stereo_cells": q_stereo_cells,
         "sinusoidal_cells": q_sinusoidal_cells,
-        "orders_left_join": q_orders_left_join,
         "span_media_join": q_span_media_join,
         "span_table": q_span_table,
         "window_distinct": q_window_distinct,
@@ -3007,10 +3013,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "raster_band_math": q_raster_band_math,
         "span_redact": q_span_redact,
         "normalize_text": q_normalize_text,
-        "orders_no_lineitem": q_orders_no_lineitem,
-        "customer_order_totals": q_customer_order_totals,
         "pack_sequences": q_pack_sequences,
-        "tfidf_terms": q_tfidf_terms,
         "raster_hillshade": q_raster_hillshade,
     }
 

@@ -89,13 +89,12 @@ def _sort_codes(vals: np.ndarray) -> np.ndarray:
 
 
 def _default_shuffle_partitions() -> int:
-    import ray
+    """Block count a wide op's input is narrowed to: ~half the cluster
+    CPUs, at least 8 (it counts input blocks; joins.default_join_partitions
+    counts key buckets)."""
+    from ..util import cluster_cpus
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(8, cpus // 2)
+    return max(8, cluster_cpus(default=8) // 2)
 
 
 _OPS = {"sum": np.add, "min": np.minimum, "max": np.maximum}

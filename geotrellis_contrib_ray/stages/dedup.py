@@ -179,55 +179,48 @@ def _run_first(t: pa.Table, key: str, order: tuple[str, ...]) -> np.ndarray:
 
 def _keep_first_rows(sides, order: tuple[str, ...], *, key: str = "_key",
                      finish=None, pre_collapse: bool = False):
-    """Keep the first row, by ``order``, of every key: ONE groupby shuffle.
+    """Keep the first row, by ``order``, of every key: ONE co-partition
+    shuffle (joins._co_partition).
 
-    ``sides``: (dataset, tag) pairs whose rows shuffle together;
-    ``tag(batch)`` returns the rows to shuffle: the ``key`` column (an int64
-    fingerprint with an optional ``_h2`` check column, or a string), the
-    ``order`` columns and any payload.  Rows hash-partition on
-    ``key % buckets``, so a bucket holds every row of its keys and the
-    winners are one in-group lexsort run mask (_run_first) — no python per
-    key, group count bounded by the bucket count.
+    ``sides``: (dataset, tag) pairs whose rows shuffle together, every tag
+    returning the same columns; ``tag(batch)`` returns the rows to shuffle:
+    the ``key`` column (an int64 fingerprint with an optional ``_h2`` check
+    column, or a string), the ``order`` columns and any payload.  Rows
+    hash-partition on ``joins._bucket_of(key)``, so a bucket holds every row
+    of its keys and the winners are one in-group lexsort run mask
+    (_run_first) — no python per key, group count bounded by the bucket
+    count.
 
-    ``finish(group, first)`` maps a bucket and its run-first row indices to
-    output; by default those rows, minus the ``_key`` / ``_h2`` / ``_bucket``
-    columns.  ``pre_collapse`` applies the same run mask inside every batch
+    ``finish(group, first)`` maps a bucket (all sides' rows) and its
+    run-first row indices to output; by default those rows, minus the
+    ``_key`` / ``_h2`` columns.  ``pre_collapse`` applies the same run mask inside every batch
     first, so a hot key ships at most one row per block (the intermediate
     reduce of FP-Hadoop); only valid when ``finish`` needs no losing rows."""
-    from ..util import strip_schema_metadata
-    from .joins import default_join_partitions
-    from .text import hash_utf8_array
+    from .joins import _bucket_of, _co_partition, default_join_partitions
 
-    n_buckets = np.uint64(default_join_partitions())
+    n_buckets = default_join_partitions()
 
     def route(tag):
         def f(b: pa.Table) -> pa.Table:
-            b = strip_schema_metadata(tag(b))  # unhashable-schema rule
+            b = tag(b)
             if pre_collapse:
                 b = b.take(pa.array(_run_first(b, key, order)))
-            k = _combined(b[key])
-            h = (k.to_numpy(zero_copy_only=False) if pa.types.is_integer(k.type)
-                 else hash_utf8_array(k))
-            return b.append_column("_bucket", pa.array(
-                (h.view(np.uint64) % n_buckets).astype(np.int64)))
+            return b.append_column("_bucket", pa.array(_bucket_of(_combined(b[key]), n_buckets)))
 
         return f
 
     def first_rows(g: pa.Table, first: np.ndarray) -> pa.Table:
-        internal = [c for c in ("_key", "_h2", "_bucket") if c in g.column_names]
+        internal = [c for c in ("_key", "_h2") if c in g.column_names]
         return g.take(pa.array(first)).drop_columns(internal)
 
     fin = finish or first_rows
+
+    def per_bucket(*rows: pa.Table) -> pa.Table:
+        g = pa.concat_tables(rows) if len(rows) > 1 else rows[0]
+        return fin(g, _run_first(g, key, order))
+
     # each side routes before the union: only its tagged rows cross it
-    tagged = [ds.map_batches(route(tag), batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None)
-              for ds, tag in sides]
-    tagged = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    # sort-shuffle fixed cost scales with input block count — coalesce narrow
-    return (tagged.repartition(_default_shuffle_partitions())
-            .groupby("_bucket")
-            .map_groups(lambda g: fin(g, _run_first(g, key, order)),
-                        batch_format="pyarrow"))
+    return _co_partition([(ds, route(tag)) for ds, tag in sides], per_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -1977,7 +1970,7 @@ def incremental_dedup_keep_first(existing, delta, id_col: str = "doc_id",
     ``existing`` and is the min-id first among its own delta duplicates.
 
     The keep-first shuffle of the kernel over the union of both sides,
-    ordered by (side, id): a key run's first row is its existing copy when
+    ordered by (_delta, id): a key run's first row is its existing copy when
     there is one, so a row survives iff it is first in its run AND from the
     delta.  Only (fingerprint, h2, id, side) — 32 bytes/row — moves, with
     the collision refusal.
@@ -1991,19 +1984,19 @@ def incremental_dedup_keep_first(existing, delta, id_col: str = "doc_id",
     Output: (doc_id) of kept delta rows."""
     keys = _text_keys(text_col, null_group=False)
 
-    def project(side: int):
+    def project(delta: int):
         def f(b: pa.Table) -> pa.Table:
             b = keys(b).select(["_key", "_h2", id_col])
-            return b.append_column("_side", pa.array(np.full(len(b), side, np.int8)))
+            return b.append_column("_delta", pa.array(np.full(len(b), delta, np.int8)))
 
         return f
 
     def delta_firsts(g: pa.Table, first: np.ndarray) -> pa.Table:
-        first = first[g["_side"].to_numpy()[first] == 1]
+        first = first[g["_delta"].to_numpy()[first] == 1]
         return pa.table({id_col: pa.array(np.sort(g[id_col].to_numpy()[first]))})
 
     return _keep_first_rows([(existing, project(0)), (delta, project(1))],
-                            ("_side", id_col), finish=delta_firsts)
+                            ("_delta", id_col), finish=delta_firsts)
 
 
 # --- edit-distance near-dup join (PassJoin) ---------------------------------

@@ -3,15 +3,22 @@
 Two tiers, picked by side sizes (README scale rules):
 1. broadcast — small side via ray.put, lookup inside map_batches (see
    __ray_entry__.q_orders_by_segment);
-2. bucketed hash join — the DEFAULT when both sides are large: hash both
-   sides into B buckets, tag the side, union, groupby(bucket) and
-   Arrow-merge within the bucket.  One sort-shuffle pass per side, no extra
-   actor pools; B and the optional per-key salt are the documented skew
-   knobs.  B defaults to ~2x cluster CPUs (measured sweet spot — enough
-   reduce parallelism without per-bucket overhead dominating).  Ray's
-   native ``Dataset.join`` is not used: its aggregator-actor pool start-up
-   dominates (sf0.1 lineitem x orders: bucketed b32 4.2 s vs native
-   p32 25 s / p16 14 s).
+2. co-partition shuffle — the DEFAULT when both sides are large.
+
+Every shuffle join here (the bucketed hash / anti / skew / as-of / interval
+joins, spatial.box_join and spatial.distance_join, and the bucket routing of
+dedup._keep_first_rows and text.tfidf_top_terms) runs on ONE primitive,
+``_co_partition``: each side ROUTES its rows to an int64 ``_bucket`` (a key
+hash, ``_bucket_of``, or a range replication, ``_ragged_expand``), the sides
+are tagged, padded with typed nulls to one Arrow schema, unioned,
+narrow-repartitioned to ``agg._default_shuffle_partitions()`` blocks and
+grouped on ``_bucket``; the per-group kernel sees each side's rows of one
+bucket.  One sort-shuffle pass, no actor pools.  Key-hash joins use B =
+``default_join_partitions()`` buckets, ~8x cluster CPUs (measured sweet
+spot, see there); the optional per-key salt is the skew knob
+(``skew_aware_join``).  Ray's native ``Dataset.join`` is not used: its
+aggregator-actor pool start-up dominates (sf0.1 lineitem x orders: bucketed
+b32 4.2 s vs native p32 25 s / p16 14 s).
 """
 
 from __future__ import annotations
@@ -20,27 +27,159 @@ import numpy as np
 import pyarrow as pa
 
 
-def default_join_partitions(factor: int = 8, floor: int = 16, cap: int = 512) -> int:
-    """Partition count for shuffle joins: ~factor x cluster CPUs, bounded.
+def default_join_partitions() -> int:
+    """Bucket count for key-hash shuffle joins: 8x cluster CPUs, within
+    [16, 512].
 
     Measured sweep (sf0.1 lineitem x orders, 750k rows @32 CPUs): 16
     buckets 7.2 s, 32 -> 4.1, 64 -> 3.8, 128 -> 3.3, 256 -> 2.5, 512 -> 2.7
     — per-bucket reduce overhead (~1 ms python/group) stays negligible up
     to ~8x CPUs while smaller counts leave reduce slots idle."""
-    try:
-        import ray
+    from ..util import cluster_cpus
 
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(floor, min(cap, factor * cpus))
+    return max(16, min(512, 8 * cluster_cpus(default=8)))
+
+
+# ---------------------------------------------------------------------------
+# the co-partition primitive
+# ---------------------------------------------------------------------------
+
+
+def _bucket_of(col, n: int) -> np.ndarray:
+    """int64 bucket in [0, n) of every key: FNV-1a for a string column, a
+    multiplicative hash for integer keys (an Arrow column or numpy array).
+    All rows of one key share a bucket."""
+    if isinstance(col, (pa.Array, pa.ChunkedArray)):
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            from .text import hash_utf8_array
+
+            return (hash_utf8_array(col).view(np.uint64) % np.uint64(n)).astype(np.int64)
+        col = col.to_numpy(zero_copy_only=False)
+    return (col.astype(np.int64) * np.int64(2654435761)) % np.int64(n)
+
+
+def _ragged_expand(cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Copy row i ``cnt[i]`` times: the source row and the 0-based copy
+    number of every copy (range replication: box cells, interval buckets,
+    hot-key salts)."""
+    cnt = np.asarray(cnt, dtype=np.int64)
+    row = np.repeat(np.arange(len(cnt), dtype=np.int64), cnt)
+    k = np.arange(len(row), dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return row, k
+
+
+def _key_route(cols: list[str], key: str, n: int):
+    """The key-hash route: project ``cols``, bucket on ``key`` (_bucket_of)."""
+    def route(b: pa.Table) -> pa.Table:
+        return b.select(cols).append_column("_bucket", pa.array(_bucket_of(b[key], n)))
+
+    return route
+
+
+def _co_partition(sides, per_group, schemas=None):
+    """The one co-partition shuffle: route -> union -> bucket.
+
+    ``sides``: (dataset, route) pairs; ``route(batch)`` returns the rows of
+    that side to shuffle, with an int64 ``_bucket`` column (a row may go to
+    several buckets).  With several sides every routed row is tagged with
+    its side and padded with typed nulls to one schema, ``schemas`` giving
+    the columns each route returns besides ``_bucket`` (None: every route
+    returns the same columns).  The union is narrow-repartitioned — the
+    sort-shuffle's fixed cost scales with its input BLOCK count (the same
+    sf0.1 join: 3.7 s from the readers' ~128 blocks vs 1.8 s coalesced to
+    16) — and grouped on ``_bucket``; ``per_group(*rows)`` gets each side's
+    routed rows of one bucket (without ``_bucket``) and returns a table."""
+    from ..util import strip_schema_metadata
+    from .agg import _default_shuffle_partitions
+
+    n_sides = len(sides)
+    fields = {}
+    for s in schemas or ():
+        for name, typ in zip(s.names, s.types):
+            fields.setdefault(name, typ)
+    order = list(fields)
+    if schemas:
+        pos = [[order.index(c) for c in s.names] for s in schemas]
+        empties = [pa.schema([(c, fields[c]) for c in s.names]).empty_table()
+                   for s in schemas]
+
+    def tag(i, route):
+        def f(batch: pa.Table) -> pa.Table:
+            t = strip_schema_metadata(route(batch))  # unhashable-schema rule
+            if n_sides == 1:
+                return t
+            # payload columns first, then _bucket, _side
+            if fields:
+                t = pa.table([t[c] if c in t.column_names else pa.nulls(len(t), typ)
+                              for c, typ in fields.items()] + [t["_bucket"]],
+                             names=order + ["_bucket"])
+            else:
+                t = t.select([c for c in t.column_names if c != "_bucket"] + ["_bucket"])
+            return t.append_column("_side", pa.array(np.full(len(t), i, np.int8)))
+
+        return f
+
+    def group(g: pa.Table) -> pa.Table:
+        if n_sides == 1:
+            return per_group(g.drop_columns(["_bucket"]))
+        side = g["_side"].to_numpy()
+        rows = []
+        for i in range(n_sides):
+            # per-group cost matters (a spatial join has a group per cell):
+            # positional selects, and no filter unless the bucket mixes sides
+            cols = pos[i] if schemas else list(range(g.num_columns - 2))
+            m = side == i
+            k = np.count_nonzero(m)
+            if k == 0:
+                rows.append(empties[i] if schemas else g.select(cols).slice(0, 0))
+            else:
+                t = g.select(cols)
+                rows.append(t if k == len(m) else t.filter(pa.array(m)))
+        return per_group(*rows)
+
+    routed = [ds.map_batches(tag(i, route), batch_format="pyarrow",
+                             zero_copy_batch=True, batch_size=None)
+              for i, (ds, route) in enumerate(sides)]
+    tagged = routed[0].union(*routed[1:]) if n_sides > 1 else routed[0]
+    return (tagged.repartition(_default_shuffle_partitions())
+            .groupby("_bucket").map_groups(group, batch_format="pyarrow"))
+
+
+def _join_schemas(left, right, how: str, schemas=None):
+    """``((lschema, rschema), None)`` of a two-sided join — ``schemas`` when
+    given, else each side's ``.schema()`` — or ``(None, result)`` when a side
+    is a zero-block Dataset with no schema, which decides the join alone:
+    an inner join (skew and as-of included), and an anti join with an empty
+    left side, is the empty Dataset; an anti join with an empty right side
+    keeps every left row; a left/outer join cannot know its output columns
+    and raises.
+
+    Pass ``schemas`` when a side is an expensive lazy pipeline:
+    ``.schema()`` on a Dataset with upstream all-to-all stages EXECUTES that
+    upstream to produce its first block."""
+    if schemas is None:
+        schemas = (left.schema(), right.schema())
+    lschema, rschema = schemas
+    if lschema is not None and rschema is not None:
+        return tuple(pa.schema(list(zip(s.names, s.types))) for s in schemas), None
+    if how == "anti" and lschema is not None:
+        return None, left
+    if how not in ("inner", "anti"):
+        raise ValueError(f"how={how!r} join with a schema-less empty side: pass schemas=")
+    import ray.data as rd
+
+    return None, rd.range(0)
+
+
+# ---------------------------------------------------------------------------
+# key joins
+# ---------------------------------------------------------------------------
 
 
 def bucketed_hash_join(left, right, on: str, *, buckets: int | None = None, how: str = "inner",
                        schemas: tuple | None = None,
                        left_pre_agg: dict[str, str] | None = None,
-                       right_pre_agg: dict[str, str] | None = None,
-                       narrow_repartition: int | bool | None = None):
+                       right_pre_agg: dict[str, str] | None = None):
     """Tier-3 portable partitioned hash join.
 
     Shuffle payload is both sides' projected rows exactly once; each bucket
@@ -51,11 +190,8 @@ def bucketed_hash_join(left, right, on: str, *, buckets: int | None = None, how:
     hash, so a single key never splits — skew-sensitive callers should
     pre-aggregate or use the broadcast tier for dimension-shaped sides).
 
-    ``schemas=(left_schema, right_schema)``: pass the (statically known)
-    Arrow schemas when a side is an expensive lazy pipeline — ``.schema()``
-    on a Dataset with upstream all-to-all stages EXECUTES that upstream to
-    produce its first block, so an unpassed schema can silently run the
-    whole plan an extra time per join.
+    ``schemas=(left_schema, right_schema)``: see ``_join_schemas``, which
+    also holds the empty-side rule.
 
     ``right_pre_agg={"col": "sum"}``: the right side carries PER-BATCH
     partial-aggregate rows (possibly several per key); they are combined
@@ -64,178 +200,194 @@ def bucketed_hash_join(left, right, on: str, *, buckets: int | None = None, how:
     shuffle — one all-to-all instead of two.  ``left_pre_agg`` is the
     symmetric knob for the left side: with BOTH set, two per-key
     aggregations AND their (full-outer/left/inner) join ride one shuffle
-    instead of three.
-
-    ``narrow_repartition``: the sort-shuffle's fixed cost scales with the
-    BLOCK count of its input (measured here: the same sf0.1 join runs
-    3.7 s from the readers' ~128 tagged blocks vs 1.8 s coalesced to 16),
-    so the tagged union is narrowly repartitioned to ~cluster_CPUs/2
-    blocks by default — same policy as agg.salted_group_reduce, and
-    cluster-proportional (more nodes -> more CPUs -> more blocks).  Pass
-    an int to override or ``False`` to keep the upstream block layout."""
-    if buckets is None:
-        buckets = default_join_partitions()
-
-    # align schemas for the union: each side padded with typed null columns
-    # for the other side's exclusive fields
-    if schemas is not None:
-        lschema, rschema = schemas
-    else:
-        lschema = left.schema()
-        rschema = right.schema()
-        if lschema is None or rschema is None:
-            # a zero-block side with no declared schema: the inner join is
-            # empty, so return the uniform zero-block empty (downstream UDFs
-            # never run on zero blocks); an outer join keeps the other
-            # side's rows, whose output columns are unknowable here
-            if how != "inner":
-                raise ValueError(
-                    f"how={how!r} join with a schema-less empty side: pass schemas=")
-            import ray.data as rd
-
-            return rd.range(0)
-    lcols = set(lschema.names)
-    rcols = set(rschema.names)
+    instead of three."""
+    n = buckets or default_join_partitions()
+    ls, early = _join_schemas(left, right, how, schemas)
+    if early is not None:
+        return early
+    lschema, rschema = ls
+    lcols, rcols = set(lschema.names), set(rschema.names)
     lonly = sorted(lcols - rcols)
     ronly = sorted(rcols - lcols)
     shared = (lcols & rcols) - {on}
     if shared:
         raise ValueError(f"rename shared non-key columns before joining: {sorted(shared)}")
-    all_cols = [on] + lonly + ronly  # key first, stable order
-    type_of = {}
-    for name, t in zip(lschema.names, lschema.types):
-        type_of[name] = t
-    for name, t in zip(rschema.names, rschema.types):
-        type_of.setdefault(name, t)
-
     if right_pre_agg is not None and sorted(right_pre_agg) != ronly:
         raise ValueError(f"right_pre_agg must cover exactly the right-only columns {ronly}")
     if left_pre_agg is not None and sorted(left_pre_agg) != lonly:
         raise ValueError(f"left_pre_agg must cover exactly the left-only columns {lonly}")
-
-    str_key = pa.types.is_string(type_of[on]) or pa.types.is_large_string(type_of[on])
-
-    def tag(side: int, missing: list[str]):
-        def f(batch: pa.Table) -> pa.Table:
-            if str_key:
-                from .text import hash_utf8_array
-
-                kh = hash_utf8_array(batch[on])
-                bucket = (kh.view(np.uint64) % np.uint64(buckets)).astype(np.int64)
-            else:
-                keys = batch[on].to_numpy(zero_copy_only=False)
-                bucket = (keys.astype(np.int64) * np.int64(2654435761)) % buckets
-            cols = {}
-            for c in all_cols:
-                if c in missing:
-                    cols[c] = pa.nulls(len(batch), type_of[c])
-                else:
-                    cols[c] = batch[c]
-            t = pa.table(cols)
-            return t.append_column("_bucket", pa.array(bucket)).append_column(
-                "_side", pa.array(np.full(len(batch), side, dtype=np.int8))
-            )
-
-        return f
-
-    tagged = left.map_batches(tag(0, ronly), batch_format="pyarrow", batch_size=None).union(
-        right.map_batches(tag(1, lonly), batch_format="pyarrow", batch_size=None)
-    )
-    if narrow_repartition is None:
-        from .agg import _default_shuffle_partitions
-
-        narrow_repartition = _default_shuffle_partitions()
-    if narrow_repartition:
-        tagged = tagged.repartition(int(narrow_repartition))
-
-    out_schema = pa.schema([(c, type_of[c]) for c in all_cols])
+    all_cols = [on] + lonly + ronly  # key first, stable order
+    lsch = pa.schema([lschema.field(c) for c in [on] + lonly])
+    rsch = pa.schema([(on, lschema.field(on).type)] + [rschema.field(c) for c in ronly])
+    out_schema = pa.schema([lsch.field(c) if c in lsch.names else rsch.field(c)
+                            for c in all_cols])
     # accept SQL-ish names; Arrow's acero wants the "... outer" spellings
     arrow_how = {"left": "left outer", "right": "right outer",
                  "outer": "full outer"}.get(how, how)
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    def pre_agg(t: pa.Table, aggs: dict[str, str], sch: pa.Schema) -> pa.Table:
+        t = t.group_by(on, use_threads=False).aggregate(list(aggs.items()))
+        return t.rename_columns([on] + list(aggs)).select(sch.names).cast(sch)
 
-        side = g["_side"]
-        lg = g.filter(pc.equal(side, 0)).select([on] + lonly)
-        rg = g.filter(pc.equal(side, 1)).select([on] + ronly)
-        if len(lg) == 0 or len(rg) == 0:
-            if how == "inner":
-                return out_schema.empty_table()
+    def per_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        if how == "inner" and (len(lg) == 0 or len(rg) == 0):
+            return out_schema.empty_table()
         if right_pre_agg and len(rg):
-            rg = rg.group_by(on, use_threads=False).aggregate(
-                [(c, fn) for c, fn in right_pre_agg.items()]
-            ).rename_columns([on] + [c for c in right_pre_agg])
-            rg = rg.select([on] + ronly).cast(
-                pa.schema([(c, type_of[c]) for c in [on] + ronly])
-            )
+            rg = pre_agg(rg, right_pre_agg, rsch)
         if left_pre_agg and len(lg):
-            lg = lg.group_by(on, use_threads=False).aggregate(
-                [(c, fn) for c, fn in left_pre_agg.items()]
-            ).rename_columns([on] + [c for c in left_pre_agg])
-            lg = lg.select([on] + lonly).cast(
-                pa.schema([(c, type_of[c]) for c in [on] + lonly])
-            )
-        joined = lg.join(rg, keys=on, join_type=arrow_how)
-        return joined.select(all_cols)
+            lg = pre_agg(lg, left_pre_agg, lsch)
+        return lg.join(rg, keys=on, join_type=arrow_how).select(all_cols)
 
-    return tagged.groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow")
+    return _co_partition([(left, _key_route(lsch.names, on, n)),
+                          (right, _key_route(rsch.names, on, n))], per_bucket, (lsch, rsch))
+
+
+def bucketed_anti_join(left, right, on: str, *, schemas: tuple | None = None):
+    """LEFT ANTI join (int64 key): left rows whose key appears NOWHERE on
+    the right — the relational complement of the semi tier (semi_bloom).
+    One co-partition shuffle on the key; within a bucket every occurrence
+    of a key is present, so survival is one vectorized is_in.  Right side
+    ships only its DISTINCT keys per batch (pre-deduped projection).
+    Output: the left columns."""
+    n = default_join_partitions()
+    ls, early = _join_schemas(left, right, "anti", schemas)
+    if early is not None:
+        return early
+    lschema = ls[0]
+
+    def route_right(b: pa.Table) -> pa.Table:
+        # per-batch distinct: 8 bytes/key ships
+        keys = np.unique(b[on].to_numpy(zero_copy_only=False).astype(np.int64))
+        return pa.table({on: keys, "_bucket": _bucket_of(keys, n)})
+
+    def per_bucket(lrows: pa.Table, rrows: pa.Table) -> pa.Table:
+        if len(lrows) == 0:
+            return lschema.empty_table()
+        rkeys = rrows[on].to_numpy(zero_copy_only=False).astype(np.int64)
+        lkeys = lrows[on].to_numpy(zero_copy_only=False).astype(np.int64)
+        return lrows.filter(pa.array(~np.isin(lkeys, rkeys)))
+
+    return _co_partition([(left, _key_route(lschema.names, on, n)), (right, route_right)],
+                         per_bucket, (lschema, pa.schema([(on, pa.int64())])))
+
+
+def skew_aware_join(left, right, on: str, *, hot_threshold: int = 100_000,
+                    salt: int = 16, schemas: tuple | None = None,
+                    hot_keys: set | None = None):
+    """Skew-ROBUST tier of the bucketed hash join (inner, int64 key): a
+    single hot key whose rows exceed a worker's share no longer serializes
+    in one bucket group.
+
+    1. DETECT — skew.detect_hot_keys census over the LEFT side: per-batch
+       partial counts, salted reduce, the ``n > hot_threshold`` filter runs
+       DISTRIBUTED so only the (tiny by definition) hot set reaches the
+       driver; broadcast via ray.put.
+    2. SPLIT+SALT — hot LEFT rows get ``_salt = arange % salt`` (any
+       assignment yields the same join RESULT SET — salt only spreads the
+       work); hot RIGHT rows REPLICATE once per salt value; cold rows carry
+       _salt 0 unreplicated.
+    3. ONE shuffle — the co-partition, bucketed on (key, _salt) so a hot
+       key's salt groups land on different reducers; the per-bucket Arrow
+       join keys on [on, _salt], which also prevents cross-salt duplicate
+       emission between replicas sharing a bucket.
+
+    CENSUS COST: the census is a second pass over the left stream, but
+    when hot_threshold >= 10_000 it counts only every 97th row
+    (deterministic prime-stride sample) with the threshold scaled to
+    ``hot_threshold / (2*97)`` — a 2x safety margin, so a truly-hot key's
+    expected sampled count sits 2x above the cut (relative sampling noise
+    at the cut is ~sqrt(2k/hot_threshold), i.e. ~4% at the defaults).
+    Hot-set errors in EITHER direction never change the result set
+    (salting only redistributes work), so the margin trades a little extra
+    replication for never serializing a genuinely hot key.  ``hot_keys``
+    (precomputed set) skips the census pass entirely — the true one-scan
+    path for callers with expensive upstreams.
+    Output: the inner join of left x right on ``on`` (column order: key,
+    left-only, right-only), identical row multiset to bucketed_hash_join."""
+    import ray
+
+    from .skew import detect_hot_keys
+
+    n = default_join_partitions()
+    ls, early = _join_schemas(left, right, "inner", schemas)
+    if early is not None:
+        return early
+    lschema, rschema = ls
+    lonly = [c for c in lschema.names if c != on]
+    ronly = [c for c in rschema.names if c != on]
+    shared = set(lonly) & set(ronly)
+    if shared:
+        raise ValueError(f"rename shared non-key columns before joining: {sorted(shared)}")
+    if hot_keys is not None:
+        hot = set(hot_keys)
+    else:
+        # sampling noise at the scaled cut must stay small relative to the
+        # 2x margin: with k=97 that needs hot_threshold >> 2k
+        k = 97 if hot_threshold >= 10_000 else 1
+        thr = hot_threshold if k == 1 else max(1, hot_threshold // (2 * k))
+        hot = detect_hot_keys(left, [on], thr, sample_every=k)
+    hot_ref = ray.put(np.sort(np.fromiter(hot, dtype=np.int64, count=len(hot))))
+    salted = [(on, pa.int64()), ("_salt", pa.int64())]
+    lsch = pa.schema(salted + [lschema.field(c) for c in lonly])
+    rsch = pa.schema(salted + [rschema.field(c) for c in ronly])
+    all_cols = [on] + lonly + ronly
+    out_schema = pa.schema([lsch.field(c) if c in lsch.names else rsch.field(c)
+                            for c in all_cols])
+
+    def route(side: int, cols: list[str]):
+        def f(b: pa.Table) -> pa.Table:
+            keys = b[on].to_numpy(zero_copy_only=False).astype(np.int64)
+            hk = ray.get(hot_ref)
+            pos = np.clip(np.searchsorted(hk, keys), 0, max(len(hk) - 1, 0))
+            hotm = hk[pos] == keys if len(hk) else np.zeros(len(keys), bool)
+            if side == 0:
+                salts = np.where(hotm, np.arange(len(keys), dtype=np.int64) % salt, 0)
+            else:
+                # replicate hot right rows once per salt value
+                row, salts = _ragged_expand(np.where(hotm, salt, 1))
+                keys, b = keys[row], b.take(pa.array(row))
+            t = pa.table([pa.array(keys), pa.array(salts)] + [b[c] for c in cols],
+                         names=[on, "_salt"] + cols)
+            return t.append_column("_bucket", pa.array(
+                _bucket_of(keys * np.int64(salt) + salts, n)))
+
+        return f
+
+    def per_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        if len(lg) == 0 or len(rg) == 0:
+            return out_schema.empty_table()
+        return lg.join(rg, keys=[on, "_salt"], join_type="inner").select(all_cols)
+
+    return _co_partition([(left, route(0, lonly)), (right, route(1, ronly))],
+                         per_bucket, (lsch, rsch))
 
 
 def asof_join(left, right, *, by: str, on: str, right_value: str, buckets: int = 32):
     """As-of join (custom operator the Dataset API lacks): for each left row,
     the latest right row of the same ``by`` key with right.on <= left.on.
 
-    Scale shape: hash-bucket both sides on ``by`` (a key's rows never split),
-    union, groupby(bucket), per-bucket ``pd.merge_asof`` over sorted frames.
-    Inner semantics: left rows with no prior right row are dropped — matches
+    Scale shape: co-partition both sides on ``by`` (a key's rows never
+    split), per-bucket ``pd.merge_asof`` over sorted frames.  Inner
+    semantics: left rows with no prior right row are dropped — matches
     ``ASOF JOIN`` in SQL.  Partitioning assumption: one bucket's rows fit a
     worker (raise ``buckets`` for skewed key spaces)."""
-    rschema = right.schema()
-    if rschema is None:
-        # zero-block right side: inner ASOF semantics make the result empty
-        import ray.data as rd
+    # only the right side's schema is read: the left side routes (by, on)
+    # with the right side's types, and a schema-less left routes nothing
+    ls, early = _join_schemas(left, right, "inner", (pa.schema([]), right.schema()))
+    if early is not None:
+        return early
+    rschema = ls[1]
+    lsch = pa.schema([rschema.field(by), rschema.field(on)])
+    rsch = pa.schema([rschema.field(by), rschema.field(on), rschema.field(right_value)])
+    rv_dtype = rschema.field(right_value).type.to_pandas_dtype()
 
-        return rd.range(0)
-    rv_type = dict(zip(rschema.names, rschema.types))[right_value]
-    rv_dtype = rv_type.to_pandas_dtype()
-
-    def tag(side: int):
-        def f(batch: pa.Table) -> pa.Table:
-            keys = batch[by].to_numpy(zero_copy_only=False)
-            bucket = (keys.astype(np.int64) * np.int64(2654435761)) % buckets
-            cols = {by: batch[by], on: batch[on]}
-            if side == 1:
-                cols[right_value] = batch[right_value]
-            else:
-                cols[right_value] = pa.nulls(len(batch), rv_type)
-            t = pa.table(cols)
-            return t.append_column("_bucket", pa.array(bucket)).append_column(
-                "_side", pa.array(np.full(len(batch), side, dtype=np.int8))
-            )
-
-        return f
-
-    tagged = left.map_batches(tag(0), batch_format="pyarrow", batch_size=None).union(
-        right.map_batches(tag(1), batch_format="pyarrow", batch_size=None)
-    )
-    from .agg import _default_shuffle_partitions
-
-    tagged = tagged.repartition(_default_shuffle_partitions())
-
-    def per_bucket(g):
+    def per_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
         import pandas as pd
 
-        lg = g[g["_side"] == 0][[by, on]].sort_values(on, kind="mergesort")
-        rg = g[g["_side"] == 1][[by, on, right_value]].sort_values(on, kind="mergesort")
-        if len(lg) == 0 or len(rg) == 0:
-            return pd.DataFrame(
-                {
-                    by: pd.Series([], dtype=np.int64),
-                    on: pd.Series([], dtype=np.int64),
-                    right_value: pd.Series([], dtype=rv_dtype),
-                }
-            )
+        if len(lt) == 0 or len(rt) == 0:
+            return rsch.empty_table()
+        lg = lt.to_pandas().sort_values(on, kind="mergesort")
+        rg = rt.to_pandas().sort_values(on, kind="mergesort")
         # track matched-ness with an indicator, NOT value nullness: a
         # matched right row whose value is legitimately NaN/null must
         # survive (SQL ASOF JOIN keeps it with the NULL value)
@@ -248,9 +400,11 @@ def asof_join(left, right, *, by: str, on: str, right_value: str, buckets: int =
             out[right_value] = vals.astype("Int64")
         else:
             out[right_value] = vals.astype(rv_dtype)
-        return out[[by, on, right_value]]
+        return pa.Table.from_pandas(out[rsch.names], schema=rsch,
+                                    preserve_index=False).replace_schema_metadata()
 
-    return tagged.groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return _co_partition([(left, _key_route(lsch.names, by, buckets)),
+                          (right, _key_route(rsch.names, by, buckets))], per_bucket, (lsch, rsch))
 
 
 # --- interval / range join -------------------------------------------------
@@ -312,96 +466,61 @@ def interval_join(points, intervals, *, on: str, keep_cols=("event_id",),
 
 def interval_join_bucketed(points, intervals, *, on: str, id_col: str = "interval_id",
                            lo_col: str = "lo", hi_col: str = "hi",
-                           keep_col: str = "event_id", bucket_width: float,
-                           how: str = "inner"):
-    """Range join, shuffle tier for two LARGE sides (both are Datasets).
+                           keep_col: str = "event_id", bucket_width: float):
+    """Range join, shuffle tier for two LARGE sides (both are Datasets);
+    inner: one row per (point, interval) hit.
 
     Scale shape: quantize the value domain into fixed-width buckets;
     replicate each interval into every bucket it overlaps (fan-out =
     interval length / bucket_width, so pick bucket_width >= the typical
     interval length to keep replication ~2x); points land in exactly one
     bucket, so each (point, interval) pair is tested exactly once — no
-    dedup pass.  One groupby shuffle; per-group work is a vectorized
+    dedup pass.  One co-partition shuffle; per-group work is a vectorized
     interval-mask over the few intervals overlapping that bucket.
     Partitioning assumption: one bucket's points fit a worker; shrink
     bucket_width for hot value ranges."""
     w = float(bucket_width)
 
-    def tag_points(batch: pa.Table) -> pa.Table:
-        v = batch[on].to_numpy(zero_copy_only=False).astype(np.float64)
-        return pa.table(
-            {
-                "_bucket": np.floor(v / w).astype(np.int64),
-                "_side": np.zeros(len(v), dtype=np.int8),
-                keep_col: batch[keep_col],
-                "_v": v,
-                id_col: pa.nulls(len(v), pa.int64()),
-                "_lo": pa.nulls(len(v), pa.float64()),
-                "_hi": pa.nulls(len(v), pa.float64()),
-            }
-        )
+    def route_points(b: pa.Table) -> pa.Table:
+        v = b[on].to_numpy(zero_copy_only=False).astype(np.float64)
+        return pa.table({keep_col: b[keep_col], "_v": v,
+                         "_bucket": np.floor(v / w).astype(np.int64)})
 
-    def replicate_intervals(batch: pa.Table) -> pa.Table:
-        lo = batch[lo_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        hi = batch[hi_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        iid = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def route_intervals(b: pa.Table) -> pa.Table:
+        lo = b[lo_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        hi = b[hi_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        iid = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         b0 = np.floor(lo / w).astype(np.int64)
-        b1 = np.floor(hi / w).astype(np.int64)
-        cnt = b1 - b0 + 1
-        total = int(cnt.sum())
-        row = np.repeat(np.arange(len(lo), dtype=np.int64), cnt)
-        bucket = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            + np.repeat(b0, cnt)
-        )
-        return pa.table(
-            {
-                "_bucket": bucket,
-                "_side": np.ones(total, dtype=np.int8),
-                keep_col: pa.nulls(total, pa.int64()),
-                "_v": pa.nulls(total, pa.float64()),
-                id_col: iid[row],
-                "_lo": lo[row],
-                "_hi": hi[row],
-            }
-        )
+        row, k = _ragged_expand(np.floor(hi / w).astype(np.int64) - b0 + 1)
+        return pa.table({id_col: iid[row], "_lo": lo[row], "_hi": hi[row],
+                         "_bucket": b0[row] + k})
 
-    tagged = points.map_batches(
-        tag_points, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).union(
-        intervals.map_batches(
-            replicate_intervals, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None,
-        )
-    )
-    from .agg import _default_shuffle_partitions
-
-    tagged = tagged.repartition(_default_shuffle_partitions())
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        pts = g.filter(pa.array(side == 0))
-        ivs = g.filter(pa.array(side == 1))
+    def per_bucket(pts: pa.Table, ivs: pa.Table) -> pa.Table:
         if pts.num_rows == 0 or ivs.num_rows == 0:
-            return pa.table(
-                {keep_col: pa.array([], pa.int64()),
-                 id_col: pa.array([], pa.int64())}
-            )
+            return pa.table({keep_col: pa.array([], pa.int64()),
+                             id_col: pa.array([], pa.int64())})
         v = pts["_v"].to_numpy(zero_copy_only=False)
         lo = ivs["_lo"].to_numpy(zero_copy_only=False)
         hi = ivs["_hi"].to_numpy(zero_copy_only=False)
         iid = ivs[id_col].to_numpy(zero_copy_only=False)
         hit = (v[:, None] >= lo[None, :]) & (v[:, None] <= hi[None, :])
         prow, icol = np.nonzero(hit)
-        return pa.table(
-            {
-                keep_col: pts[keep_col].take(pa.array(prow)),
-                id_col: pa.array(iid[icol].astype(np.int64)),
-            }
-        )
+        return pa.table({keep_col: pts[keep_col].take(pa.array(prow)),
+                         id_col: pa.array(iid[icol].astype(np.int64))})
 
-    return tagged.groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow")
+    f64 = pa.float64()
+    return _co_partition(
+        [(points, route_points), (intervals, route_intervals)], per_bucket,
+        (pa.schema([(keep_col, pa.int64()), ("_v", f64)]),
+         pa.schema([(id_col, pa.int64()), ("_lo", f64), ("_hi", f64)])))
+
+
+# --- bloom semi join -------------------------------------------------------
+
+# bloom filter hash count, and the largest distinct key side verified by
+# broadcast (exact key set via ray.put) instead of a bucketed hash join
+_BLOOM_HASHES = 3
+_BLOOM_BROADCAST_MAX_KEYS = 4_000_000
 
 
 def _mix64(x: np.ndarray, salt: int) -> np.ndarray:
@@ -414,37 +533,29 @@ def _mix64(x: np.ndarray, salt: int) -> np.ndarray:
 
 
 def bloom_semi_join(left, right_keys, on: str, *, bits_log2: int = 23,
-                    n_hashes: int = 3, buckets: int | None = None,
-                    schemas: tuple | None = None, reduce_parts: int = 8,
-                    verify: str = "auto",
-                    broadcast_max_keys: int = 4_000_000):
+                    buckets: int | None = None, schemas: tuple | None = None):
     """EXACT semi-join tier for a big probe side and a big-ish key side:
     left rows whose ``on`` value appears in ``right_keys[on]``.
 
     Scale shape (the classic bloom-pushdown plan):
     1. build a 2^bits_log2-bit bloom of the right keys DISTRIBUTED — one
-       bitmap per batch (narrow), OR-reduced through a ``reduce_parts``-way
-       tree expressed as repartition + per-block OR, driver touches only
-       ``reduce_parts`` bitmaps (2^(bits_log2-3) bytes each, 1 MB at the
-       default) and broadcasts the final filter once via ``ray.put``;
+       bitmap per batch (narrow), OR-reduced through an 8-way tree
+       expressed as repartition + per-block OR, driver touches only 8
+       bitmaps (2^(bits_log2-3) bytes each, 1 MB at the default) and
+       broadcasts the final filter once via ``ray.put``;
     2. prefilter left with the broadcast bloom (pure narrow pass — this is
        where ~all non-matching rows die WITHOUT shuffling);
-    3. exact verify: bucketed hash join of the SURVIVORS against the
-       distinct right keys — false positives (~0.1% at default sizing)
-       are eliminated, so the result is exact, and the only all-to-all
-       movement is survivors + right keys.
+    3. exact verify of the survivors against the distinct right keys —
+       false positives (~0.1% at default sizing) are eliminated, so the
+       result is exact.  Up to ``_BLOOM_BROADCAST_MAX_KEYS`` distinct keys
+       the key set is shipped once via ``ray.put`` and survivors are
+       verified by a narrow vectorized ``isin`` (NO second all-to-all);
+       above it, a bucketed hash join of the survivors against the distinct
+       keys (the arbitrarily-large-key-side tier).  The distinct reduce is
+       materialized either way, so the count check is free.
 
     ``on`` must be an integer key column (hash string keys to int64 first,
-    e.g. ``text.hash_utf8_array``).
-
-    ``verify``: how false positives are eliminated after the prefilter —
-    ``"join"`` (bucketed hash join of survivors vs distinct keys, the
-    arbitrarily-large-key-side tier), ``"broadcast"`` (exact distinct key
-    set shipped once via ``ray.put``, survivors verified by a narrow
-    vectorized ``isin`` — NO second all-to-all), or ``"auto"`` (broadcast
-    when the distinct key count is <= ``broadcast_max_keys``, else join;
-    the distinct reduce is materialized either way, so the count check is
-    free)."""
+    e.g. ``text.hash_utf8_array``)."""
     import ray
 
     mask = np.uint64((1 << bits_log2) - 1)
@@ -456,7 +567,7 @@ def bloom_semi_join(left, right_keys, on: str, *, bits_log2: int = 23,
     def bitmap_batch(b: pa.Table) -> pa.Table:
         k = b[on].to_numpy(zero_copy_only=False).astype(np.int64)
         bits = np.zeros(nbytes, np.uint8)
-        for i in range(n_hashes):
+        for i in range(_BLOOM_HASHES):
             h = _mix64(k, i + 1) & mask
             np.bitwise_or.at(bits, (h >> np.uint64(3)).astype(np.int64),
                              np.uint8(1) << (h & np.uint64(7)).astype(np.uint8))
@@ -471,7 +582,7 @@ def bloom_semi_join(left, right_keys, on: str, *, bits_log2: int = 23,
     partials = (
         keys_only.map_batches(bitmap_batch, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
-        .repartition(reduce_parts)
+        .repartition(8)
         .map_batches(or_block, batch_format="pyarrow", batch_size=None)
         .take_all()
     )
@@ -484,7 +595,7 @@ def bloom_semi_join(left, right_keys, on: str, *, bits_log2: int = 23,
         bl = ray.get(bloom_ref)
         k = b[on].to_numpy(zero_copy_only=False).astype(np.int64)
         ok = np.ones(len(k), bool)
-        for i in range(n_hashes):
+        for i in range(_BLOOM_HASHES):
             h = _mix64(k, i + 1) & mask
             byte = bl[(h >> np.uint64(3)).astype(np.int64)]
             ok &= (byte >> (h & np.uint64(7)).astype(np.uint8)) & 1 > 0
@@ -513,8 +624,7 @@ def bloom_semi_join(left, right_keys, on: str, *, bits_log2: int = 23,
         lschema = pa.schema(list(zip(s.names, s.types)))
     key_type = dict(zip(lschema.names, lschema.types))[on]
 
-    n_distinct = distinct.count()
-    if verify == "broadcast" or (verify == "auto" and n_distinct <= broadcast_max_keys):
+    if distinct.count() <= _BLOOM_BROADCAST_MAX_KEYS:
         # exact verify with NO second all-to-all: the distinct key set rides
         # one ray.put; survivors (already ~matches only, thanks to the
         # bloom) die or pass in a narrow vectorized membership test
@@ -541,192 +651,3 @@ def bloom_semi_join(left, right_keys, on: str, *, bits_log2: int = 23,
         survivors, distinct, on=on, buckets=buckets,
         schemas=(lschema, pa.schema([(on, key_type)])),
     )
-
-
-def skew_aware_join(left, right, on: str, *, hot_threshold: int = 100_000,
-                    salt: int = 16, buckets: int | None = None,
-                    schemas: tuple | None = None,
-                    census_sample_every: int | None = None,
-                    hot_keys: set | None = None):
-    """Skew-ROBUST tier of the bucketed hash join (inner, int64 key): a
-    single hot key whose rows exceed a worker's share no longer serializes
-    in one bucket group.
-
-    1. DETECT — skew.detect_hot_keys census over the LEFT side: per-batch
-       partial counts, salted reduce, the ``n > hot_threshold`` filter runs
-       DISTRIBUTED so only the (tiny by definition) hot set reaches the
-       driver; broadcast via ray.put.
-    2. SPLIT+SALT — hot LEFT rows get ``_salt = arange % salt`` (any
-       assignment yields the same join RESULT SET — salt only spreads the
-       work); hot RIGHT rows REPLICATE once per salt value; cold rows carry
-       _salt 0 unreplicated.
-    3. ONE shuffle — the usual tagged union, bucketed on a mix of
-       (key, _salt) so a hot key's salt groups land on different reducers;
-       the per-bucket Arrow join keys on [on, _salt], which also prevents
-       cross-salt duplicate emission between replicas sharing a bucket.
-
-    CENSUS COST (r5 subsampled tier): the census is a second pass over the
-    left stream, but by default it now counts only every k-th row
-    (deterministic prime-stride sample, k auto-picked = 97 when
-    hot_threshold >= 10_000) with the threshold scaled to
-    ``hot_threshold / (2k)`` — a 2x safety margin, so a truly-hot key's
-    expected sampled count sits 2x above the cut (relative sampling noise
-    at the cut is ~sqrt(2k/hot_threshold), i.e. ~4% at the defaults).  The
-    census group_by + shuffle volume drops by k; hot-set errors in EITHER
-    direction never change the result set (salting only redistributes
-    work), so the margin trades a little extra replication for never
-    serializing a genuinely hot key.  ``census_sample_every=1`` forces the
-    exact census; ``hot_keys`` (precomputed set) skips the census pass
-    entirely — the true one-scan path for callers with expensive upstreams
-    (pair it with a materialized/persisted left or a known hot set).
-    Output: the inner join of left x right on ``on`` (column order: key,
-    left-only, right-only), identical row multiset to bucketed_hash_join."""
-    import ray
-
-    from .skew import detect_hot_keys
-
-    if buckets is None:
-        buckets = default_join_partitions()
-    if hot_keys is not None:
-        hot = set(hot_keys)
-    else:
-        k = census_sample_every
-        if k is None:
-            # sampling noise at the scaled cut must stay small relative to
-            # the 2x margin: with k=97 that needs hot_threshold >> 2k
-            k = 97 if hot_threshold >= 10_000 else 1
-        thr = hot_threshold if k == 1 else max(1, hot_threshold // (2 * k))
-        hot = detect_hot_keys(left, [on], thr, sample_every=k)
-    hot_ref = ray.put(np.sort(np.fromiter(hot, dtype=np.int64, count=len(hot))))
-
-    if schemas is not None:
-        lschema, rschema = schemas
-    else:
-        lschema, rschema = left.schema(), right.schema()
-    lonly = [n for n in lschema.names if n != on]
-    ronly = [n for n in rschema.names if n != on]
-    shared = set(lonly) & set(ronly)
-    if shared:
-        raise ValueError(f"rename shared non-key columns before joining: {sorted(shared)}")
-    type_of = dict(zip(list(lschema.names) + list(rschema.names),
-                       list(lschema.types) + list(rschema.types)))
-    all_cols = [on] + lonly + ronly
-
-    def is_hot(keys: np.ndarray) -> np.ndarray:
-        hk = ray.get(hot_ref)
-        if len(hk) == 0:
-            return np.zeros(len(keys), dtype=bool)
-        pos = np.searchsorted(hk, keys)
-        pos = np.clip(pos, 0, len(hk) - 1)
-        return hk[pos] == keys
-
-    def tag(side: int, missing: list[str]):
-        def f(batch: pa.Table) -> pa.Table:
-            keys = batch[on].to_numpy(zero_copy_only=False).astype(np.int64)
-            hotm = is_hot(keys)
-            n = len(batch)
-            if side == 0:
-                salts = np.where(hotm, np.arange(n, dtype=np.int64) % salt, 0)
-                idx = None
-            else:
-                # replicate hot right rows once per salt value
-                reps = np.where(hotm, salt, 1).astype(np.int64)
-                idx = np.repeat(np.arange(n, dtype=np.int64), reps)
-                within = np.arange(len(idx)) - np.repeat(
-                    np.cumsum(reps) - reps, reps)
-                salts = within
-                keys = keys[idx]
-                batch = batch.take(pa.array(idx))
-            bucket = ((keys * np.int64(2654435761))
-                      + salts * np.int64(0x9E3779B9)) % np.int64(buckets)
-            cols = {}
-            for c in all_cols:
-                if c in missing:
-                    cols[c] = pa.nulls(len(batch), type_of[c])
-                else:
-                    cols[c] = batch[c]
-            t = pa.table(cols)
-            return (t.append_column("_salt", pa.array(salts))
-                    .append_column("_bucket", pa.array(bucket))
-                    .append_column("_side", pa.array(
-                        np.full(len(batch), side, dtype=np.int8))))
-
-        return f
-
-    tagged = (left.map_batches(tag(0, ronly), batch_format="pyarrow", batch_size=None)
-              .union(right.map_batches(tag(1, lonly), batch_format="pyarrow", batch_size=None)))
-    from .agg import _default_shuffle_partitions
-
-    tagged = tagged.repartition(_default_shuffle_partitions())
-    out_schema = pa.schema([(c, type_of[c]) for c in all_cols])
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        side = g["_side"]
-        lg = g.filter(pc.equal(side, 0)).select([on, "_salt"] + lonly)
-        rg = g.filter(pc.equal(side, 1)).select([on, "_salt"] + ronly)
-        if len(lg) == 0 or len(rg) == 0:
-            return out_schema.empty_table()
-        joined = lg.join(rg, keys=[on, "_salt"], join_type="inner")
-        return joined.select(all_cols)
-
-    return tagged.groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow")
-
-
-def bucketed_anti_join(left, right, on: str, *, buckets: int | None = None,
-                       schemas: tuple | None = None):
-    """LEFT ANTI join (int64 key): left rows whose key appears NOWHERE on
-    the right — the relational complement of the semi tier (semi_bloom).
-    Same one-shuffle shape as bucketed_hash_join: both sides project and
-    hash-partition on the key; within a bucket every occurrence of a key is
-    present, so survival is one vectorized is_in.  Right side ships only
-    its DISTINCT keys per batch (pre-deduped projection).  Output: the left
-    columns."""
-    if buckets is None:
-        buckets = default_join_partitions()
-    if schemas is not None:
-        lschema, _rschema = schemas
-    else:
-        lschema = left.schema()
-    lcols = list(lschema.names)
-    type_of = dict(zip(lschema.names, lschema.types))
-
-    def tag(side: int):
-        def f(batch: pa.Table) -> pa.Table:
-            keys = batch[on].to_numpy(zero_copy_only=False).astype(np.int64)
-            if side == 1:
-                keys = np.unique(keys)  # per-batch distinct: 8 bytes/key ships
-                t = pa.table({on: pa.array(keys)})
-                for c in lcols:
-                    if c != on:
-                        t = t.append_column(c, pa.nulls(len(keys), type_of[c]))
-                t = t.select(lcols)
-            else:
-                t = batch.select(lcols)
-            bucket = (keys * np.int64(2654435761)) % np.int64(buckets)
-            return (t.append_column("_bucket", pa.array(bucket))
-                    .append_column("_side", pa.array(np.full(len(t), side, np.int8))))
-
-        return f
-
-    tagged = (left.map_batches(tag(0), batch_format="pyarrow", batch_size=None)
-              .union(right.map_batches(tag(1), batch_format="pyarrow", batch_size=None)))
-    from .agg import _default_shuffle_partitions
-
-    tagged = tagged.repartition(_default_shuffle_partitions())
-    out_schema = pa.schema([(c, type_of[c]) for c in lcols])
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        lk = g[on].to_numpy(zero_copy_only=False).astype(np.int64)
-        rkeys = np.unique(lk[side == 1])
-        lrows = g.filter(pa.array(side == 0)).select(lcols)
-        if len(lrows) == 0:
-            return out_schema.empty_table()
-        keep = ~np.isin(lrows[on].to_numpy(zero_copy_only=False).astype(np.int64), rkeys)
-        return lrows.filter(pa.array(keep))
-
-    return tagged.groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow")

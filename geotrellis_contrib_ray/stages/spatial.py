@@ -303,98 +303,93 @@ def _dist_cell_res(theta: float) -> int:
     return res
 
 
-class _DistReplicate:
-    """Left side replicated to its 3x3 cell neighborhood (side=0); right side
-    stays in its home cell (side=1).  Each candidate ordered pair then meets
-    in exactly one group — no post-dedup shuffle needed."""
-
-    def __init__(self, res: int, id_col: str):
-        self.res = res
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch["lon"].to_numpy(zero_copy_only=False)
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        x, y = cellmod.latlng_to_cell_xy(lat, lon, self.res)
-        nx = np.int64(2) ** (self.res + 1)
-        ny = np.int64(2) ** self.res
-        n = len(ids)
-        outs = {"id": [], "lon": [], "lat": [], "cell": [], "side": []}
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cx = x + dx
-                cy = y + dy
-                ok = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
-                cell = cellmod.pack_cell(self.res, cx[ok], cy[ok])
-                outs["id"].append(ids[ok])
-                outs["lon"].append(lon[ok])
-                outs["lat"].append(lat[ok])
-                outs["cell"].append(cell)
-                outs["side"].append(np.zeros(int(ok.sum()), dtype=np.int8))
-                if dx == 0 and dy == 0:
-                    outs["id"].append(ids)
-                    outs["lon"].append(lon)
-                    outs["lat"].append(lat)
-                    outs["cell"].append(cellmod.pack_cell(self.res, x, y))
-                    outs["side"].append(np.ones(n, dtype=np.int8))
-        return pa.table({k: np.concatenate(v) for k, v in outs.items()})
-
-
 # dense distance-kernel scratch bound: left-chunk x |right| doubles per
-# block (~16 MB at 2M cells) — shared by the J3 kernels here and in
-# stages/vector.py
+# block (~16 MB at 2M cells) — the J3 kernel of _distance_pairs, behind
+# distance_join and vector.distance_join_formatted
 _DIST_KERNEL_CELLS = 2_000_000
 
 
-def distance_join(ds, theta: float, id_col: str = "doc_id"):
-    """All pairs (id1 < id2) with euclidean distance < theta.
+def _distance_pairs(ds, theta: float, id_col: str, lon_col: str = "lon",
+                    lat_col: str = "lat", name_col: str | None = None):
+    """All pairs (id1 < id2) with euclidean distance < theta: id1, id2,
+    dist, plus name1, name2 from ``name_col`` when given.
 
-    Grid-partitioned θ-join: replicate left to neighbor cells, groupby cell,
-    per-group vectorized brute force.  Distance expression matches the SQL
-    oracle.  Output: id1, id2, dist."""
+    Grid-partitioned θ-join on the co-partition shuffle, ONE side and one
+    pass over ``ds``: the route emits every point's copy into each of its
+    3x3 neighbour cells (_home 0) AND its home-cell copy (_home 1), so each
+    candidate pair meets in exactly one cell group — no post-dedup shuffle.
+    Per cell a vectorized brute force whose distance expression matches the
+    SQL oracle."""
+    from .joins import _co_partition
+
     res = _dist_cell_res(theta)
-    pairs_src = ds.map_batches(
-        _DistReplicate(res, id_col), batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-    )
+    carry = [name_col] if name_col else []
 
-    def _empty():
-        z = pa.array([], pa.int64())
-        return pa.table({"id1": z, "id2": z, "dist": pa.array([], pa.float64())})
+    def route(b: pa.Table) -> pa.Table:
+        lon = b[lon_col].to_numpy(zero_copy_only=False)
+        lat = b[lat_col].to_numpy(zero_copy_only=False)
+        x, y = cellmod.latlng_to_cell_xy(lat, lon, res)
+        nx = np.int64(2) ** (res + 1)
+        ny = np.int64(2) ** res
+        idx, cell, home = [], [], []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                cx, cy = x + dx, y + dy
+                ok = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
+                idx.append(np.nonzero(ok)[0])
+                cell.append(cellmod.pack_cell(res, cx[ok], cy[ok]))
+                home.append(np.zeros(len(idx[-1]), np.int8))
+                if dx == 0 and dy == 0:
+                    idx.append(np.arange(len(x)))
+                    cell.append(cellmod.pack_cell(res, x, y))
+                    home.append(np.ones(len(x), np.int8))
+        idx = np.concatenate(idx)
+        t = pa.table({"id": b[id_col].to_numpy(zero_copy_only=False)[idx],
+                      "lon": lon[idx], "lat": lat[idx],
+                      "_home": np.concatenate(home),
+                      "_bucket": np.concatenate(cell).astype(np.int64)})
+        for c in carry:
+            t = t.append_column(c, b[c].take(pa.array(idx)))
+        return t
 
-    def per_cell(g):
-        left = g[g["side"] == 0]
-        right = g[g["side"] == 1]
-        if len(left) == 0 or len(right) == 0:
-            return _empty()
-        lx = left["lon"].to_numpy()
-        ly = left["lat"].to_numpy()
-        lid = left["id"].to_numpy()
-        rx = right["lon"].to_numpy()
-        ry = right["lat"].to_numpy()
-        rid = right["id"].to_numpy()
-        # CHUNKED kernel (r5): fixed left row-blocks x full right bounds the
+    ncol = ["name1", "name2"] if name_col else []
+
+    def per_cell(g: pa.Table) -> pa.Table:
+        home = g["_home"].to_numpy()
+        li, ri = np.nonzero(home == 0)[0], np.nonzero(home == 1)[0]
+        lon, lat = g["lon"].to_numpy(), g["lat"].to_numpy()
+        ids = g["id"].to_numpy()
+        lx, ly, lid = lon[li], lat[li], ids[li]
+        rx, ry, rid = lon[ri], lat[ri], ids[ri]
+        # CHUNKED kernel: fixed left row-blocks x full right bounds the
         # dense scratch to ~_DIST_KERNEL_CELLS doubles per block, so a hot
         # cell (dense urban cluster at 100x) can't spike a worker's memory.
         # The distance expression is unchanged — identical doubles to the
         # SQL twin chunk-independently (per-element math).
         step = max(1, _DIST_KERNEL_CELLS // max(1, len(rid)))
-        out1, out2, outd = [], [], []
+        out1, out2, outd = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
         for s in range(0, len(lid), step):
             lxs, lys, lids = lx[s:s + step], ly[s:s + step], lid[s:s + step]
             d = np.sqrt((lxs[:, None] - rx[None, :]) * (lxs[:, None] - rx[None, :]) + (lys[:, None] - ry[None, :]) * (lys[:, None] - ry[None, :]))
             ii, jj = np.nonzero((d < theta) & (lids[:, None] < rid[None, :]))
-            if len(ii):
-                out1.append(lids[ii].astype(np.int64))
-                out2.append(rid[jj].astype(np.int64))
-                outd.append(d[ii, jj].astype(np.float64))
-        if not out1:
-            return _empty()
-        return pa.table({"id1": pa.array(np.concatenate(out1)),
-                         "id2": pa.array(np.concatenate(out2)),
-                         "dist": pa.array(np.concatenate(outd))})
+            out1.append(li[s + ii])
+            out2.append(ri[jj])
+            outd.append(d[ii, jj].astype(np.float64))
+        i, j = np.concatenate(out1), np.concatenate(out2)
+        out = pa.table({"id1": pa.array(ids[i].astype(np.int64)),
+                        "id2": pa.array(ids[j].astype(np.int64)),
+                        "dist": pa.array(np.concatenate(outd))})
+        for c, k in zip(ncol, (i, j)):
+            out = out.append_column(c, g[name_col].take(pa.array(k)))
+        return out
 
-    return pairs_src.groupby("cell").map_groups(per_cell, batch_format="pandas")
+    return _co_partition([(ds, route)], per_cell)
+
+
+def distance_join(ds, theta: float, id_col: str = "doc_id"):
+    """All pairs (id1 < id2) with euclidean distance < theta over the
+    ``lon``/``lat`` columns (_distance_pairs).  Output: id1, id2, dist."""
+    return _distance_pairs(ds, theta, id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -539,75 +534,40 @@ def box_join(left, right, *, cell: float, id_col: str = "id",
     Scale shape: each box is replicated into every ``cell``-sized grid cell
     its rectangle overlaps (fan-out ~ (w/cell + 1)*(h/cell + 1) — pick
     ``cell`` >= the typical box edge so replication stays ~4x); ONE
-    groupby(cell) shuffle; per-cell vectorized rect-overlap test.  Duplicate
+    co-partition shuffle grouped by cell; per-cell vectorized rect-overlap
+    test.  Duplicate
     suppression is the REFERENCE-POINT rule (no global distinct pass): a
     pair is emitted only by the cell containing the bottom-left corner of
     the pair's intersection, which lies in exactly one cell and is covered
     by both boxes' replication.  Closed boundaries (touching boxes match,
     SQL >=/<=).  Output: (left_id, right_id).  Partitioning assumption: one
     cell's boxes fit a worker — shrink ``cell`` for hot regions (or salt)."""
+    from .joins import _co_partition, _ragged_expand
+
     w = float(cell)
 
-    def replicate(side: int):
-        def f(batch: pa.Table) -> pa.Table:
-            bx0 = batch[x0].to_numpy(zero_copy_only=False).astype(np.float64)
-            by0 = batch[y0].to_numpy(zero_copy_only=False).astype(np.float64)
-            bx1 = batch[x1].to_numpy(zero_copy_only=False).astype(np.float64)
-            by1 = batch[y1].to_numpy(zero_copy_only=False).astype(np.float64)
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            cx0 = np.floor(bx0 / w).astype(np.int64)
-            cx1 = np.floor(bx1 / w).astype(np.int64)
-            cy0 = np.floor(by0 / w).astype(np.int64)
-            cy1 = np.floor(by1 / w).astype(np.int64)
-            ncx = cx1 - cx0 + 1
-            cnt = ncx * (cy1 - cy0 + 1)
-            total = int(cnt.sum())
-            row = np.repeat(np.arange(len(ids), dtype=np.int64), cnt)
-            k = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            )
-            rep_ncx = ncx[row]
-            cx = cx0[row] + k % rep_ncx
-            cy = cy0[row] + k // rep_ncx
-            return pa.table(
-                {
-                    "_cell": cx * np.int64(2**31) + cy,
-                    "_cx": cx,
-                    "_cy": cy,
-                    "_side": np.full(total, side, dtype=np.int8),
-                    "id": ids[row],
-                    "bx0": bx0[row],
-                    "by0": by0[row],
-                    "bx1": bx1[row],
-                    "by1": by1[row],
-                }
-            )
+    def route(batch: pa.Table) -> pa.Table:
+        bx0 = batch[x0].to_numpy(zero_copy_only=False).astype(np.float64)
+        by0 = batch[y0].to_numpy(zero_copy_only=False).astype(np.float64)
+        bx1 = batch[x1].to_numpy(zero_copy_only=False).astype(np.float64)
+        by1 = batch[y1].to_numpy(zero_copy_only=False).astype(np.float64)
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        cx0 = np.floor(bx0 / w).astype(np.int64)
+        cy0 = np.floor(by0 / w).astype(np.int64)
+        ncx = np.floor(bx1 / w).astype(np.int64) - cx0 + 1
+        row, k = _ragged_expand(ncx * (np.floor(by1 / w).astype(np.int64) - cy0 + 1))
+        cx = cx0[row] + k % ncx[row]
+        cy = cy0[row] + k // ncx[row]
+        return pa.table({"_bucket": cx * np.int64(2**31) + cy, "_cx": cx, "_cy": cy,
+                         "id": ids[row], "bx0": bx0[row], "by0": by0[row],
+                         "bx1": bx1[row], "by1": by1[row]})
 
-        return f
+    empty = pa.table({"left_id": pa.array([], pa.int64()),
+                      "right_id": pa.array([], pa.int64())})
 
-    tagged = left.map_batches(
-        replicate(0), batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-    ).union(
-        right.map_batches(
-            replicate(1), batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        )
-    )
-    from .agg import _default_shuffle_partitions
-
-    # sort-shuffle fixed cost scales with input block count — coalesce narrow
-    tagged = tagged.repartition(_default_shuffle_partitions())
-
-    def per_cell(g: pa.Table) -> pa.Table:
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        lmask = side == 0
-        if not lmask.any() or lmask.all():
-            return pa.table(
-                {"left_id": pa.array([], pa.int64()),
-                 "right_id": pa.array([], pa.int64())}
-            )
-        lg = g.filter(pa.array(lmask))
-        rg = g.filter(pa.array(~lmask))
+    def per_cell(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        if len(lg) == 0 or len(rg) == 0:
+            return empty
         lx0 = lg["bx0"].to_numpy(); ly0 = lg["by0"].to_numpy()
         lx1 = lg["bx1"].to_numpy(); ly1 = lg["by1"].to_numpy()
         rx0 = rg["bx0"].to_numpy(); ry0 = rg["by0"].to_numpy()
@@ -620,10 +580,7 @@ def box_join(left, right, *, cell: float, id_col: str = "id",
         )
         li, ri = np.nonzero(hit)
         if len(li) == 0:
-            return pa.table(
-                {"left_id": pa.array([], pa.int64()),
-                 "right_id": pa.array([], pa.int64())}
-            )
+            return empty
         # reference point: bottom-left of the intersection; emit only if it
         # falls in THIS cell
         px = np.maximum(lx0[li], rx0[ri])
@@ -640,4 +597,4 @@ def box_join(left, right, *, cell: float, id_col: str = "id",
             }
         )
 
-    return tagged.groupby("_cell").map_groups(per_cell, batch_format="pyarrow")
+    return _co_partition([(left, route), (right, route)], per_cell)

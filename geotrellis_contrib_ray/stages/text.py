@@ -198,8 +198,7 @@ def redact_regex(ds, pattern: str = REDACT_PATTERN, token: str = REDACT_TOKEN,
 
 
 def tfidf_top_terms(ds, top_n: int = 3, id_col: str = "doc_id",
-                    text_col: str = "text", n_docs: int | None = None,
-                    buckets: int | None = None):
+                    text_col: str = "text", n_docs: int | None = None):
     """Per-document top-``top_n`` TF-IDF terms over a space-tokenized corpus.
 
     Scale shape:
@@ -241,20 +240,13 @@ def tfidf_top_terms(ds, top_n: int = 3, id_col: str = "doc_id",
         g = flat.group_by([id_col, "term"], use_threads=False).aggregate([([], "count_all")])
         return g.rename_columns([id_col, "term", "tf"])
 
-    tf_rows = ds.map_batches(term_tf, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None)
+    from .joins import _bucket_of, _co_partition, default_join_partitions
 
-    from .joins import default_join_partitions
+    n_buckets = default_join_partitions()
 
-    n_buckets = buckets if buckets is not None else default_join_partitions()
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        kh = hash_utf8_array(b["term"])
-        bucket = (kh.view(np.uint64) % np.uint64(n_buckets)).astype(np.int64)
-        return b.append_column("_bucket", pa.array(bucket))
-
-    tagged = tf_rows.map_batches(add_bucket, batch_format="pyarrow",
-                                 zero_copy_batch=True, batch_size=None)
+    def route(b: pa.Table) -> pa.Table:
+        b = term_tf(b)
+        return b.append_column("_bucket", pa.array(_bucket_of(b["term"], n_buckets)))
 
     def per_bucket(g: pa.Table) -> pa.Table:
         # all rows of a term share its bucket -> in-group df is exact
@@ -263,12 +255,7 @@ def tfidf_top_terms(ds, top_n: int = 3, id_col: str = "doc_id",
         out = g.select([id_col, "term", "tf"]).join(dfc, keys="term")
         return out.select([id_col, "term", "tf", "df"])
 
-    from .agg import _default_shuffle_partitions
-
-    # sort-shuffle fixed cost scales with input BLOCK count (CLAUDE.md):
-    # narrow-repartition before the wide step
-    joined = (tagged.repartition(_default_shuffle_partitions())
-              .groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow"))
+    joined = _co_partition([(ds, route)], per_bucket)
 
     def score(b: pa.Table) -> pa.Table:
         tf = b["tf"].to_numpy(zero_copy_only=False).astype(np.float64)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..core import geom as geommod
 
@@ -108,114 +109,27 @@ def add_geojson(batch: pa.Table, x_col="x", y_col="y") -> pa.Table:
 
 
 def distance_join_formatted(ds, theta: float, name_col: str = "name", id_col: str = "id"):
-    """J3 with reference output shape: (n1, n2, "%1.4f" % dist) for all pairs
-    with dist < theta and different names (PostgisSpec.scala:174-188).
+    """J3 with reference output shape: (n1, n2, "%1.4f" % dist) for all
+    ordered pairs with dist < theta and different names
+    (PostgisSpec.scala:174-188).
 
-    Composes the grid-partitioned distance_join; the name-inequality refine
-    and formatting happen in the per-cell reduce."""
-    from . import spatial as sp
-    from ..core import cells as cellmod
+    The grid-partitioned distance kernel over the ``x``/``y`` columns
+    (spatial._distance_pairs, carrying the names) emits each id1 < id2 pair
+    once; the reference's cross-join sees both orders, so every pair is
+    mirrored (the distance is symmetric to the bit), equal-name pairs drop
+    and the distance is formatted."""
+    from .spatial import _distance_pairs
 
-    res = sp._dist_cell_res(theta)
-    pairs_src = ds.map_batches(
-        _NamedReplicate(res, id_col, name_col),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=None,
-    )
+    def fmt(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.not_equal(b["name1"], b["name2"]))
+        dist = pa.array([f"{v:.4f}" for v in b["dist"].to_numpy()], pa.string())
+        return pa.concat_tables([
+            pa.table({"n1": b["name1"], "n2": b["name2"], "dist": dist}),
+            pa.table({"n1": b["name2"], "n2": b["name1"], "dist": dist})])
 
-    def _empty():
-        z = pa.array([], pa.string())
-        return pa.table({"n1": z, "n2": z, "dist": pa.array([], pa.string())})
-
-    def per_cell(g):
-        left = g[g["side"] == 0]
-        right = g[g["side"] == 1]
-        if len(left) == 0 or len(right) == 0:
-            return _empty()
-        lx = left["lon"].to_numpy()
-        ly = left["lat"].to_numpy()
-        rx = right["lon"].to_numpy()
-        ry = right["lat"].to_numpy()
-        lid = left["id"].to_numpy()
-        rid = right["id"].to_numpy()
-        lname = left["name"].to_numpy()
-        rname = right["name"].to_numpy()
-        # CHUNKED kernel (r5, same bound as spatial.distance_join): fixed
-        # left row-blocks x full right — a hot cell can't spike worker
-        # memory; the distance doubles and "%1.4f" formatting are unchanged
-        step = max(1, sp._DIST_KERNEL_CELLS // max(1, len(rid)))
-        out = {"n1": [], "n2": [], "dist": []}
-        for s in range(0, len(lid), step):
-            lxs, lys = lx[s:s + step], ly[s:s + step]
-            d = np.sqrt((lxs[:, None] - rx[None, :]) ** 2 + (lys[:, None] - ry[None, :]) ** 2)
-            ii, jj = np.nonzero((d < theta) & (lid[s:s + step, None] != rid[None, :]))
-            if len(ii) == 0:
-                continue
-            # vectorized name-inequality refine, then per-pair formatting
-            # over only the SURVIVING pairs (tiny by definition)
-            nm = lname[s + ii] != rname[jj]
-            ii, jj = ii[nm], jj[nm]
-            out["n1"].extend(lname[s + ii].tolist())
-            out["n2"].extend(rname[jj].tolist())
-            out["dist"].extend(f"{v:.4f}" for v in d[ii, jj])
-        if not out["n1"]:
-            return _empty()
-        return pa.table({"n1": pa.array(out["n1"], pa.string()),
-                         "n2": pa.array(out["n2"], pa.string()),
-                         "dist": pa.array(out["dist"], pa.string())})
-
-    return pairs_src.groupby("cell").map_groups(per_cell, batch_format="pandas")
-
-
-class _NamedReplicate:
-    """distance-join replicate carrying (id, name) for the formatted variant.
-    Ordered pairs (both directions) — matches the reference's cross-join."""
-
-    def __init__(self, res: int, id_col: str, name_col: str):
-        self.res = res
-        self.id_col = id_col
-        self.name_col = name_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..core import cells as cellmod
-
-        lon = batch["x"].to_numpy(zero_copy_only=False)
-        lat = batch["y"].to_numpy(zero_copy_only=False)
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        names = batch[self.name_col].to_numpy(zero_copy_only=False)
-        x, y = cellmod.latlng_to_cell_xy(lat, lon, self.res)
-        nx = np.int64(2) ** (self.res + 1)
-        ny = np.int64(2) ** self.res
-        parts = {k: [] for k in ("id", "name", "lon", "lat", "cell", "side")}
-        n = len(ids)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cx, cy = x + dx, y + dy
-                ok = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
-                parts["id"].append(ids[ok])
-                parts["name"].append(names[ok])
-                parts["lon"].append(lon[ok])
-                parts["lat"].append(lat[ok])
-                parts["cell"].append(cellmod.pack_cell(self.res, cx[ok], cy[ok]))
-                parts["side"].append(np.zeros(int(ok.sum()), dtype=np.int8))
-                if dx == 0 and dy == 0:
-                    parts["id"].append(ids)
-                    parts["name"].append(names)
-                    parts["lon"].append(lon)
-                    parts["lat"].append(lat)
-                    parts["cell"].append(cellmod.pack_cell(self.res, x, y))
-                    parts["side"].append(np.ones(n, dtype=np.int8))
-        return pa.table(
-            {
-                "id": np.concatenate(parts["id"]),
-                "name": pa.array(np.concatenate(parts["name"]).astype(object), pa.string()),
-                "lon": np.concatenate(parts["lon"]),
-                "lat": np.concatenate(parts["lat"]),
-                "cell": np.concatenate(parts["cell"]),
-                "side": np.concatenate(parts["side"]),
-            }
-        )
+    pairs = _distance_pairs(ds, theta, id_col, "x", "y", name_col=name_col)
+    return pairs.map_batches(fmt, batch_format="pyarrow", zero_copy_batch=True,
+                             batch_size=None)
 
 
 def cities_dataset():

@@ -51,6 +51,19 @@ CHECKS = [
         "price_histogram",
         "corr_stats",
         "customer_order_totals",
+        # the co-partition shuffle families: key joins over 10x
+        # orders/lineitem/events, box and distance joins over documents,
+        # TF-IDF term buckets
+        "order_lineitem_join",
+        "orders_no_lineitem",
+        "skew_join",
+        "asof_join",
+        "interval_join_bucketed",
+        "orders_left_join",
+        "semi_bloom",
+        "tfidf_terms",
+        "box_join",
+        "distance_pairs",
         "pack_sequences",
         "corpus_clean",
         "paragraph_dedup",

@@ -44,13 +44,23 @@ def test_bucketed_join_matches_pandas(ray_session):
 def test_bucketed_join_schemaless_empty_side(ray_session):
     """A zero-block side with no schema: the inner join is the empty
     Dataset, but a left join would drop the left rows, so it must ask for
-    ``schemas=`` instead of returning an empty result."""
-    lds, _, _, _ = _sides()
+    ``schemas=`` instead of returning an empty result.  The anti and skew
+    joins follow the same rule: an anti join keeps every left row against
+    an empty right side and is empty for an empty left side; the skew
+    join is empty for an empty side on either side."""
+    from geotrellis_contrib_ray.stages.joins import bucketed_anti_join, skew_aware_join
+
+    lds, rds, lt, _ = _sides()
     empty = lds.filter(lambda r: False).materialize()
     assert empty.schema() is None
     assert bucketed_hash_join(lds, empty, on="k").count() == 0
     with pytest.raises(ValueError, match="schemas="):
         bucketed_hash_join(lds, empty, on="k", how="left")
+    assert bucketed_anti_join(empty, rds, on="k").count() == 0
+    kept = bucketed_anti_join(lds, empty, on="k").to_pandas()
+    assert sorted(kept["v"]) == sorted(lt["v"].to_pylist())
+    assert skew_aware_join(empty, rds, on="k").count() == 0
+    assert skew_aware_join(lds, empty, on="k").count() == 0
 
 
 def test_bucketed_join_preserves_dtypes(ray_session):
@@ -232,20 +242,42 @@ def test_bucketed_join_string_key(ray_session):
     assert got["rval"].dtype == np.int64
 
 
-def test_bloom_semi_join_exact(ray_session):
+def _bloom_sides():
     import ray.data as rd
-
-    from geotrellis_contrib_ray.stages.joins import bloom_semi_join
 
     rng = np.random.default_rng(5)
     lkeys = rng.integers(0, 1000, 5000).astype(np.int64)
     rkeys = rng.choice(1000, 120, replace=False).astype(np.int64)
     left = rd.from_arrow(pa.table({"k": pa.array(lkeys), "v": pa.array(np.arange(5000))}))
     right = rd.from_arrow(pa.table({"k": pa.array(rkeys)}))
+    return left, right, lkeys, rkeys
+
+
+def test_bloom_semi_join_exact(ray_session):
+    from geotrellis_contrib_ray.stages.joins import bloom_semi_join
+
+    left, right, lkeys, rkeys = _bloom_sides()
     out = bloom_semi_join(left, right, on="k", buckets=8).to_pandas()
     keep = set(rkeys.tolist())
     exp = sorted(v for k, v in zip(lkeys, range(5000)) if k in keep)
     assert sorted(out["v"]) == exp
+
+
+def test_bloom_semi_join_verify_tiers_agree(ray_session, monkeypatch):
+    """The join-verify tier (distinct key side above the broadcast bound)
+    returns the same rows as the broadcast-verify tier."""
+    from geotrellis_contrib_ray.stages import joins
+
+    left, right, _, _ = _bloom_sides()
+
+    def rows(ds):
+        df = ds.to_pandas()
+        return sorted(zip(df["k"].tolist(), df["v"].tolist()))
+
+    broadcast = rows(joins.bloom_semi_join(left, right, on="k", buckets=8))
+    monkeypatch.setattr(joins, "_BLOOM_BROADCAST_MAX_KEYS", 0)
+    joined = rows(joins.bloom_semi_join(left, right, on="k", buckets=8))
+    assert joined == broadcast and len(broadcast) > 0
 
 
 def test_bloom_semi_join_tiny_filter_still_exact(ray_session):
