@@ -101,7 +101,7 @@ def ann_topk(ds, queries: np.ndarray, k: int, id_col: str = "vec_id", batch_size
     """Brute-force cosine top-k: map_batches partial -> groupby(query) final."""
     partial = _scored_partials(ds, CosineTopK, queries, k, id_col, batch_size)
 
-    # total merge: vectorized bounded-salt top-k (no per-query pandas groups)
+    # total merge: vectorized key-bucket top-k (no per-query pandas groups)
     from .stats import top_k_per_group
 
     return top_k_per_group(partial, group_col="query_id", order_col="cosine",

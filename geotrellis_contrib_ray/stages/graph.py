@@ -7,9 +7,9 @@ This module closes that gap Ray-Data-first:
 
 * ``star_edges`` — turns a (id, key_hash) keying Dataset into edges
   (member -> per-key min id).  Emission is LINEAR in key-group size (a
-  star, not a clique), via the same salted-group + sorted-run-detection
-  pattern as ``dedup.minhash_candidate_pairs`` (grouping by the raw hash
-  would make one ~1 ms python group per key — see CLAUDE.md).
+  star, not a clique): one key-hash bucket shuffle (joins._co_partition),
+  equal-hash runs detected inside each bucket (one group per raw hash would
+  cost ~1 ms of python each).
 * ``connected_components`` — min-label propagation: per round ONE narrow
   bucketed hash join of the (node, nbr) edge list against the (node, label)
   table plus one groupby-min; rounds bounded by component diameter (or
@@ -37,28 +37,15 @@ import pyarrow.compute as pc
 from .joins import bucketed_hash_join
 
 
-def star_edges(keyed, id_col: str = "doc_id", hash_col: str = "key_hash",
-               group_salt: int = 256):
+def star_edges(keyed, id_col: str = "doc_id", hash_col: str = "key_hash"):
     """(id, key_hash) rows -> star edges (src=member, dst=per-key min id),
     member != min, one edge per (row, key) — linear in key-group size.
 
-    Groups are salted DOWN to ``group_salt`` partitions (equal hashes still
-    co-locate; bounded group count); equal-hash runs are detected vectorized
-    inside each group.  Partitioning assumption: one salted group fits a
-    worker — scale ``group_salt`` with the corpus.
+    Rows are routed to key buckets (equal hashes co-locate; the bucket
+    count follows the input's rows, joins._bucket_count); equal-hash runs
+    are detected vectorized inside each bucket.
     """
-
-    def add_salt(b: pa.Table) -> pa.Table:
-        kh = b[hash_col].to_numpy(zero_copy_only=False)
-        salt = (kh.view(np.uint64) % np.uint64(group_salt)).astype(np.int64)
-        return b.append_column("_gsalt", pa.array(salt))
-
-    salted = keyed.map_batches(add_salt, batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=None)
-    from .agg import _default_shuffle_partitions
-
-    # sort-shuffle fixed cost scales with input block count — coalesce narrow
-    salted = salted.repartition(_default_shuffle_partitions())
+    from .joins import _bucket_count, _co_partition, _key_route
 
     def emit(g):
         ids = g[id_col].to_numpy()
@@ -80,7 +67,8 @@ def star_edges(keyed, id_col: str = "doc_id", hash_col: str = "key_hash",
             "dst": pa.array(mins[keep].astype(np.int64)),
         })
 
-    return salted.groupby("_gsalt").map_groups(emit, batch_format="pandas")
+    route = _key_route([id_col, hash_col], hash_col, _bucket_count(keyed))
+    return _co_partition([(keyed, route)], emit)
 
 
 def connected_components(edges, nodes, id_col: str = "node",
@@ -321,7 +309,7 @@ def connected_components(edges, nodes, id_col: str = "node",
 
 
 def neardup_clusters(ds, key_len: int = 10, id_col: str = "doc_id",
-                     text_col: str = "text", group_salt: int = 256,
+                     text_col: str = "text",
                      max_rounds: int = 50, pointer_jump: bool = True,
                      buckets: int | None = None,
                      driver_threshold: int = 1_000_000,
@@ -359,8 +347,7 @@ def neardup_clusters(ds, key_len: int = 10, id_col: str = "doc_id",
 
     keyed = ds.map_batches(keys, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None)
-    edges = star_edges(keyed, id_col=id_col, hash_col="key_hash",
-                       group_salt=group_salt)
+    edges = star_edges(keyed, id_col=id_col, hash_col="key_hash")
     nodes = ds.select_columns([id_col, *carry_cols])
     labels = connected_components(edges, nodes, id_col=id_col,
                                   max_rounds=max_rounds,

@@ -19,7 +19,13 @@ spot, see there); the optional per-key salt is the skew knob
 (``skew_aware_join``).  Ray's native ``Dataset.join`` is not used: its
 aggregator-actor pool start-up dominates (sf0.1 lineitem x orders: bucketed
 b32 4.2 s vs native p32 25 s / p16 14 s).
-"""
+
+With ONE side it is the keyed wide step (``groupby(key).map_groups``, one
+vectorized kernel per bucket of keys) of the seven per-user ``windows`` ops,
+``stats.top_k_per_group``, ``graph.star_edges`` and the raster mosaic /
+pyramid / focal steps, with ``_bucket_count(ds)`` buckets:
+``max(default_join_partitions(), ceil(rows / _BUCKET_ROWS))``, ``rows`` from
+the input's parquet footer.  One hot key still fills one bucket."""
 
 from __future__ import annotations
 
@@ -43,6 +49,32 @@ def default_join_partitions() -> int:
 # ---------------------------------------------------------------------------
 # the co-partition primitive
 # ---------------------------------------------------------------------------
+
+# Row bound of one bucket of a one-sided keyed wide step: its rows meet in
+# one vectorized kernel call, and the heaviest (windows.window_functions)
+# holds ~25 int64 temporaries a row — ~200 MB at the bound, inside a worker.
+_BUCKET_ROWS = 1_000_000
+
+
+def _bucket_count(ds) -> int:
+    """Bucket count of a one-sided keyed wide step over ``ds``:
+    ``max(default_join_partitions(), ceil(rows / _BUCKET_ROWS))``, ``rows``
+    from the leaf of the lazy plan (the parquet footer of a read), reached
+    through single-input operators without executing anything —
+    ``_meta_count()`` gives up once a map sits on the read.  Several inputs,
+    or an unknown count, keep the default.  An estimate: it moves the bucket
+    count, never the result."""
+    n = default_join_partitions()
+    try:
+        op = ds._logical_plan.dag
+        while op.input_dependencies:
+            if len(op.input_dependencies) != 1:
+                return n
+            op = op.input_dependencies[0]
+        rows = op.infer_metadata().num_rows
+    except AttributeError:  # a Ray plan-API change loses the bound, not the query
+        return n
+    return n if rows is None else max(n, -(-rows // _BUCKET_ROWS))
 
 
 def _bucket_of(col, n: int) -> np.ndarray:
@@ -137,6 +169,7 @@ def _co_partition(sides, per_group, schemas=None):
                 rows.append(t if k == len(m) else t.filter(pa.array(m)))
         return per_group(*rows)
 
+    group.__name__ = getattr(per_group, "__name__", "group")  # the stats' op label
     routed = [ds.map_batches(tag(i, route), batch_format="pyarrow",
                              zero_copy_batch=True, batch_size=None)
               for i, (ds, route) in enumerate(sides)]

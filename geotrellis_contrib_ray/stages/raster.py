@@ -199,15 +199,32 @@ def tile_dataset(sources: list[RasterSource], layout: LayoutDefinition, *,
     )
 
 
-def mosaic_merge(tiles_ds, layout: LayoutDefinition, block_shift: int = 3):
+def _tile_key_route(n: int, parent: bool = False):
+    """Route of the raster wide steps (joins._co_partition): every row, to
+    one of ``n`` buckets by its tile key — or, with ``parent``, by its parent
+    key (tile key >> 1, appended as ``pcol``/``prow``).  The key packs as
+    col * (2^32 + 1) + row so both axes reach the low bits the bucket hash
+    keeps."""
+    from .joins import _bucket_of
+
+    def route(b: pa.Table) -> pa.Table:
+        c = b["tile_col"].to_numpy(zero_copy_only=False).astype(np.int64)
+        r = b["tile_row"].to_numpy(zero_copy_only=False).astype(np.int64)
+        if parent:
+            c, r = c >> 1, r >> 1
+            b = b.append_column("pcol", pa.array(c)).append_column("prow", pa.array(r))
+        key = c * np.int64(0x100000001) + r
+        return b.append_column("_bucket", pa.array(_bucket_of(key, n)))
+
+    return route
+
+
+def mosaic_merge(tiles_ds, layout: LayoutDefinition):
     """J2/A3: groupby(tile key) -> first-non-nodata-wins merge at the widened
     cell type; source order (src_id) carried into the reduce for determinism.
 
-    The shuffle key is the tile-key BLOCK ((col >> block_shift,
-    row >> block_shift) — 64 tiles per group at the default): per-group
-    overhead is paid once per block instead of once per tile, and a
-    million-tile layer makes ~16k groups, not a million.  Tiles in a block
-    are merged independently inside the group."""
+    One tile-key bucket shuffle (``_tile_key_route``); the tiles of a
+    bucket are merged key by key inside it."""
 
     def merge_one(tb: "_TileBatch", idxs: np.ndarray) -> dict:
         ct = tb.ct(int(idxs[0]))
@@ -254,7 +271,7 @@ def mosaic_merge(tiles_ds, layout: LayoutDefinition, block_shift: int = 3):
             filled |= have
         return tile_row(-1, key, Raster(acc, ext), ct)
 
-    def merge_block(g: pa.Table) -> pa.Table:
+    def merge_bucket(g: pa.Table) -> pa.Table:
         # arrow end-to-end: per-row pixel blobs stay buffer views (the old
         # pandas records path copied every blob through python dicts)
         order = np.lexsort((
@@ -271,17 +288,9 @@ def mosaic_merge(tiles_ds, layout: LayoutDefinition, block_shift: int = 3):
         out = [merge_one(tb, np.arange(s, e)) for s, e in zip(starts, ends)]
         return pa.Table.from_pylist(out, schema=TILE_SCHEMA)
 
-    def add_block(b: pa.Table) -> pa.Table:
-        bc = b["tile_col"].to_numpy(zero_copy_only=False) >> block_shift
-        br = b["tile_row"].to_numpy(zero_copy_only=False) >> block_shift
-        return b.append_column("_bcol", pa.array(bc)).append_column("_brow", pa.array(br))
+    from .joins import _bucket_count, _co_partition
 
-    from .agg import _default_shuffle_partitions
-
-    blocked = tiles_ds.map_batches(add_block, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    # sort-shuffle fixed cost scales with input block count — coalesce narrow
-    blocked = blocked.repartition(_default_shuffle_partitions())
-    return blocked.groupby(["_bcol", "_brow"]).map_groups(merge_block, batch_format="pyarrow")
+    return _co_partition([(tiles_ds, _tile_key_route(_bucket_count(tiles_ds)))], merge_bucket)
 
 
 def convert_tiles(tiles_ds, target: CellType, gdal_clamp: bool = False):
@@ -355,15 +364,16 @@ def pyramid_build(tiles_ds, levels: int, layout: LayoutDefinition | None = None,
                     # place by the child's ACTUAL georeference, not key
                     # parity alone: a footprint-clipped edge tile starts K
                     # child-cells into its key extent, so its decimation
-                    # must sample even GLOBAL cell indices (stride offset
-                    # K%2) and land K//2-ish parent cells into the quadrant
-                    # — parity placement alone shifts clipped tiles west/up
+                    # must sample even GLOBAL cell indices and land on
+                    # parent cell global // 2 — parity placement alone
+                    # shifts clipped tiles west/up, and with odd tile dims
+                    # lets two children write the same parent column
                     cw, ch = tw / tcols, th / trows
                     key_xmin = layout.extent.xmin + int(row["tile_col"]) * tw
                     key_ymax = layout.extent.ymax - int(row["tile_row"]) * th
-                    kc = int(round((row["xmin"] - key_xmin) / cw))
-                    kr = int(round((key_ymax - row["ymax"]) / ch))
-                    coff, roff = kc % 2, kr % 2
+                    gc = int(row["tile_col"]) * tcols + int(round((row["xmin"] - key_xmin) / cw))
+                    gr = int(row["tile_row"]) * trows + int(round((key_ymax - row["ymax"]) / ch))
+                    coff, roff = gc % 2, gr % 2
                     if method == "average":
                         from ..core.resample import AVERAGE, resample as rs_resample
 
@@ -374,8 +384,8 @@ def pyramid_build(tiles_ds, levels: int, layout: LayoutDefinition | None = None,
                         ).astype(ct.np_dtype, copy=False)
                     else:  # nearest even-global-cell decimation
                         px = child[:, roff::2, coff::2]
-                    qc = (int(row["tile_col"]) % 2) * half_c + (kc + coff) // 2
-                    qr = (int(row["tile_row"]) % 2) * half_r + (kr + roff) // 2
+                    qc = (gc + coff) // 2 - pc * tcols
+                    qr = (gr + roff) // 2 - pr * trows
                     px = px[:, : max(trows - qr, 0), : max(tcols - qc, 0)]
                     acc[:, qr : qr + px.shape[1], qc : qc + px.shape[2]] = px
                     continue
@@ -408,30 +418,12 @@ def pyramid_build(tiles_ds, levels: int, layout: LayoutDefinition | None = None,
 
         return make_parents
 
-    # parents grouped by parent-key BLOCK (64 parents per group): per-group
-    # overhead is per block, not per parent key (same rationale as
-    # mosaic_merge)
-    block_shift = 3
+    # children routed by parent key: one parent-key bucket shuffle a level
+    from .joins import _bucket_count, _co_partition
+
+    route = _tile_key_route(_bucket_count(tiles_ds), parent=True)
     for _ in range(levels):
-
-        def add_parent(batch: pa.Table) -> pa.Table:
-            pcol = batch["tile_col"].to_numpy(zero_copy_only=False) >> 1
-            prow = batch["tile_row"].to_numpy(zero_copy_only=False) >> 1
-            return (
-                batch.append_column("pcol", pa.array(pcol))
-                .append_column("prow", pa.array(prow))
-                .append_column("_bcol", pa.array(pcol >> block_shift))
-                .append_column("_brow", pa.array(prow >> block_shift))
-            )
-
-        from .agg import _default_shuffle_partitions
-
-        cur = (
-            cur.map_batches(add_parent, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-            .repartition(_default_shuffle_partitions())
-            .groupby(["_bcol", "_brow"])
-            .map_groups(mk_make_parent(cur_tw, cur_th), batch_format="pyarrow")
-        )
+        cur = _co_partition([(cur, route)], mk_make_parent(cur_tw, cur_th))
         out.append(cur)
         if layout is not None:
             cur_tw *= 2.0
@@ -495,17 +487,17 @@ _FOCAL_SCHEMA = pa.schema(
 )
 
 
-def focal_tiles(tiles_ds, op: str = "mean", radius: int = 1, block_shift: int = 3):
+def focal_tiles(tiles_ds, op: str = "mean", radius: int = 1):
     """Focal map algebra (geotrellis' focal ops family) over a tile Dataset
     with HALO EXCHANGE: every tile ships its 4 edge strips + 4 corners
-    (each ``radius`` cells thin) to its neighbors, one groupby(tile-key
-    BLOCK) assembles tile + received halos into a padded array, and the
-    focal kernel runs vectorized (integral images for sum/mean, shifted
-    extrema for min/max).
+    (each ``radius`` cells thin) to its neighbors, one tile-key bucket
+    shuffle (``_tile_key_route``) assembles tile + received halos into a
+    padded array, and the focal kernel runs vectorized (integral images for
+    sum/mean, shifted extrema for min/max).
 
     Shuffle payload per tile = the tile + ~2*(W+H)*radius halo cells — NOT
-    9 full tile replicas; groups are key BLOCKS (64 tiles/group at the
-    default shift), so per-group overhead never scales with the layer.
+    9 full tile replicas; a bucket holds many tile keys, so per-group
+    overhead never scales with the layer.
 
     Window semantics match GDAL/geotrellis edge handling: each output cell
     aggregates the IN-BOUNDS, non-NoData subset of its (2r+1)^2 window
@@ -669,7 +661,7 @@ def focal_tiles(tiles_ds, op: str = "mean", radius: int = 1, block_shift: int = 
         return tile_row(-1, (int(center["tile_col"]), int(center["tile_row"])),
                         Raster(res, ext), out_ct)
 
-    def focal_block(g: pa.Table) -> pa.Table:
+    def focal_bucket(g: pa.Table) -> pa.Table:
         # arrow-native: fragment pixel blobs stay buffer views end-to-end
         tc0 = g["tile_col"].to_numpy(zero_copy_only=False)
         tr0 = g["tile_row"].to_numpy(zero_copy_only=False)
@@ -697,20 +689,10 @@ def focal_tiles(tiles_ds, op: str = "mean", radius: int = 1, block_shift: int = 
                 out.append(row)
         return pa.Table.from_pylist(out, schema=TILE_SCHEMA)
 
-    def add_block(b: pa.Table) -> pa.Table:
-        bc = b["tile_col"].to_numpy(zero_copy_only=False) >> block_shift
-        br = b["tile_row"].to_numpy(zero_copy_only=False) >> block_shift
-        return b.append_column("_bcol", pa.array(bc)).append_column("_brow", pa.array(br))
+    from .joins import _bucket_count, _co_partition
 
-    frags = tiles_ds.map_batches(emit, batch_format="pyarrow",
-                                 zero_copy_batch=True, batch_size=None)
-    from .agg import _default_shuffle_partitions
-
-    blocked = frags.map_batches(add_block, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=None)
-    # sort-shuffle fixed cost scales with input block count — coalesce narrow
-    blocked = blocked.repartition(_default_shuffle_partitions())
-    return blocked.groupby(["_bcol", "_brow"]).map_groups(focal_block, batch_format="pyarrow")
+    route = _tile_key_route(_bucket_count(tiles_ds))  # halo fragments, by destination key
+    return _co_partition([(tiles_ds, lambda b: route(emit(b)))], focal_bucket)
 
 
 def sparse_stitch(tile_rows: list[dict], cell_type: CellType | None = None) -> Raster | None:

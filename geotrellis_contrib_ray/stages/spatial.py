@@ -282,7 +282,7 @@ def knn(ds, queries, k: int, id_col: str = "doc_id", batch_size=131072):
         batch_size=batch_size,
     )
 
-    # total merge: vectorized bounded-salt top-k (no per-query pandas groups)
+    # total merge: vectorized key-bucket top-k (no per-query pandas groups)
     from .stats import top_k_per_group
 
     return top_k_per_group(partial, group_col="query_id", order_col="dist",

@@ -61,22 +61,14 @@ def top_k_per_group(ds, group_col: str, order_col: str, k: int,
 
     part = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
 
-    # total merge via ONE bounded-salt shuffle: groups land whole inside a
-    # salted group (salt = hash(group) % 64), where the same vectorized
-    # rank-within-group kernel is total — no per-group pandas map_groups
-    # (~1 ms/group at corpus-scale group counts, CLAUDE.md)
-    from .agg import _add_salt, _default_shuffle_partitions
+    # total merge: groups land whole in a key bucket, where the same
+    # vectorized rank-within-group kernel is total (no ~1 ms/group cost)
+    from .joins import _bucket_count, _co_partition, _key_route
 
-    def merge_block(t: pa.Table) -> pa.Table:
-        return partial(t.drop_columns(["_gsalt"]), with_rank=rank_col is not None)
+    def merge_bucket(t: pa.Table) -> pa.Table:
+        return partial(t, with_rank=rank_col is not None)
 
-    return (
-        part.map_batches(_add_salt([group_col], 64), batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=None)
-        .repartition(_default_shuffle_partitions())
-        .groupby("_gsalt")
-        .map_groups(merge_block, batch_format="pyarrow")
-    )
+    return _co_partition([(part, _key_route(cols, group_col, _bucket_count(ds)))], merge_bucket)
 
 
 def grouped_quantiles(ds, value_col: str, qs: tuple[float, ...],

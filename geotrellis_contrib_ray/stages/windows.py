@@ -44,41 +44,24 @@ def tumbling_window_agg(ds, window_sec: int = 3600):
     )
 
 
-def sessionize(ds, gap_sec: int = 1800, group_salt: int = 64):
+def sessionize(ds, gap_sec: int = 1800):
     """Session windows per user: split each user's time-ordered events on
     ts gaps > gap.
 
-    Users are SALTED into ``group_salt`` groups (grouping by raw user_id
-    makes one ~1 ms python group per user — measured scale killer at 1500+
-    users) and sessions for every user in a group are detected in one
-    vectorized pass: lexsort by (user, ts), session break = user change OR
-    gap.  Equal-user rows always share a group, so results are identical to
-    the per-user formulation.  Partitioning assumption: one salted group
-    (≈ events/group_salt rows) fits a worker — scale group_salt with the
-    corpus.  Output (Arrow — pandas-format blocks pay a measured 13x
-    penalty in any downstream shuffle): user_id, session_start, n_events."""
-    import pyarrow as pa
+    Users are hashed into key buckets (joins._co_partition routed on
+    user_id; grouping by raw user_id makes one ~1 ms python group per user
+    — measured scale killer at 1500+ users) and sessions for every user in
+    a bucket are detected in one vectorized pass: lexsort by (user, ts),
+    session break = user change OR gap.  Equal-user rows always share a
+    bucket, so results are identical to the per-user formulation.  The
+    bucket count follows the input's rows (joins._bucket_count).  Output
+    (Arrow — pandas-format blocks pay a measured 13x penalty in any
+    downstream shuffle): user_id, session_start, n_events."""
+    from .joins import _bucket_count, _co_partition, _key_route
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        b = strip_schema_metadata(b)  # unhashable-schema rule (see util.py)
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        salt = (uid * np.int64(2654435761)) % group_salt
-        return b.append_column("gsalt", pa.array(salt))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    from .agg import _default_shuffle_partitions
-
-    # sort-shuffle fixed cost scales with input block count — coalesce narrow
-    salted = salted.repartition(_default_shuffle_partitions())
-
-    def per_salt(g):
+    def per_bucket(g):
         uid = g["user_id"].to_numpy().astype(np.int64)
         secs = g["ts"].to_numpy().astype("datetime64[s]").astype(np.int64)
-        if len(uid) == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"user_id": z, "session_start": z, "n_events": z})
         order = np.lexsort((secs, uid))
         u, s = uid[order], secs[order]
         new_sess = np.r_[True, (u[1:] != u[:-1]) | (s[1:] - s[:-1] > gap_sec)]
@@ -91,7 +74,8 @@ def sessionize(ds, gap_sec: int = 1800, group_salt: int = 64):
             }
         )
 
-    return salted.groupby("gsalt").map_groups(per_salt, batch_format="pandas")
+    route = _key_route(["user_id", "ts"], "user_id", _bucket_count(ds))
+    return _co_partition([(ds, route)], per_bucket)
 
 
 def sliding_window_agg(ds, size_sec: int = 3600, hop_sec: int = 1800):
@@ -137,24 +121,20 @@ def sliding_window_agg(ds, size_sec: int = 3600, hop_sec: int = 1800):
     )
 
 
-def window_functions(ds, gap_none: int = -1, group_salt: int = 64,
-                     ntile_k: int = 4):
+def window_functions(ds, gap_none: int = -1, ntile_k: int = 4):
     """Per-row SQL window functions over events, per user ordered by
     (epoch_us, event_id): ROW_NUMBER, RANK and DENSE_RANK (ties on the
     timestamp), the LAG and LEAD time gaps, NTILE(``ntile_k``), the
-    partition row count, and a running integer-cent sum — one salted-group
-    vectorized pass (sessionize's plan: users are salted into bounded
-    groups, equal users never split across groups, so results equal the
-    per-user SQL window exactly).
+    partition row count, and a running integer-cent sum — one vectorized
+    pass per user bucket (sessionize's plan: equal users never split
+    across buckets, so results equal the per-user SQL window exactly).
 
     Unlike ``top_k_per_group`` (winners only) this emits EVERY input row
     with its window values; the per-row output never re-shuffles (the one
-    wide step is the salt groupby).  ``gap_none`` is the first-row LAG /
-    last-row LEAD sentinel — no SQL NULLs, so the oracle hash sees
+    wide step is the user-bucket shuffle).  ``gap_none`` is the first-row
+    LAG / last-row LEAD sentinel — no SQL NULLs, so the oracle hash sees
     identical values.  NTILE follows the SQL standard: the first
     ``n % k`` tiles get ``ceil(n/k)`` rows, the rest ``floor(n/k)``.
-    Partitioning assumption: one salted group (~rows/group_salt) fits a
-    worker — scale group_salt with the corpus.
 
     Also emits the two float ranking functions as ONE int64/int64 IEEE
     division each (the shared-expression convention — the twin replays the
@@ -165,30 +145,11 @@ def window_functions(ds, gap_none: int = -1, group_salt: int = 64,
 
     Output: event_id, user_id, rn, rk, dense_rk, gap_us, lead_gap_us,
     tile, grp_n, cum_cents (int64); pct_rank, cume_dist (float64)."""
+    from .joins import _bucket_count, _co_partition, _key_route
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        b = strip_schema_metadata(b)
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        salt = (uid * np.int64(2654435761)) % group_salt
-        return b.append_column("gsalt", pa.array(salt))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    from .agg import _default_shuffle_partitions
-
-    salted = salted.repartition(_default_shuffle_partitions())
-
-    def per_salt(g):
+    def per_bucket(g):
         uid = g["user_id"].to_numpy().astype(np.int64)
         n = len(uid)
-        if n == 0:
-            z = pa.array([], pa.int64())
-            zf = pa.array([], pa.float64())
-            return pa.table({"event_id": z, "user_id": z, "rn": z, "rk": z,
-                             "dense_rk": z, "gap_us": z, "lead_gap_us": z,
-                             "tile": z, "grp_n": z, "cum_cents": z,
-                             "pct_rank": zf, "cume_dist": zf})
         tus = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         eid = g["event_id"].to_numpy().astype(np.int64)
         cents = np.floor(g["value"].to_numpy() * 100.0).astype(np.int64)
@@ -247,45 +208,29 @@ def window_functions(ds, gap_none: int = -1, group_salt: int = 64,
             "cume_dist": pa.array(cume),
         })
 
-    return salted.groupby("gsalt").map_groups(per_salt, batch_format="pandas")
+    route = _key_route(["user_id", "ts", "event_id", "value"], "user_id", _bucket_count(ds))
+    return _co_partition([(ds, route)], per_bucket)
 
 
-def window_frame_agg(ds, frame_rows: int = 2, group_salt: int = 64):
+def window_frame_agg(ds, frame_rows: int = 2):
     """Bounded ROWS-frame window aggregates per user over events: moving
     count / sum / min of integer cents over ``ROWS BETWEEN frame_rows
     PRECEDING AND CURRENT ROW`` in (epoch_us, event_id) order — the frame
     surface next to window_functions' unbounded running sum.
 
-    Same salted-group single-pass plan as window_functions.  The moving sum
+    Same user-bucket single-pass plan as window_functions.  The moving sum
     is exact via inclusive/exclusive prefix-sum differences (frame start
     clamps at the partition start); the moving min is an elementwise min of
     ``frame_rows`` shifted copies masked at partition boundaries — O(k*n)
     vectorized, fine for the small frames this models (k is a constant,
-    not data-sized).  Partitioning assumption: one salted group fits a
-    worker — scale group_salt with the corpus.
+    not data-sized).
 
     Output: event_id, user_id, mv_n, mv_sum_cents, mv_min_cents (int64)."""
+    from .joins import _bucket_count, _co_partition, _key_route
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        b = strip_schema_metadata(b)
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        salt = (uid * np.int64(2654435761)) % group_salt
-        return b.append_column("gsalt", pa.array(salt))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    from .agg import _default_shuffle_partitions
-
-    salted = salted.repartition(_default_shuffle_partitions())
-
-    def per_salt(g):
+    def per_bucket(g):
         uid = g["user_id"].to_numpy().astype(np.int64)
         n = len(uid)
-        if n == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"event_id": z, "user_id": z, "mv_n": z,
-                             "mv_sum_cents": z, "mv_min_cents": z})
         tus = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         eid = g["event_id"].to_numpy().astype(np.int64)
         cents = np.floor(g["value"].to_numpy() * 100.0).astype(np.int64)
@@ -313,47 +258,33 @@ def window_frame_agg(ds, frame_rows: int = 2, group_salt: int = 64):
             "mv_min_cents": pa.array(mv_min),
         })
 
-    return salted.groupby("gsalt").map_groups(per_salt, batch_format="pandas")
+    route = _key_route(["user_id", "ts", "event_id", "value"], "user_id", _bucket_count(ds))
+    return _co_partition([(ds, route)], per_bucket)
 
 
-def funnel_counts(ds, stages: tuple[str, ...] = ("view", "click", "purchase"),
-                  group_salt: int = 64) -> pa.Table:
+def funnel_counts(ds, stages: tuple[str, ...] = ("view", "click", "purchase")) -> pa.Table:
     """Ordered conversion funnel over events: per user, stage i+1 counts
     only if an event of that type occurs STRICTLY LATER (epoch_us) than the
     user's earliest qualifying stage-i event — the product-analytics
     "view -> click -> purchase" sequence match.
 
-    One salted-group pass computes every user's per-stage first-qualifying
+    One user-bucket pass computes every user's per-stage first-qualifying
     timestamp with masked segment minima (per-user ``np.minimum.reduceat``
     over non-empty segments — safe: every user segment has >= 1 row), then
-    emits ``len(stages)`` partial count rows per group; the final combine
+    emits ``len(stages)`` partial count rows per bucket; the final combine
     is the bounded-group driver rollup (no second all-to-all, per the
     total-reduce tier rule).
 
     Returns a pa.Table: stage (1-based int64), stage_name, n_users."""
-    from .agg import _default_shuffle_partitions, driver_group_rollup
+    from .agg import driver_group_rollup
+    from .joins import _bucket_count, _co_partition, _key_route
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        b = strip_schema_metadata(b)
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        salt = (uid * np.int64(2654435761)) % group_salt
-        return b.append_column("gsalt", pa.array(salt))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    salted = salted.repartition(_default_shuffle_partitions())
     NOTYET = np.iinfo(np.int64).max
 
-    def per_salt(g):
+    def per_bucket(g):
         stage_ids = np.arange(1, len(stages) + 1, dtype=np.int64)
         names = pa.array(list(stages), pa.string())
         uid = g["user_id"].to_numpy().astype(np.int64)
-        n = len(uid)
-        if n == 0:
-            return pa.table({"stage": pa.array(stage_ids),
-                             "stage_name": names,
-                             "p": pa.array(np.zeros(len(stages), np.int64))})
         tus = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         et = g["event_type"].to_numpy().astype(object)
         order = np.lexsort((tus, uid))
@@ -371,7 +302,8 @@ def funnel_counts(ds, stages: tuple[str, ...] = ("view", "click", "purchase"),
         return pa.table({"stage": pa.array(stage_ids), "stage_name": names,
                          "p": pa.array(counts)})
 
-    part = salted.groupby("gsalt").map_groups(per_salt, batch_format="pandas")
+    route = _key_route(["user_id", "ts", "event_type"], "user_id", _bucket_count(ds))
+    part = _co_partition([(ds, route)], per_bucket)
     out = driver_group_rollup(part, ["stage", "stage_name"],
                               [("p", "sum", "n_users")])
     if out.num_rows == 0:
@@ -385,40 +317,23 @@ def funnel_counts(ds, stages: tuple[str, ...] = ("view", "click", "purchase"),
     return out.sort_by("stage")
 
 
-def group_first_last(ds, group_salt: int = 64):
+def group_first_last(ds):
     """Per-group ARG_MIN / ARG_MAX over events: each user's FIRST and LAST
     event_type in (epoch_us, event_id) order plus the row count — the
     order-statistic aggregate family (SQL arg_min/arg_max, or
     first_value/last_value + DISTINCT).
 
-    Same salted-group single-pass plan as sessionize: one lexsort, gather
+    Same user-bucket single-pass plan as sessionize: one lexsort, gather
     the payload column at each user segment's first and last index.  No
-    per-row output — one row per user crosses nothing but the salt
-    groupby.
+    per-row output — one row per user crosses nothing but the user-bucket
+    shuffle.
 
     Output: user_id, first_type, last_type (string), n_events (int64)."""
+    from .joins import _bucket_count, _co_partition, _key_route
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        b = strip_schema_metadata(b)
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        salt = (uid * np.int64(2654435761)) % group_salt
-        return b.append_column("gsalt", pa.array(salt))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    from .agg import _default_shuffle_partitions
-
-    salted = salted.repartition(_default_shuffle_partitions())
-
-    def per_salt(g):
+    def per_bucket(g):
         uid = g["user_id"].to_numpy().astype(np.int64)
         n = len(uid)
-        if n == 0:
-            z = pa.array([], pa.int64())
-            s = pa.array([], pa.string())
-            return pa.table({"user_id": z, "first_type": s, "last_type": s,
-                             "n_events": z})
         tus = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         eid = g["event_id"].to_numpy().astype(np.int64)
         et = g["event_type"].to_numpy().astype(object)
@@ -433,45 +348,32 @@ def group_first_last(ds, group_salt: int = 64):
             "n_events": pa.array((ends - starts + 1).astype(np.int64)),
         })
 
-    return salted.groupby("gsalt").map_groups(per_salt, batch_format="pandas")
+    route = _key_route(["user_id", "ts", "event_id", "event_type"], "user_id", _bucket_count(ds))
+    return _co_partition([(ds, route)], per_bucket)
 
 
 def cohort_retention(ds, signup_type: str = "signup",
-                     day_us: int = 86_400_000_000, group_salt: int = 64):
+                     day_us: int = 86_400_000_000):
     """Cohort retention matrix over events: users are cohorted by the UTC
     day of their FIRST ``signup_type`` event; for every later (or same) day
     on which the user has ANY event, the (cohort_day, day_offset) cell
     counts that user once — the classic day-N retention table.
 
-    One salted-group pass per user: cohort day via a masked per-user
-    segment min, per-user distinct activity days via run-starts over the
-    (user, day) sort, then per-group (cohort_day, offset) count partials.
+    One user-bucket pass: cohort day via a masked per-user segment min,
+    per-user distinct activity days via run-starts over the (user, day)
+    sort, then per-bucket (cohort_day, offset) count partials.
     The final combine is the bounded-group driver rollup — the cell count
     is bounded by the SQUARE of the stream's day span (calendar-bounded,
     not corpus-bounded), so no second all-to-all.
 
     Returns a pa.Table: cohort_day (epoch days), day_offset, n_users."""
-    from .agg import _default_shuffle_partitions, driver_group_rollup
+    from .agg import driver_group_rollup
+    from .joins import _bucket_count, _co_partition, _key_route
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        b = strip_schema_metadata(b)
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        salt = (uid * np.int64(2654435761)) % group_salt
-        return b.append_column("gsalt", pa.array(salt))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    salted = salted.repartition(_default_shuffle_partitions())
     NOTYET = np.iinfo(np.int64).max
 
-    def per_salt(g):
+    def per_bucket(g):
         uid = g["user_id"].to_numpy().astype(np.int64)
-        n = len(uid)
-        z = pa.array([], pa.int64())
-        empty = pa.table({"cohort_day": z, "day_offset": z, "p": z})
-        if n == 0:
-            return empty
         tus = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         et = g["event_type"].to_numpy().astype(object)
         day = tus // day_us
@@ -486,56 +388,38 @@ def cohort_retention(ds, signup_type: str = "signup",
         # distinct (user, day) activity cells at/after the cohort day
         day_new = grp_new | np.r_[True, d[1:] != d[:-1]]
         keep = day_new & (row_cohort < NOTYET) & (d >= row_cohort)
-        if not keep.any():
-            return empty
         t = pa.table({"cohort_day": pa.array(row_cohort[keep]),
                       "day_offset": pa.array((d - row_cohort)[keep])})
         out = t.group_by(["cohort_day", "day_offset"],
                          use_threads=False).aggregate([([], "count_all")])
         return out.rename_columns(["cohort_day", "day_offset", "p"])
 
-    part = salted.groupby("gsalt").map_groups(per_salt, batch_format="pandas")
+    route = _key_route(["user_id", "ts", "event_type"], "user_id", _bucket_count(ds))
+    part = _co_partition([(ds, route)], per_bucket)
     out = driver_group_rollup(part, ["cohort_day", "day_offset"],
                               [("p", "sum", "n_users")])
     return out.sort_by([("cohort_day", "ascending"),
                         ("day_offset", "ascending")])
 
 
-def user_paths(ds, sep: str = "->", max_events: int | None = None,
-               group_salt: int = 64):
+def user_paths(ds, sep: str = "->", max_events: int | None = None):
     """Ordered sequence collection (SQL ``string_agg(... ORDER BY)``): each
     user's event_type sequence in (epoch_us, event_id) order, joined with
     ``sep`` — the behavioral-sequence builder a training-data pipeline uses
     to turn event logs into path strings.
 
-    Same salted-group plan as sessionize/window_functions: the string build
+    Same user-bucket plan as sessionize/window_functions: the string build
     is a per-user join over group boundaries (O(rows) total work inside the
     vectorized sort).  ``max_events`` truncates each user's path to its
     FIRST n events — the scale valve for hot users whose full path would be
     one giant string (None = unbounded, matching the plain SQL twin).
 
     Output: user_id, path (string), n_events (int64, pre-truncation)."""
+    from .joins import _bucket_count, _co_partition, _key_route
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        b = strip_schema_metadata(b)
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        salt = (uid * np.int64(2654435761)) % group_salt
-        return b.append_column("gsalt", pa.array(salt))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    from .agg import _default_shuffle_partitions
-
-    salted = salted.repartition(_default_shuffle_partitions())
-
-    def per_salt(g):
+    def per_bucket(g):
         uid = g["user_id"].to_numpy().astype(np.int64)
         n = len(uid)
-        if n == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"user_id": z, "path": pa.array([], pa.string()),
-                             "n_events": z})
         tus = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         eid = g["event_id"].to_numpy().astype(np.int64)
         et = g["event_type"].to_numpy().astype(object)
@@ -552,7 +436,8 @@ def user_paths(ds, sep: str = "->", max_events: int | None = None,
             "n_events": pa.array(lens.astype(np.int64)),
         })
 
-    return salted.groupby("gsalt").map_groups(per_salt, batch_format="pandas")
+    route = _key_route(["user_id", "ts", "event_id", "event_type"], "user_id", _bucket_count(ds))
+    return _co_partition([(ds, route)], per_bucket)
 
 
 def window_distinct_users(ds, window_sec: int = 3600):

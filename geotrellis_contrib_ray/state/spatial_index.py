@@ -357,7 +357,7 @@ def knn_indexed(ds, queries, k: int, id_col: str = "doc_id", index: str = "grid"
         probe, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
 
-    # total merge: vectorized bounded-salt top-k (no per-query pandas groups)
+    # total merge: vectorized key-bucket top-k (no per-query pandas groups)
     from ..stages.stats import top_k_per_group
 
     return top_k_per_group(partial, group_col="query_id", order_col="dist",

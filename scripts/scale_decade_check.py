@@ -47,6 +47,12 @@ CHECKS = [
         "user_first_last",
         "csv_roundtrip",
         "user_paths",
+        # the one-sided key-bucket families: sessions over 10x events and
+        # the per-group top-k merge.  dedup_clusters is deliberately ABSENT:
+        # its WITH RECURSIVE min-label twin runs DuckDB out of memory at 10x
+        # (a 4 GiB allocation past 12.5 GiB used)
+        "sessionize",
+        "top_docs_per_lang",
         "mode_chars",
         "price_histogram",
         "corr_stats",

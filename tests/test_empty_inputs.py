@@ -62,24 +62,65 @@ def test_joins_and_graph_empty(ray_session):
     assert neardup_clusters(ds, carry_cols=("lang",)).count() == 0
 
 
-def test_windows_empty(ray_session):
+def _events(event_types, ts_us=(), user_ids=()):
     import ray.data as rd
 
-    from geotrellis_contrib_ray.stages.windows import (
-        sessionize,
-        tumbling_window_agg,
-        window_distinct_users,
-    )
-
-    ev = rd.from_arrow(pa.table({
-        "ts": pa.array([], pa.timestamp("us")),
-        "user_id": pa.array([], pa.int64()),
-        "event_type": pa.array([], pa.string()),
-        "value": pa.array([], pa.float64()),
+    n = len(event_types)
+    return rd.from_arrow(pa.table({
+        "event_id": pa.array(np.arange(n, dtype=np.int64)),
+        "ts": pa.array(np.array(ts_us, dtype=np.int64).astype("datetime64[us]"),
+                       pa.timestamp("us")),
+        "user_id": pa.array(list(user_ids), pa.int64()),
+        "event_type": pa.array(list(event_types), pa.string()),
+        "value": pa.array(np.full(n, 1.25)),
     }))
-    assert tumbling_window_agg(ev).count() == 0
-    assert sessionize(ev).count() == 0
-    assert window_distinct_users(ev).count() == 0
+
+
+def test_windows_empty(ray_session):
+    from geotrellis_contrib_ray.stages import windows
+
+    ev = _events([])
+    assert windows.tumbling_window_agg(ev).count() == 0
+    assert windows.window_distinct_users(ev).count() == 0
+    for op in ("sessionize", "window_functions", "window_frame_agg",
+               "group_first_last", "user_paths"):
+        assert getattr(windows, op)(ev).count() == 0, op
+    assert windows.cohort_retention(ev).num_rows == 0
+    # the stage list is static: every stage still reports, with 0 users
+    funnel = windows.funnel_counts(ev)
+    assert funnel["stage_name"].to_pylist() == ["view", "click", "purchase"]
+    assert funnel["n_users"].to_pylist() == [0, 0, 0]
+
+
+def test_windows_single_event(ray_session):
+    """One user with one event: the one-row output of every user-bucket op."""
+    from geotrellis_contrib_ray.stages import windows
+
+    day_us = 86_400_000_000
+    ts = 3 * day_us + 7_000_000  # day 3, 7 s in
+    view = _events(["view"], [ts], [42])
+
+    def rows(out):
+        return out.to_pandas().to_dict("records")
+
+    assert rows(windows.sessionize(view)) == [
+        {"user_id": 42, "session_start": ts // 1_000_000, "n_events": 1}]
+    assert rows(windows.window_functions(view)) == [{
+        "event_id": 0, "user_id": 42, "rn": 1, "rk": 1, "dense_rk": 1,
+        "gap_us": -1, "lead_gap_us": -1, "tile": 1, "grp_n": 1,
+        "cum_cents": 125, "pct_rank": 0.0, "cume_dist": 1.0}]
+    assert rows(windows.window_frame_agg(view)) == [{
+        "event_id": 0, "user_id": 42, "mv_n": 1, "mv_sum_cents": 125,
+        "mv_min_cents": 125}]
+    assert windows.funnel_counts(view)["n_users"].to_pylist() == [1, 0, 0]
+    assert rows(windows.group_first_last(view)) == [
+        {"user_id": 42, "first_type": "view", "last_type": "view", "n_events": 1}]
+    assert rows(windows.user_paths(view)) == [
+        {"user_id": 42, "path": "view", "n_events": 1}]
+    # a lone non-signup event cohorts nobody; a lone signup is its own cell
+    assert windows.cohort_retention(view).num_rows == 0
+    assert rows(windows.cohort_retention(_events(["signup"], [ts], [42]))) == [
+        {"cohort_day": 3, "day_offset": 0, "n_users": 1}]
 
 
 def test_r4_ops_empty(ray_session):

@@ -96,7 +96,7 @@ def test_star_edges_linear_per_key(ray_session):
         "doc_id": pa.array([3, 1, 9, 4], pa.int64()),
         "key_hash": pa.array([42, 42, 42, 7], pa.int64()),
     }))
-    df = star_edges(keyed, group_salt=4).to_pandas().sort_values("src")
+    df = star_edges(keyed).to_pandas().sort_values("src")
     assert list(zip(df["src"], df["dst"])) == [(3, 1), (9, 1)]
 
 
@@ -117,7 +117,7 @@ def test_neardup_clusters_planted_chain(ray_session):
         ]),
     })
     ds = ray.data.from_arrow(docs)
-    labels = _labels_dict(neardup_clusters(ds, key_len=10, group_salt=8, buckets=4))
+    labels = _labels_dict(neardup_clusters(ds, key_len=10))
     assert labels == {10: 10, 11: 10, 12: 10, 13: 13}
 
 
@@ -236,3 +236,25 @@ def test_q_graph_rank_auto_matches_forced(ray_session):
     auto = _rank_norm(e.q_graph_rank(SF_DIR, tier="auto"))
     sh = _rank_norm(e.q_graph_rank(SF_DIR, tier="shuffle"))
     assert auto == sh
+
+
+def test_star_edges_bucket_count_independent(ray_session, monkeypatch):
+    """The same star edges whether every key shares one bucket or spreads
+    over 97."""
+    import ray
+
+    from geotrellis_contrib_ray.stages import joins
+
+    rng = np.random.default_rng(7)
+    n = 2000
+    keyed = pa.table({
+        "doc_id": pa.array(rng.permutation(n).astype(np.int64)),
+        "key_hash": pa.array(rng.integers(-(2 ** 62), 2 ** 62, 300)[rng.integers(0, 300, n)]),
+    })
+    outs = []
+    for b in (1, 97):
+        monkeypatch.setattr(joins, "_bucket_count", lambda ds, b=b: b)
+        df = star_edges(ray.data.from_arrow(keyed)).to_pandas()
+        outs.append(df.sort_values(["src", "dst"]).reset_index(drop=True))
+    assert len(outs[0]) > 1000
+    assert outs[0].equals(outs[1])

@@ -493,3 +493,26 @@ def test_left_pre_agg_validation(ray_session):
         bucketed_hash_join(lds, rds, on="k",
                            left_pre_agg={"nope": "sum"},
                            schemas=(lt.schema, rt.schema))
+
+
+def test_bucket_count_reads_parquet_footer(ray_session, tmp_path, monkeypatch):
+    """_bucket_count takes the row count from the parquet footer of a
+    read -> map_batches plan (the __ray_entry__._read_pq shape) without
+    executing it, and falls back to the CPU-derived count for a plan with
+    several inputs."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from geotrellis_contrib_ray.stages import joins
+    from geotrellis_contrib_ray.util import strip_schema_metadata
+
+    path = str(tmp_path / "rows.parquet")
+    pq.write_table(pa.table({"k": np.arange(1000, dtype=np.int64)}), path)
+    ds = rd.read_parquet(path).map_batches(strip_schema_metadata, batch_format="pyarrow",
+                                           zero_copy_batch=True, batch_size=None)
+    default = joins.default_join_partitions()
+    assert joins._bucket_count(ds) == default  # 1000 rows: one bucket's worth
+    monkeypatch.setattr(joins, "_BUCKET_ROWS", 7)
+    assert default < 143
+    assert joins._bucket_count(ds) == 143  # ceil(1000 / 7)
+    assert joins._bucket_count(ds.union(ds)) == default

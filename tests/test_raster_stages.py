@@ -284,17 +284,16 @@ def test_focal_hillshade_matches_reference(ray_session):
     assert len(np.unique(stitched.pixels[0])) > 10
 
 
-def test_pyramid_clipped_edge_tiles_registered(ray_session):
-    """Footprint-clipped edge tiles (source starts mid-tile) must land at
-    their georeferenced position inside the parent — key parity alone
-    shifted them west/up (review repro, round 2)."""
+def _assert_pyramid_registered(tile: int):
+    """Level 1 over a source starting 5 cells into the layout equals the
+    2x decimation of the georeferenced world array, parent by parent."""
     import numpy as np
 
     from geotrellis_contrib_ray.core.grid import Extent, GridExtent, LayoutDefinition
     from geotrellis_contrib_ray.sources.raster_source import SyntheticRasterSource
     from geotrellis_contrib_ray.stages import raster as rst
 
-    layout = LayoutDefinition(Extent(0, 0, 40, 40), 10, 10, 4, 4)
+    layout = LayoutDefinition(Extent(0, 0, 40, 40), tile, tile, 40 // tile, 40 // tile)
     src = SyntheticRasterSource(GridExtent(Extent(5, 0, 40, 40), 1.0, 1.0, 35, 40))
     lvl1 = rst.pyramid_build(rst.tile_dataset([src], layout), levels=1,
                              layout=layout)[1].to_pandas()
@@ -306,8 +305,23 @@ def test_pyramid_clipped_edge_tiles_registered(ray_session):
     for _, r in lvl1.iterrows():
         px = rst.tile_pixels(dict(r))[0]
         pc, pr = int(r["tile_col"]), int(r["tile_row"])
-        truth = world[pr * 20:(pr + 1) * 20, pc * 20:(pc + 1) * 20][::2, ::2]
+        w = 2 * tile
+        truth = world[pr * w:(pr + 1) * w, pc * w:(pc + 1) * w][::2, ::2]
         assert np.array_equal(px, truth), (pc, pr)
+
+
+def test_pyramid_clipped_edge_tiles_registered(ray_session):
+    """Footprint-clipped edge tiles (source starts mid-tile) must land at
+    their georeferenced position inside the parent — key parity alone
+    shifted them west/up (review repro, round 2)."""
+    _assert_pyramid_registered(10)
+
+
+def test_pyramid_odd_tile_dims_registered(ray_session):
+    """5-cell tiles: an odd-numbered child starts on an odd global cell, so
+    decimating it from its local cell 0 sampled odd cells, and two children
+    wrote the same parent column (the result depended on child order)."""
+    _assert_pyramid_registered(5)
 
 
 def test_focal_radius_exceeding_tile_raises(ray_session):
@@ -366,3 +380,34 @@ def test_bit_celltype_through_tile_pipeline(ray_session):
         c0, r0 = int(r.tile_col) * 32, int(r.tile_row) * 32
         got[r0:r0 + 32, c0:c0 + 32] = t[0]
     assert np.array_equal(got, px[0])
+
+
+def test_wide_steps_bucket_count_independent(ray_session, monkeypatch):
+    """mosaic_merge, pyramid_build and focal_tiles give the same per-tile
+    checksums whether every tile key shares one bucket or spreads over 97.
+    The 5-cell tiles are odd-sized: a pyramid parent must not depend on the
+    order its children arrive in."""
+    from geotrellis_contrib_ray.stages import joins
+
+    rng = np.random.default_rng(5)
+    g1 = GridExtent(Extent(0.0, 0.0, 400.0, 300.0), 10.0, 10.0, 40, 30)
+    g2 = GridExtent(Extent(150.0, 0.0, 550.0, 300.0), 10.0, 10.0, 40, 30)
+    a = InMemoryRasterSource(rng.integers(0, 100, (1, 30, 40)).astype(np.float64), g1)
+    b = InMemoryRasterSource(rng.integers(0, 100, (1, 30, 40)).astype(np.float64), g2)
+    layout = LayoutDefinition(Extent(0.0, 0.0, 550.0, 300.0), 5, 5, 11, 6)
+
+    def checksums(ds):
+        df = rst.summarize_tiles(ds).to_pandas()
+        return df.sort_values(["tile_col", "tile_row"]).reset_index(drop=True)
+
+    runs = []
+    for n in (1, 97):
+        monkeypatch.setattr(joins, "_bucket_count", lambda ds, n=n: n)
+        tiles = rst.tile_dataset([a, b], layout)
+        mosaic = rst.mosaic_merge(tiles, layout).materialize()
+        runs.append([checksums(mosaic),
+                     *[checksums(lvl) for lvl in rst.pyramid_build(mosaic, 2, layout)[1:]],
+                     checksums(rst.focal_tiles(mosaic, op="sum", radius=1))])
+    assert [len(t) for t in runs[0]] == [66, 18, 6, 66]
+    for x, y in zip(*runs):
+        assert x.equals(y)

@@ -85,6 +85,33 @@ def test_top_k_per_group_matches_duckdb(ray_session):
     assert got["doc_id"].tolist() == exp["doc_id"].tolist()
 
 
+def test_top_k_per_group_bucket_count_independent(ray_session, monkeypatch):
+    """Winners and their in-group ranks are the same whether every group
+    shares one bucket or spreads over 97."""
+    import ray.data as rd
+
+    from geotrellis_contrib_ray.stages import joins
+    from geotrellis_contrib_ray.stages.stats import top_k_per_group
+
+    rng = np.random.default_rng(2)
+    n = 3000
+    t = pa.table({
+        "g": pa.array(rng.integers(0, 200, n).astype(np.int64)),
+        "v": pa.array(rng.integers(0, 20, n).astype(np.int64)),  # many ties
+        "doc_id": pa.array(np.arange(n, dtype=np.int64)),
+    })
+    outs = []
+    for b in (1, 97):
+        monkeypatch.setattr(joins, "_bucket_count", lambda ds, b=b: b)
+        parts = [t.slice(i, 500) for i in range(0, n, 500)]  # several partial top-ks
+        df = top_k_per_group(rd.from_arrow(parts), "g", "v", 3, "doc_id",
+                             rank_col="rnk").to_pandas()
+        outs.append(df.sort_values(["g", "rnk"]).reset_index(drop=True))
+    assert len(outs[0]) == 3 * 200
+    assert outs[0]["rnk"].tolist() == [1, 2, 3] * 200
+    assert outs[0].equals(outs[1])
+
+
 def test_hll_grouped_count_distinct_accuracy(ray_session):
     """HLL per-group distinct within ~3*stderr (1.04/sqrt(2^12) ~ 1.6%) of
     exact, across groups of very different cardinalities."""

@@ -1,9 +1,10 @@
 """Per-row window functions (stages/windows.py::window_functions):
-hand-computed tie/rank/gap/running-sum semantics + salt independence.
+hand-computed tie/rank/gap/running-sum semantics + bucket-count independence.
 """
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 
 def _events_table():
@@ -49,24 +50,45 @@ def test_window_functions_hand_case(ray_session):
     assert out["cume_dist"].tolist() == [2 / 3, 2 / 3, 1.0, 0.5, 1.0]
 
 
-def test_window_functions_salt_independent(ray_session):
-    import ray.data as rd
+_EVENT_OPS = ("sessionize", "window_functions", "window_frame_agg", "funnel_counts",
+              "group_first_last", "cohort_retention", "user_paths")
 
-    from geotrellis_contrib_ray.stages.windows import window_functions
 
-    rng = np.random.default_rng(3)
+def _random_events() -> pa.Table:
     n = 1000
-    t = pa.table({
+    rng = np.random.default_rng(3)
+    types = np.array(["signup", "view", "click", "purchase"], dtype=object)
+    return pa.table({
         "event_id": pa.array(np.arange(n, dtype=np.int64)),
         "user_id": pa.array(rng.integers(0, 37, n).astype(np.int64)),
-        "ts": pa.array(rng.integers(0, 500, n).astype("datetime64[us]")),
+        # two days: sessions both merge and split, cohorts span both days
+        "ts": pa.array(rng.integers(0, 2 * 86_400_000_000, n).astype("datetime64[us]")),
+        "event_type": pa.array(list(types[rng.integers(0, 4, n)]), pa.string()),
         "value": pa.array(rng.uniform(0, 10, n)),
     })
-    a = (window_functions(rd.from_arrow(t), group_salt=1).to_pandas()
-         .sort_values("event_id").reset_index(drop=True))
-    b = (window_functions(rd.from_arrow(t), group_salt=64).to_pandas()
-         .sort_values("event_id").reset_index(drop=True))
-    assert a.equals(b)
+
+
+def _sorted_frame(out):
+    """Rows of a Dataset or pa.Table, sorted on every column."""
+    df = out.to_pandas()
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("op", _EVENT_OPS)
+def test_event_ops_bucket_count_independent(ray_session, monkeypatch, op):
+    """Every user-bucket op gives the same rows whether all users share one
+    bucket or spread over 97 (a prime: no alignment with the hash)."""
+    import ray.data as rd
+
+    from geotrellis_contrib_ray.stages import joins, windows
+
+    t = _random_events()
+    outs = []
+    for n in (1, 97):
+        monkeypatch.setattr(joins, "_bucket_count", lambda ds, n=n: n)
+        outs.append(_sorted_frame(getattr(windows, op)(rd.from_arrow(t))))
+    assert len(outs[0]) > 0
+    assert outs[0].equals(outs[1])
 
 
 def test_user_paths_order_and_cap(ray_session):
