@@ -12,7 +12,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..state.checkpoint import read_all_partitions, run_partitioned
-from .flagship import flagship_over
+from .flagship import _zone_rollup
 
 
 def run_flagship_checkpointed(
@@ -51,7 +51,7 @@ def run_flagship_checkpointed(
         docs = rd.range(hi - lo).map_batches(
             gen, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
         )
-        res = flagship_over(docs)
+        res = _zone_rollup(docs)
         # concat ARROW blocks: Dataset.to_pandas() on a 0-row dataset drops
         # the columns, and a column-less parquet poisons read_all_partitions
         import ray as _ray

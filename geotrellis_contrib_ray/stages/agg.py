@@ -246,19 +246,39 @@ def salted_group_reduce(ds, keys: list[str],
     )
 
 
-def _finalize_subtotals(reduced, keys: list[str], value_col: str | None,
+def _finalize_subtotals(reduced, upstream, keys: list[str], value_col: str | None,
                         total_label: str, has_grand_total: bool,
                         value_type: "pa.DataType | None") -> pa.Table:
-    """Pull the bounded subtotal table to the driver and restore the SQL
-    GROUPING SETS contract on EMPTY input: the () grouping set emits one
-    row even over zero rows — count 0 and a NULL sum (SQL SUM over nothing
-    is NULL) — while a zero-block upstream produces nothing at all.  On
-    non-empty input every batch emits the () row, so this is a no-op."""
+    """Pull the subtotal table to the driver as an EAGER ``pa.Table`` (not a
+    lazy Dataset) and restore the SQL GROUPING SETS contract on EMPTY input.
+
+    Bounded-group contract: every subtotal row lands on the driver, so the
+    keys must be low-cardinality (langs, sources, flags — the product of the
+    per-level distinct keys is the row count).  For an unbounded key use
+    :func:`salted_group_reduce` and keep the result distributed.
+
+    Empty input: the () grouping set emits one row even over zero rows —
+    count 0 and a NULL sum (SQL SUM over nothing is NULL) — while a
+    zero-block upstream produces nothing at all.  The empty sum's type is
+    ``value_type`` if given, else the Arrow sum type of the ``upstream``
+    value column when Ray knows that schema without running the plan (a
+    parquet read, from the footer), else int64.  Behind a UDF map or
+    filter, or over an empty ``from_arrow``, Ray only learns the schema by
+    executing the plan again, a full second pass when the result is empty,
+    so it is never fetched: such callers pass ``empty_sum_type`` for a
+    non-integer column.  On non-empty input every
+    batch emits the () row, so this is a no-op."""
     tables = [t for t in reduced.iter_batches(batch_size=None,
                                               batch_format="pyarrow")]
     names = keys + ["n"] + ([f"sum_{value_col}"] if value_col else [])
     if tables:
         return pa.concat_tables(tables).select(names)
+    if value_col and value_type is None:
+        up = upstream.schema(fetch_if_missing=False)
+        vt = (up.types[up.names.index(value_col)]
+              if up is not None and value_col in up.names else None)
+        if isinstance(vt, pa.DataType):
+            value_type = pc.sum(pa.array([], vt)).type
     fields = [(k, pa.string()) for k in keys] + [("n", pa.int64())]
     if value_col:
         fields.append((f"sum_{value_col}",
@@ -285,7 +305,10 @@ def rollup_counts(ds, keys: list[str], value_col: str | None = None,
 
     ONE shuffle: each batch pre-aggregates every level locally (n+1 tiny
     group_bys over the already-reduced finest level), the tagged rows ride
-    one bounded-salt reduce.  Output: keys..., n (count)[, sum_<value_col>]."""
+    one bounded-salt reduce.  Returns an eager driver-side ``pa.Table``:
+    keys..., n (count)[, sum_<value_col>] — keys must be low-cardinality
+    (the bounded-group contract of :func:`_finalize_subtotals`, which also
+    types the empty-input sum; ``empty_sum_type`` overrides it)."""
     aggs = [([], "count_all")] if value_col is None else [([], "count_all"), (value_col, "sum")]
 
     def partial(b: pa.Table) -> pa.Table:
@@ -337,7 +360,7 @@ def rollup_counts(ds, keys: list[str], value_col: str | None = None,
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
                        batch_size=None),
         keys, specs, salt=64)
-    return _finalize_subtotals(reduced, keys, value_col, total_label,
+    return _finalize_subtotals(reduced, ds, keys, value_col, total_label,
                                has_grand_total=True, value_type=empty_sum_type)
 
 
@@ -354,7 +377,8 @@ def grouping_sets_counts(ds, keys: list[str], sets: list[tuple[str, ...]],
 
     ``sets`` must be unique subsets of ``keys`` (duplicates would
     double-count).  Same string-key contract as rollup_counts (the sentinel
-    is a string).  Output: keys..., n[, sum_<value_col>]."""
+    is a string).  Returns an eager driver-side ``pa.Table``: keys..., n[,
+    sum_<value_col>], under the same bounded-group and empty-sum rules."""
     seen = set()
     for st in sets:
         t = tuple(k for k in keys if k in st)
@@ -409,7 +433,7 @@ def grouping_sets_counts(ds, keys: list[str], sets: list[tuple[str, ...]],
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
                        batch_size=None),
         keys, specs, salt=64)
-    return _finalize_subtotals(reduced, keys, value_col, total_label,
+    return _finalize_subtotals(reduced, ds, keys, value_col, total_label,
                                has_grand_total=(() in (tuple(
                                    k for k in keys if k in st) for st in sets)),
                                value_type=empty_sum_type)

@@ -204,17 +204,25 @@ class ZoneMatcher:
         return out.append_column("zone_name", names)
 
 
-def pip_join(ds, boxes, convex_zones=(), keep_cols=("doc_id",), batch_size=65536):
+def pip_join(ds, boxes, convex_zones=(), keep_cols=("doc_id",)):
     """Point-in-polygon semi-join: broadcast zones, vectorized refine.
 
     No shuffle at all — the small side rides in the task closure, each block
     is filtered independently (the scale path for few-thousand-zone sides;
-    beyond that use state/spatial_index.pip_join_indexed)."""
+    beyond that use state/spatial_index.pip_join_indexed).
+
+    Block-wise (``batch_size=None``): a fixed row batch sets the map's
+    ``min_rows_per_bundled_input``, and behind a row-changing map (the
+    flagship's span explode) that alone keeps the whole narrow chain out of
+    its read operator — every block then crosses the object store once
+    more.  The refine is vectorized per block, so batch size buys nothing.
+    The other half of that fusion is an unsplit read: Ray never fuses a
+    split read, see ``pipelines.flagship.flagship_over``."""
     return ds.map_batches(
         ZoneMatcher(boxes, convex_zones, keep_cols),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
+        batch_size=None,
     )
 
 

@@ -70,6 +70,10 @@ CHECKS = [
         "tfidf_terms",
         "box_join",
         "distance_pairs",
+        # the broadcast PIP refine, block-wise: point-in-zone hits and the
+        # polygonal summary over 10x documents
+        "pip_zones",
+        "zonal_summary",
         "pack_sequences",
         "corpus_clean",
         "paragraph_dedup",

@@ -192,6 +192,80 @@ def test_rollup_counts_float_zero_sum_and_key_typing(ray_session):
     assert "string-typed key columns" in str(ei.value)
 
 
+def test_subtotals_empty_float_keeps_float_sum(ray_session, tmp_path):
+    """An empty float value column keeps a float (NULL) grand-total sum: the
+    empty-input sum type comes from the upstream schema (here the parquet
+    footer, known without running the plan), not an int64 default; an
+    explicit ``empty_sum_type`` still wins."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from geotrellis_contrib_ray.stages.agg import grouping_sets_counts, rollup_counts
+
+    def read(vtype):
+        path = str(tmp_path / f"empty-{vtype}.parquet")
+        pq.write_table(pa.table({"a": pa.array([], pa.string()), "b": pa.array([], pa.string()),
+                                 "v": pa.array([], vtype)}), path)
+        return rd.read_parquet(path)
+
+    for out in (rollup_counts(read(pa.float32()), ["a", "b"], value_col="v"),
+                grouping_sets_counts(read(pa.float32()), ["a", "b"],
+                                     sets=[("a",), ()], value_col="v")):
+        assert out.schema.field("sum_v").type == pa.float64()
+        assert out.to_pylist() == [{"a": "__all__", "b": "__all__", "n": 0, "sum_v": None}]
+    ints = rollup_counts(read(pa.int32()), ["a"], value_col="v")
+    assert ints.schema.field("sum_v").type == pa.int64()
+    forced = rollup_counts(read(pa.float32()), ["a"], value_col="v",
+                           empty_sum_type=pa.decimal128(12, 2))
+    assert forced.schema.field("sum_v").type == pa.decimal128(12, 2)
+
+
+def test_subtotals_empty_behind_udf_map_runs_upstream_once(ray_session, tmp_path):
+    """The twins' shape, read_parquet -> map_batches: Ray knows the read's
+    schema from the parquet footer but not the map's, and the empty-input
+    path never runs the plan again to learn it.  The UDF counts its calls
+    in marker files; a map that drops every row leaves the result empty."""
+    import uuid
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from geotrellis_contrib_ray.stages.agg import rollup_counts
+    from geotrellis_contrib_ray.util import strip_schema_metadata
+
+    empty = pa.table({"a": pa.array([], pa.string()), "v": pa.array([], pa.float32())})
+    pq.write_table(empty, str(tmp_path / "empty.parquet"))
+    mapped = rd.read_parquet(str(tmp_path / "empty.parquet")).map_batches(strip_schema_metadata, batch_format="pyarrow",
+                              zero_copy_batch=True, batch_size=None)
+    out = rollup_counts(mapped, ["a"], value_col="v")
+    assert out.to_pylist() == [{"a": "__all__", "n": 0, "sum_v": None}]
+    assert out.schema.field("sum_v").type == pa.int64()
+    out = rollup_counts(mapped, ["a"], value_col="v", empty_sum_type=pa.float64())
+    assert out.schema.field("sum_v").type == pa.float64()
+
+    full = pa.table({"a": ["x", "y"], "v": pa.array([1.5, 2.5], pa.float32())})
+    pq.write_table(full, str(tmp_path / "full.parquet"))
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def drop_all(b: pa.Table) -> pa.Table:
+        (marks / uuid.uuid4().hex).touch()
+        return b.slice(0, 0)
+
+    def upstream():
+        return rd.read_parquet(str(tmp_path / "full.parquet")).map_batches(
+            drop_all, batch_format="pyarrow", batch_size=None)
+
+    assert upstream().materialize().count() == 0
+    one_pass = len(list(marks.iterdir()))
+    assert one_pass > 0
+    out = rollup_counts(upstream(), ["a"], value_col="v")
+    assert out.to_pylist() == [{"a": "__all__", "n": 0, "sum_v": None}]
+    assert len(list(marks.iterdir())) == 2 * one_pass
+
+
 def test_grouping_sets_cube(ray_session):
     """CUBE(a, b): all four subsets, each derived from the local finest
     partial; non-prefix level (b alone) gets the sentinel in column a."""

@@ -1,0 +1,151 @@
+"""Flagship pipeline: the span explode against a pure-Python loop, and the
+plan shape — the whole narrow chain fused into its parquet read."""
+
+import re
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from geotrellis_contrib_ray.pipelines import flagship, query_defs as qd
+from geotrellis_contrib_ray.sources import documents
+from geotrellis_contrib_ray.stages import spatial
+
+SPAN = pa.struct([("kind", pa.string()), ("text", pa.string()),
+                  ("media_ref", pa.string()), ("offset", pa.int32())])
+
+
+def _explode_loop(table: pa.Table) -> list[tuple]:
+    """One (doc_id, num_id, offset, lon, lat) per media span, row by row."""
+    out = []
+    for doc_id, spans in zip(table["doc_id"].to_pylist(), table["spans"].to_pylist()):
+        for s in spans or []:
+            if s is not None and s["kind"] == "media":
+                num_id = int(doc_id.replace("doc-", ""))
+                lon, lat = documents.geocode_ids([num_id], [s["offset"]])
+                out.append((doc_id, num_id, s["offset"], float(lon[0]), float(lat[0])))
+    return out
+
+
+def _rows(t: pa.Table) -> list[tuple]:
+    return list(zip(*(t[c].to_pylist() for c in ("doc_id", "num_id", "offset", "lon", "lat"))))
+
+
+def _span(kind, off):
+    return {"kind": kind, "text": "t" if kind == "text" else None,
+            "media_ref": "m" if kind == "media" else None, "offset": off}
+
+
+def _edge_docs() -> pa.Table:
+    spans = [
+        [_span("text", 0), _span("media", 4), _span("text", 9)],
+        [_span(None, 0), _span("media", 2)],  # null kind: not media
+        None,  # null span list
+        [],  # empty span list
+        [_span("media", 0), None, _span("media", 7)],  # null span
+        [_span("text", 1)],
+    ]
+    return pa.table({"doc_id": pa.array([f"doc-{i}" for i in (3, 17, 5, 8, 40, 2)], pa.string()),
+                     "spans": pa.array(spans, pa.list_(SPAN))})
+
+
+def _split_chunks(t: pa.Table, cuts: list[int]) -> pa.Table:
+    """Same rows, every column re-chunked at ``cuts``."""
+    bounds = [0] + cuts + [t.num_rows]
+    parts = [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+    return pa.Table.from_batches([b for p in parts for b in p.to_batches()])
+
+
+@pytest.mark.parametrize("shape", ["plain", "multi_chunk", "sliced", "sliced_multi_chunk"])
+def test_explode_media_spans_matches_loop(shape):
+    base = pa.concat_tables([_edge_docs(), documents.docs_to_spans(
+        documents.synth_flat_docs(np.arange(100, 160, dtype=np.int64)))])
+    t = {
+        "plain": base,
+        "multi_chunk": _split_chunks(base, [2, 5, 31]),
+        "sliced": base.slice(1, 40),
+        "sliced_multi_chunk": _split_chunks(base, [4, 20]).slice(3, 50),
+    }[shape]
+    if shape.startswith("sliced"):
+        assert t["spans"].chunk(0).offset != 0
+    if shape.endswith("multi_chunk"):
+        assert t["spans"].num_chunks > 1
+    got = flagship.explode_media_spans(t)
+    assert got.schema == pa.schema([("doc_id", pa.string()), ("num_id", pa.int64()),
+                                    ("offset", pa.int32()), ("lon", pa.float64()),
+                                    ("lat", pa.float64())])
+    assert _rows(got) == _explode_loop(t)
+
+
+def test_explode_media_spans_empty_and_all_null():
+    empty = flagship.explode_media_spans(_edge_docs().slice(0, 0))
+    assert empty.num_rows == 0 and "doc_id" in empty.column_names
+    nulls = pa.table({"doc_id": pa.array(["doc-1", "doc-2"]),
+                      "spans": pa.array([None, [_span(None, 0)]], pa.list_(SPAN))})
+    assert flagship.explode_media_spans(nulls).num_rows == 0
+
+
+def _operators(stats: str) -> list[str]:
+    return re.findall(r"^Operator \d+ (\S+):", stats, flags=re.M)
+
+
+def test_flagship_runs_as_one_fused_read_operator(ray_session, tmp_path):
+    """Eight files at the 4-CPU session: Ray's own floor (2x CPUs) gives one
+    read task per file, so with the 200-block floor dropped the read is not
+    split and the explode -> keys -> PIP -> partial chain fuses into it."""
+    import ray
+    import ray.data as rd
+
+    matcher = spatial.ZoneMatcher(qd.ZONE_BOXES, [qd.ZONE_CONVEX],
+                                  keep_cols=("doc_id", "num_id", "cell", "parent_cell"))
+    partials = []
+    for i in range(8):
+        ids = np.arange(i * 12_500, (i + 1) * 12_500, dtype=np.int64)
+        table = documents.docs_to_spans(documents.synth_flat_docs(ids))
+        pq.write_table(table, str(tmp_path / f"part-{i:02d}.parquet"))
+        pts = flagship.explode_media_spans(table)
+        pts = spatial.add_cell(spatial.add_tile_key(pts, qd.QUERY_LAYOUT),
+                               qd.CELL_RES, qd.PARENT_RES)
+        partials.append(matcher(pts).group_by(["zone_name", "parent_cell"]).aggregate(
+            [("doc_id", "count")]))
+    want = (pa.concat_tables(partials).group_by(["zone_name", "parent_cell"])
+            .aggregate([("doc_id_count", "sum")])
+            .rename_columns(["zone_name", "parent_cell", "n_spans"])
+            .sort_by([("zone_name", "ascending"), ("parent_cell", "ascending")]))
+
+    sink = {}
+    got = pa.concat_tables(ray.get(
+        flagship.flagship_over(rd.read_parquet(str(tmp_path)), stats_sink=sink).to_arrow_refs()))
+    ops = _operators(sink["stats"])
+    assert len(ops) == 1, ops
+    assert ops[0].startswith("ReadParquet->MapBatches(explode_media_spans)"), ops
+    assert "SplitBlocks" not in sink["stats"]
+    got = got.select(want.column_names).sort_by(
+        [("zone_name", "ascending"), ("parent_cell", "ascending")])
+    assert want.num_rows > 0 and got.equals(want)
+
+
+def test_flagship_restores_read_floor(ray_session):
+    """flagship_over drops the read floor only around its own rollup: the
+    caller's value is back after a normal run and after an upstream UDF
+    raises."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    before = ctx.read_op_min_num_blocks
+    ctx.read_op_min_num_blocks = 37
+    try:
+        docs = documents.docs_to_spans(documents.synth_flat_docs(np.arange(200, dtype=np.int64)))
+        out = flagship.flagship_over(rd.from_arrow(docs)).to_arrow_refs()
+        assert out and ctx.read_op_min_num_blocks == 37
+
+        def boom(b):
+            raise RuntimeError("udf failed")
+
+        with pytest.raises(Exception, match="udf failed"):
+            flagship.flagship_over(rd.from_arrow(docs).map_batches(boom, batch_format="pyarrow"))
+        assert ctx.read_op_min_num_blocks == 37
+    finally:
+        ctx.read_op_min_num_blocks = before
