@@ -62,6 +62,24 @@ def _guard_max_text_len(ds, bound: int, what: str):
                           batch_size=None)
 
 
+def _keep_columns(ds, schema):
+    """``ds`` run once, or the empty table of ``schema`` when it has no
+    rows: Ray's ``Dataset.to_pandas()`` of a zero-row result has no columns
+    (its batch iterator skips empty blocks), so an empty answer would lose
+    its columns and their types."""
+    ds = ds.materialize()
+    return ds if ds.count() else schema.empty_table()
+
+
+def _jaccard_schema():
+    """Columns and types of the exact n-gram Jaccard twins' result."""
+    import pyarrow as pa
+
+    i64 = pa.int64()
+    return pa.schema([("id1", i64), ("id2", i64), ("n_shared", i64),
+                      ("n_union", i64), ("jaccard", pa.float64())])
+
+
 # ---------------------------------------------------------------------------
 # query implementations (Ray side)
 # ---------------------------------------------------------------------------
@@ -1346,9 +1364,9 @@ def q_jaccard_exact_pairs(sf_dir: str):
         columns=["doc_id", "text"],
         filter=pc.field("doc_id") < JACCARD_SAMPLE_LIMIT,
     )
-    return dedup.jaccard_similarity_join(
+    return _keep_columns(dedup.jaccard_similarity_join(
         ds, shingle_k=JACCARD_K, threshold=JACCARD_THRESHOLD, group_salt=16,
-    )
+    ), _jaccard_schema())
 
 
 def q_substring_pairs(sf_dir: str):
@@ -1390,7 +1408,9 @@ def q_jaccard_prefix_pairs(sf_dir: str):
         columns=["doc_id", "text"],
         filter=pc.field("doc_id") < JACCARD_SAMPLE_LIMIT,
     )
-    return dedup.jaccard_prefix_pairs(ds, shingle_k=JACCARD_K, threshold=JACCARD_THRESHOLD)
+    return _keep_columns(
+        dedup.jaccard_prefix_pairs(ds, shingle_k=JACCARD_K, threshold=JACCARD_THRESHOLD),
+        _jaccard_schema())
 
 
 def q_graph_rank(sf_dir: str, tier: str = "auto"):

@@ -11,9 +11,12 @@ dedup._keep_first_rows and text.tfidf_top_terms) runs on ONE primitive,
 ``_co_partition``: each side ROUTES its rows to an int64 ``_bucket`` (a key
 hash, ``_bucket_of``, or a range replication, ``_ragged_expand``), the sides
 are tagged, padded with typed nulls to one Arrow schema, unioned,
-narrow-repartitioned to ``agg._default_shuffle_partitions()`` blocks and
-grouped on ``_bucket``; the per-group kernel sees each side's rows of one
-bucket.  One sort-shuffle pass, no actor pools.  Key-hash joins use B =
+narrow-repartitioned to ``_shuffle_blocks`` blocks and grouped on
+``_bucket``; the per-group kernel sees each side's rows of one bucket.  The
+block count comes from the CPUs and the inputs' bytes when the plan reports
+the bytes (every side a plan leaf: a materialized Dataset, ``from_arrow``, a
+bare read), else it is ``agg._default_shuffle_partitions()``.  One
+sort-shuffle pass, no actor pools.  Key-hash joins use B =
 ``default_join_partitions()`` buckets, ~8x cluster CPUs (measured sweet
 spot, see there); the optional per-key salt is the skew knob
 (``skew_aware_join``).  Ray's native ``Dataset.join`` is not used: its
@@ -56,25 +59,59 @@ def default_join_partitions() -> int:
 _BUCKET_ROWS = 1_000_000
 
 
+def _plan_leaf(ds) -> tuple[int | None, int | None]:
+    """``(rows, bytes)`` that the lazy plan of ``ds`` reports without
+    executing anything, from its leaf: the parquet footer of a read, the
+    blocks of a materialized Dataset or of ``from_arrow``.  ``rows`` is
+    reached through single-input operators (``_meta_count()`` gives up once
+    a map sits on the read), so behind a map it is an estimate; ``bytes``
+    only when ``ds`` IS the leaf, since a map's output size is not its
+    input's.  None for what the plan does not report: several inputs, or a
+    leaf without the figure."""
+    try:
+        op = ds._logical_plan.dag
+        leaf = op
+        while leaf.input_dependencies:
+            if len(leaf.input_dependencies) != 1:
+                return None, None
+            leaf = leaf.input_dependencies[0]
+        meta = leaf.infer_metadata()
+    except AttributeError:  # a Ray plan-API change loses the sizes, not the query
+        return None, None
+    return meta.num_rows, meta.size_bytes if leaf is op else None
+
+
 def _bucket_count(ds) -> int:
     """Bucket count of a one-sided keyed wide step over ``ds``:
     ``max(default_join_partitions(), ceil(rows / _BUCKET_ROWS))``, ``rows``
-    from the leaf of the lazy plan (the parquet footer of a read), reached
-    through single-input operators without executing anything —
-    ``_meta_count()`` gives up once a map sits on the read.  Several inputs,
-    or an unknown count, keep the default.  An estimate: it moves the bucket
-    count, never the result."""
+    from ``_plan_leaf``.  An unknown count keeps the default.  An estimate:
+    it moves the bucket count, never the result."""
     n = default_join_partitions()
-    try:
-        op = ds._logical_plan.dag
-        while op.input_dependencies:
-            if len(op.input_dependencies) != 1:
-                return n
-            op = op.input_dependencies[0]
-        rows = op.infer_metadata().num_rows
-    except AttributeError:  # a Ray plan-API change loses the bound, not the query
-        return n
+    rows = _plan_leaf(ds)[0]
     return n if rows is None else max(n, -(-rows // _BUCKET_ROWS))
+
+
+def _shuffle_blocks(datasets) -> int:
+    """Block count the routed union of ``datasets`` is narrowed to before
+    its sort-shuffle.  When every input is a plan leaf that reports its
+    size (``_plan_leaf``: a materialized Dataset, ``from_arrow``, a bare
+    read): ``min(_default_shuffle_partitions(), max(ceil(cpus / 2),
+    ceil(bytes / target_max_block_size)))`` — a few tiles or rows no longer
+    spread over empty blocks, each a task at every shuffle step, on a small
+    host.  Otherwise ``_default_shuffle_partitions()``.  It moves the block
+    count, never the result."""
+    from ray.data import DataContext
+
+    from ..util import cluster_cpus
+    from .agg import _default_shuffle_partitions
+
+    n = _default_shuffle_partitions()
+    sizes = [_plan_leaf(ds)[1] for ds in datasets]
+    if any(b is None for b in sizes):
+        return n
+    target = DataContext.get_current().target_max_block_size
+    by_bytes = -(-sum(sizes) // target) if target else 1  # None: blocks unbounded
+    return min(n, max(-(-cluster_cpus(default=8) // 2), by_bytes))
 
 
 def _bucket_of(col, n: int) -> np.ndarray:
@@ -119,10 +156,12 @@ def _co_partition(sides, per_group, schemas=None):
     returns the same columns).  The union is narrow-repartitioned — the
     sort-shuffle's fixed cost scales with its input BLOCK count (the same
     sf0.1 join: 3.7 s from the readers' ~128 blocks vs 1.8 s coalesced to
-    16) — and grouped on ``_bucket``; ``per_group(*rows)`` gets each side's
-    routed rows of one bucket (without ``_bucket``) and returns a table."""
+    16) — to ``_shuffle_blocks`` blocks: sized from the sides' bytes and the
+    CPUs when every side is a plan leaf that reports its size, else
+    ``agg._default_shuffle_partitions()``.  Then it is grouped on
+    ``_bucket``; ``per_group(*rows)`` gets each side's routed rows of one
+    bucket (without ``_bucket``) and returns a table."""
     from ..util import strip_schema_metadata
-    from .agg import _default_shuffle_partitions
 
     n_sides = len(sides)
     fields = {}
@@ -174,7 +213,7 @@ def _co_partition(sides, per_group, schemas=None):
                              zero_copy_batch=True, batch_size=None)
               for i, (ds, route) in enumerate(sides)]
     tagged = routed[0].union(*routed[1:]) if n_sides > 1 else routed[0]
-    return (tagged.repartition(_default_shuffle_partitions())
+    return (tagged.repartition(_shuffle_blocks([ds for ds, _ in sides]))
             .groupby("_bucket").map_groups(group, batch_format="pyarrow"))
 
 

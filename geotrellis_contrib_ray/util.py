@@ -23,12 +23,6 @@ def cluster_cpus(default: int = 4) -> int:
         return default
 
 
-def default_pool_size(cap: int = 8, floor: int = 2) -> int:
-    """Parallelism width for request batching: half the cluster CPUs,
-    bounded to [floor, cap].  4-CPU test fixture -> 2; 32-CPU node -> 8."""
-    return max(floor, min(cap, cluster_cpus() // 2))
-
-
 _WORKER_CACHE: dict[str, dict] = {}
 
 

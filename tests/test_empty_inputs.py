@@ -269,3 +269,31 @@ def test_empty_relational_through_query_surface(ray_session, tmp_path):
     # the quantile contract: one row per q, NULL value
     qp = e.queries()["quantile_price"]("/" + sf.lstrip("/")).to_pandas()
     assert len(qp) == 6 and qp["value"].isna().all()
+
+
+def test_jaccard_twins_keep_columns_with_no_pair(ray_session, tmp_path):
+    """A corpus whose documents share no shingle: no pair passes the
+    threshold, and both exact-Jaccard twins still return the oracle's five
+    columns with its types (an empty Ray result alone has no columns)."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as e
+
+    sf = str(tmp_path)
+    texts = ["aaaaaaaaaaaa", "bbbbbbbbbbbb", "cccccccccccc"]
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1, 2], pa.int64()), "text": pa.array(texts, pa.string()),
+        "lang": pa.array(["en"] * 3, pa.string()), "source": pa.array(["web"] * 3, pa.string()),
+        "n_chars": pa.array([len(t) for t in texts], pa.int64())}), f"{sf}/documents.parquet")
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf}/documents.parquet')")
+    for name in ("jaccard_exact_pairs", "jaccard_prefix_pairs"):
+        got = e.queries()[name](sf).to_pandas()
+        want = con.execute(e.oracle_sql()[name]).df()
+        assert len(got) == len(want) == 0, name
+        assert sorted(got.columns) == sorted(want.columns) == [
+            "id1", "id2", "jaccard", "n_shared", "n_union"], (name, list(got.columns))
+        for c in want.columns:
+            assert got[c].dtype == want[c].dtype, (name, c, got[c].dtype, want[c].dtype)

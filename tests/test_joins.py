@@ -516,3 +516,30 @@ def test_bucket_count_reads_parquet_footer(ray_session, tmp_path, monkeypatch):
     assert default < 143
     assert joins._bucket_count(ds) == 143  # ceil(1000 / 7)
     assert joins._bucket_count(ds.union(ds)) == default
+
+
+def test_shuffle_blocks_from_leaf_sizes(ray_session, monkeypatch):
+    """_co_partition narrows its union to min(default, max(ceil(cpus / 2),
+    ceil(bytes / target_max_block_size))) blocks when every side is a plan
+    leaf that reports its size, and keeps the default when a side sits
+    behind a map."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from geotrellis_contrib_ray.stages import joins
+    from geotrellis_contrib_ray.stages.agg import _default_shuffle_partitions
+
+    t = pa.table({"k": np.arange(1000, dtype=np.int64)})
+    leaf = rd.from_arrow(t)
+    mapped = leaf.map_batches(lambda b: b, batch_format="pyarrow")
+    assert joins._plan_leaf(leaf) == (1000, t.nbytes)
+    assert joins._plan_leaf(mapped) == (1000, None)
+    default = _default_shuffle_partitions()
+    assert default == 8
+    assert joins._shuffle_blocks([leaf]) == 2  # ceil(4 CPUs / 2): 8 KB fills no block
+    assert joins._shuffle_blocks([leaf, mapped]) == default
+    assert joins._shuffle_blocks([leaf, mapped.materialize()]) == 2
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 3000)
+    assert joins._shuffle_blocks([leaf]) == 3  # ceil(8000 / 3000)
+    assert joins._shuffle_blocks([leaf, leaf]) == 6  # both sides' bytes
+    assert joins._shuffle_blocks([leaf] * 4) == default  # capped

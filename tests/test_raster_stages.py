@@ -411,3 +411,63 @@ def test_wide_steps_bucket_count_independent(ray_session, monkeypatch):
     assert [len(t) for t in runs[0]] == [66, 18, 6, 66]
     for x, y in zip(*runs):
         assert x.equals(y)
+
+
+def test_tile_table_equals_from_pylist():
+    """The column-wise tile-table builder gives what from_pylist gives, for
+    tile rows, focal fragments and no rows at all."""
+    import pyarrow as pa
+
+    from geotrellis_contrib_ray.sources.raster_source import Raster
+
+    rng = np.random.default_rng(3)
+    rows = [rst.tile_row(i, (i, 2 * i), Raster(rng.integers(0, 99, (1, 4, 6)).astype(np.int16),
+                                               Extent(i, 0.0, i + 1.0, 1.0)),
+                         CellType("int16", -32768.0))
+            for i in range(3)]
+    for schema, rs in ((rst.TILE_SCHEMA, rows), (rst.TILE_SCHEMA, []),
+                       (rst._FOCAL_SCHEMA, [dict(r, pos=4) for r in rows]),
+                       (rst._FOCAL_SCHEMA, [])):
+        got = rst._tile_table(rs, schema)
+        assert got.schema == schema
+        assert got.equals(pa.Table.from_pylist(rs, schema=schema))
+
+
+def test_pyramid_level_blocks_follow_the_plan(tile_ds):
+    """On the 4-CPU fixture: tile_dataset fans its requests out to
+    min(32, 2 * cpus) blocks; a pyramid level over the materialized 36-tile
+    layer (a plan leaf that reports its bytes, far below one block) gives
+    at most ceil(cpus / 2) blocks, while over the lazy tile_dataset it keeps
+    _default_shuffle_partitions().  Per-tile checksums agree at every
+    level."""
+    from geotrellis_contrib_ray.stages import joins
+    from geotrellis_contrib_ray.stages.agg import _default_shuffle_partitions
+    from geotrellis_contrib_ray.util import cluster_cpus
+
+    lazy, _src, layout = tile_ds
+    cpus = cluster_cpus()
+    assert cpus == 4
+    mat = lazy.materialize()
+    assert mat.num_blocks() == min(32, 2 * cpus)
+    assert joins._shuffle_blocks([lazy]) == _default_shuffle_partitions()
+    assert joins._shuffle_blocks([mat]) == -(-cpus // 2)
+
+    def checksums(ds):
+        df = rst.summarize_tiles(ds).to_pandas()
+        return df.sort_values(["tile_col", "tile_row"]).reset_index(drop=True)
+
+    narrowed, cur, lay = [], mat, layout
+    for _ in range(2):
+        cur = rst.pyramid_build(cur, 1, lay)[1].materialize()
+        assert cur.num_blocks() <= -(-cpus // 2)
+        narrowed.append(checksums(cur))
+        # the next level's layout: same top-left corner, tiles twice as wide
+        cols, rows = -(-lay.layout_cols // 2), -(-lay.layout_rows // 2)
+        tw, th = 2.0 * lay.tile_width, 2.0 * lay.tile_height
+        lay = LayoutDefinition(Extent(lay.extent.xmin, lay.extent.ymax - rows * th,
+                                      lay.extent.xmin + cols * tw, lay.extent.ymax),
+                               lay.tile_cols, lay.tile_rows, cols, rows)
+    default = [checksums(lvl) for lvl in rst.pyramid_build(lazy, 2, layout)[1:]]
+    assert [len(t) for t in narrowed] == [9, 4]
+    for x, y in zip(narrowed, default):
+        assert x.equals(y)
