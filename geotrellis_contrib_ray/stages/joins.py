@@ -15,13 +15,13 @@ narrow-repartitioned to ``_shuffle_blocks`` blocks and grouped on
 ``_bucket``; the per-group kernel sees each side's rows of one bucket.  The
 block count comes from the CPUs and the inputs' bytes when the plan reports
 the bytes (every side a plan leaf: a materialized Dataset, ``from_arrow``, a
-bare read), else it is ``agg._default_shuffle_partitions()``.  One
-sort-shuffle pass, no actor pools.  Key-hash joins use B =
-``default_join_partitions()`` buckets, ~8x cluster CPUs (measured sweet
-spot, see there); the optional per-key salt is the skew knob
-(``skew_aware_join``).  Ray's native ``Dataset.join`` is not used: its
-aggregator-actor pool start-up dominates (sf0.1 lineitem x orders: bucketed
-b32 4.2 s vs native p32 25 s / p16 14 s).
+bare read) and no route copies rows (``_fans_out``), else it is
+``agg._default_shuffle_partitions()``.  One sort-shuffle pass, no actor
+pools.  Key-hash joins use B = ``default_join_partitions()`` buckets, ~8x
+cluster CPUs (measured sweet spot, see there); the optional per-key salt is
+the skew knob (``skew_aware_join``).  Ray's native ``Dataset.join`` is not
+used: its aggregator-actor pool start-up dominates (sf0.1 lineitem x
+orders: bucketed b32 4.2 s vs native p32 25 s / p16 14 s).
 
 With ONE side it is the keyed wide step (``groupby(key).map_groups``, one
 vectorized kernel per bucket of keys) of the seven per-user ``windows`` ops,
@@ -91,27 +91,40 @@ def _bucket_count(ds) -> int:
     return n if rows is None else max(n, -(-rows // _BUCKET_ROWS))
 
 
-def _shuffle_blocks(datasets) -> int:
-    """Block count the routed union of ``datasets`` is narrowed to before
-    its sort-shuffle.  When every input is a plan leaf that reports its
-    size (``_plan_leaf``: a materialized Dataset, ``from_arrow``, a bare
-    read): ``min(_default_shuffle_partitions(), max(ceil(cpus / 2),
-    ceil(bytes / target_max_block_size)))`` — a few tiles or rows no longer
-    spread over empty blocks, each a task at every shuffle step, on a small
-    host.  Otherwise ``_default_shuffle_partitions()``.  It moves the block
-    count, never the result."""
+def _fans_out(route):
+    """Mark ``route`` as one that may send a row to several buckets (a range
+    or cell replication, a hot-key salt, a focal halo): its routed rows can
+    outgrow its input's bytes, so ``_shuffle_blocks`` does not size the
+    shuffle from them."""
+    route.fans_out = True
+    return route
+
+
+def _shuffle_blocks(sides) -> int:
+    """Block count the routed union of ``sides`` ((dataset, route) pairs)
+    is narrowed to before its sort-shuffle.  When every dataset is a plan
+    leaf that reports its size (``_plan_leaf``: a materialized Dataset,
+    ``from_arrow``, a bare read) and no route fans out (``_fans_out``):
+    ``min(_default_shuffle_partitions(), max(cpus, ceil(bytes /
+    target_max_block_size)))`` — a few tiles or rows no longer spread over
+    empty blocks, each a task at every shuffle step, on a host with fewer
+    than 8 CPUs, and every CPU still gets a block.  Otherwise
+    ``_default_shuffle_partitions()``: the routed bytes are not known.  It
+    moves the block count, never the result."""
     from ray.data import DataContext
 
     from ..util import cluster_cpus
     from .agg import _default_shuffle_partitions
 
     n = _default_shuffle_partitions()
-    sizes = [_plan_leaf(ds)[1] for ds in datasets]
+    if any(getattr(route, "fans_out", False) for _, route in sides):
+        return n
+    sizes = [_plan_leaf(ds)[1] for ds, _ in sides]
     if any(b is None for b in sizes):
         return n
     target = DataContext.get_current().target_max_block_size
     by_bytes = -(-sum(sizes) // target) if target else 1  # None: blocks unbounded
-    return min(n, max(-(-cluster_cpus(default=8) // 2), by_bytes))
+    return min(n, max(cluster_cpus(default=8), by_bytes))
 
 
 def _bucket_of(col, n: int) -> np.ndarray:
@@ -157,10 +170,11 @@ def _co_partition(sides, per_group, schemas=None):
     sort-shuffle's fixed cost scales with its input BLOCK count (the same
     sf0.1 join: 3.7 s from the readers' ~128 blocks vs 1.8 s coalesced to
     16) — to ``_shuffle_blocks`` blocks: sized from the sides' bytes and the
-    CPUs when every side is a plan leaf that reports its size, else
-    ``agg._default_shuffle_partitions()``.  Then it is grouped on
-    ``_bucket``; ``per_group(*rows)`` gets each side's routed rows of one
-    bucket (without ``_bucket``) and returns a table."""
+    CPUs when every side is a plan leaf that reports its size and routes
+    each row once, else ``agg._default_shuffle_partitions()``; wrap a route
+    that may copy a row into several buckets in ``_fans_out``.  Then it is
+    grouped on ``_bucket``; ``per_group(*rows)`` gets each side's routed
+    rows of one bucket (without ``_bucket``) and returns a table."""
     from ..util import strip_schema_metadata
 
     n_sides = len(sides)
@@ -213,7 +227,7 @@ def _co_partition(sides, per_group, schemas=None):
                              zero_copy_batch=True, batch_size=None)
               for i, (ds, route) in enumerate(sides)]
     tagged = routed[0].union(*routed[1:]) if n_sides > 1 else routed[0]
-    return (tagged.repartition(_shuffle_blocks([ds for ds, _ in sides]))
+    return (tagged.repartition(_shuffle_blocks(sides))
             .groupby("_bucket").map_groups(group, batch_format="pyarrow"))
 
 
@@ -423,7 +437,7 @@ def skew_aware_join(left, right, on: str, *, hot_threshold: int = 100_000,
             return t.append_column("_bucket", pa.array(
                 _bucket_of(keys * np.int64(salt) + salts, n)))
 
-        return f
+        return _fans_out(f) if side else f
 
     def per_bucket(lg: pa.Table, rg: pa.Table) -> pa.Table:
         if len(lg) == 0 or len(rg) == 0:
@@ -558,6 +572,7 @@ def interval_join_bucketed(points, intervals, *, on: str, id_col: str = "interva
         return pa.table({keep_col: b[keep_col], "_v": v,
                          "_bucket": np.floor(v / w).astype(np.int64)})
 
+    @_fans_out
     def route_intervals(b: pa.Table) -> pa.Table:
         lo = b[lo_col].to_numpy(zero_copy_only=False).astype(np.float64)
         hi = b[hi_col].to_numpy(zero_copy_only=False).astype(np.float64)

@@ -693,10 +693,10 @@ def focal_tiles(tiles_ds, op: str = "mean", radius: int = 1):
                 out.append(row)
         return _tile_table(out)
 
-    from .joins import _bucket_count, _co_partition
+    from .joins import _bucket_count, _co_partition, _fans_out
 
     route = _tile_key_route(_bucket_count(tiles_ds))  # halo fragments, by destination key
-    return _co_partition([(tiles_ds, lambda b: route(emit(b)))], focal_bucket)
+    return _co_partition([(tiles_ds, _fans_out(lambda b: route(emit(b))))], focal_bucket)
 
 
 def sparse_stitch(tile_rows: list[dict], cell_type: CellType | None = None) -> Raster | None:

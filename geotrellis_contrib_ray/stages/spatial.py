@@ -328,11 +328,12 @@ def _distance_pairs(ds, theta: float, id_col: str, lon_col: str = "lon",
     candidate pair meets in exactly one cell group — no post-dedup shuffle.
     Per cell a vectorized brute force whose distance expression matches the
     SQL oracle."""
-    from .joins import _co_partition
+    from .joins import _co_partition, _fans_out
 
     res = _dist_cell_res(theta)
     carry = [name_col] if name_col else []
 
+    @_fans_out
     def route(b: pa.Table) -> pa.Table:
         lon = b[lon_col].to_numpy(zero_copy_only=False)
         lat = b[lat_col].to_numpy(zero_copy_only=False)
@@ -550,10 +551,11 @@ def box_join(left, right, *, cell: float, id_col: str = "id",
     by both boxes' replication.  Closed boundaries (touching boxes match,
     SQL >=/<=).  Output: (left_id, right_id).  Partitioning assumption: one
     cell's boxes fit a worker — shrink ``cell`` for hot regions (or salt)."""
-    from .joins import _co_partition, _ragged_expand
+    from .joins import _co_partition, _fans_out, _ragged_expand
 
     w = float(cell)
 
+    @_fans_out
     def route(batch: pa.Table) -> pa.Table:
         bx0 = batch[x0].to_numpy(zero_copy_only=False).astype(np.float64)
         by0 = batch[y0].to_numpy(zero_copy_only=False).astype(np.float64)

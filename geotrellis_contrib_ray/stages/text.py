@@ -240,10 +240,11 @@ def tfidf_top_terms(ds, top_n: int = 3, id_col: str = "doc_id",
         g = flat.group_by([id_col, "term"], use_threads=False).aggregate([([], "count_all")])
         return g.rename_columns([id_col, "term", "tf"])
 
-    from .joins import _bucket_of, _co_partition, default_join_partitions
+    from .joins import _bucket_of, _co_partition, _fans_out, default_join_partitions
 
     n_buckets = default_join_partitions()
 
+    @_fans_out  # a document's terms go to several buckets
     def route(b: pa.Table) -> pa.Table:
         b = term_tf(b)
         return b.append_column("_bucket", pa.array(_bucket_of(b["term"], n_buckets)))

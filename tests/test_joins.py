@@ -519,15 +519,22 @@ def test_bucket_count_reads_parquet_footer(ray_session, tmp_path, monkeypatch):
 
 
 def test_shuffle_blocks_from_leaf_sizes(ray_session, monkeypatch):
-    """_co_partition narrows its union to min(default, max(ceil(cpus / 2),
+    """_co_partition narrows its union to min(default, max(cpus,
     ceil(bytes / target_max_block_size))) blocks when every side is a plan
     leaf that reports its size, and keeps the default when a side sits
-    behind a map."""
+    behind a map or its route copies rows (_fans_out)."""
     import ray.data as rd
     from ray.data import DataContext
 
     from geotrellis_contrib_ray.stages import joins
     from geotrellis_contrib_ray.stages.agg import _default_shuffle_partitions
+    from geotrellis_contrib_ray.util import cluster_cpus
+
+    def once(b):
+        return b
+
+    def twice(b):
+        return pa.concat_tables([b, b])
 
     t = pa.table({"k": np.arange(1000, dtype=np.int64)})
     leaf = rd.from_arrow(t)
@@ -535,11 +542,52 @@ def test_shuffle_blocks_from_leaf_sizes(ray_session, monkeypatch):
     assert joins._plan_leaf(leaf) == (1000, t.nbytes)
     assert joins._plan_leaf(mapped) == (1000, None)
     default = _default_shuffle_partitions()
-    assert default == 8
-    assert joins._shuffle_blocks([leaf]) == 2  # ceil(4 CPUs / 2): 8 KB fills no block
-    assert joins._shuffle_blocks([leaf, mapped]) == default
-    assert joins._shuffle_blocks([leaf, mapped.materialize()]) == 2
-    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 3000)
-    assert joins._shuffle_blocks([leaf]) == 3  # ceil(8000 / 3000)
-    assert joins._shuffle_blocks([leaf, leaf]) == 6  # both sides' bytes
-    assert joins._shuffle_blocks([leaf] * 4) == default  # capped
+    cpus = cluster_cpus()
+    assert (default, cpus) == (8, 4)
+    assert joins._shuffle_blocks([(leaf, once)]) == cpus  # 8 KB fills no block
+    assert joins._shuffle_blocks([(leaf, once), (mapped, once)]) == default
+    assert joins._shuffle_blocks([(leaf, once), (mapped.materialize(), once)]) == cpus
+    assert joins._shuffle_blocks([(leaf, joins._fans_out(twice))]) == default
+    assert joins._shuffle_blocks([(leaf, once), (leaf, joins._fans_out(twice))]) == default
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1500)
+    assert joins._shuffle_blocks([(leaf, once)]) == 6  # ceil(8000 / 1500)
+    assert joins._shuffle_blocks([(leaf, once)] * 2) == default  # both sides' bytes, capped
+
+
+def test_co_partition_blocks_keep_cpus_busy_and_skip_copying_routes(ray_session):
+    """Leaf sides on a one-row-per-row route: the join runs its per-bucket
+    kernel in one block per CPU (the 4-CPU fixture), no fewer.  A leaf side
+    behind a copying route (interval_join_bucketed's range replication)
+    keeps the default block count.  The results equal the lazy-input
+    twins."""
+    import ray.data as rd
+
+    from geotrellis_contrib_ray.stages import joins
+    from geotrellis_contrib_ray.stages.agg import _default_shuffle_partitions
+    from geotrellis_contrib_ray.util import cluster_cpus
+
+    def _sorted(ds, keys):
+        return ds.to_pandas().sort_values(keys).reset_index(drop=True)
+
+    cpus, default = cluster_cpus(), _default_shuffle_partitions()
+    assert cpus < default
+    rng = np.random.default_rng(5)
+    left = pa.table({"k": rng.integers(0, 50, 400), "a": np.arange(400)})
+    right = pa.table({"k": np.arange(50), "b": np.arange(50) * 10})
+    leaves = [rd.from_arrow(left), rd.from_arrow(right)]
+    lazy = [d.map_batches(lambda b: b, batch_format="pyarrow") for d in leaves]
+    hj = joins.bucketed_hash_join(*leaves, "k").materialize()
+    assert hj.num_blocks() == cpus
+    assert _sorted(hj, ["a"]).equals(_sorted(joins.bucketed_hash_join(*lazy, "k"), ["a"]))
+
+    points = rd.from_arrow(pa.table({"event_id": np.arange(300),
+                                     "v": rng.uniform(0, 100, 300)}))
+    ivs = rd.from_arrow(pa.table({"interval_id": np.arange(40),
+                                  "lo": np.arange(40) * 2.0,
+                                  "hi": np.arange(40) * 2.0 + 15.0}))
+    rj = joins.interval_join_bucketed(points, ivs, on="v", bucket_width=5.0).materialize()
+    assert rj.num_blocks() == default
+    twin = joins.interval_join_bucketed(points.map_batches(lambda b: b, batch_format="pyarrow"),
+                                        ivs, on="v", bucket_width=5.0)
+    assert _sorted(rj, ["event_id", "interval_id"]).equals(
+        _sorted(twin, ["event_id", "interval_id"]))

@@ -437,9 +437,10 @@ def test_pyramid_level_blocks_follow_the_plan(tile_ds):
     """On the 4-CPU fixture: tile_dataset fans its requests out to
     min(32, 2 * cpus) blocks; a pyramid level over the materialized 36-tile
     layer (a plan leaf that reports its bytes, far below one block) gives
-    at most ceil(cpus / 2) blocks, while over the lazy tile_dataset it keeps
-    _default_shuffle_partitions().  Per-tile checksums agree at every
-    level."""
+    at most cpus blocks, while over the lazy tile_dataset it keeps
+    _default_shuffle_partitions(), and so does the focal step over the
+    materialized layer (its halo route copies tiles).  Per-tile checksums
+    agree at every level."""
     from geotrellis_contrib_ray.stages import joins
     from geotrellis_contrib_ray.stages.agg import _default_shuffle_partitions
     from geotrellis_contrib_ray.util import cluster_cpus
@@ -449,8 +450,9 @@ def test_pyramid_level_blocks_follow_the_plan(tile_ds):
     assert cpus == 4
     mat = lazy.materialize()
     assert mat.num_blocks() == min(32, 2 * cpus)
-    assert joins._shuffle_blocks([lazy]) == _default_shuffle_partitions()
-    assert joins._shuffle_blocks([mat]) == -(-cpus // 2)
+    assert joins._shuffle_blocks([(lazy, None)]) == _default_shuffle_partitions()
+    assert joins._shuffle_blocks([(mat, None)]) == cpus
+    assert rst.focal_tiles(mat).materialize().num_blocks() == _default_shuffle_partitions()
 
     def checksums(ds):
         df = rst.summarize_tiles(ds).to_pandas()
@@ -459,7 +461,7 @@ def test_pyramid_level_blocks_follow_the_plan(tile_ds):
     narrowed, cur, lay = [], mat, layout
     for _ in range(2):
         cur = rst.pyramid_build(cur, 1, lay)[1].materialize()
-        assert cur.num_blocks() <= -(-cpus // 2)
+        assert cur.num_blocks() <= cpus
         narrowed.append(checksums(cur))
         # the next level's layout: same top-left corner, tiles twice as wide
         cols, rows = -(-lay.layout_cols // 2), -(-lay.layout_rows // 2)
