@@ -71,6 +71,13 @@ def _keep_columns(ds, schema):
     return ds if ds.count() else schema.empty_table()
 
 
+def _int64_schema(*names):
+    """An all-int64 result schema of ``names``, for ``_keep_columns``."""
+    import pyarrow as pa
+
+    return pa.schema([(n, pa.int64()) for n in names])
+
+
 def _jaccard_schema():
     """Columns and types of the exact n-gram Jaccard twins' result."""
     import pyarrow as pa
@@ -234,10 +241,13 @@ def q_raster_summary(sf_dir: str):
 
 def q_dedup_exact(sf_dir: str):
     """Exact dedup groups: first doc id + copy count per distinct text."""
+    import pyarrow as pa
+
     from geotrellis_contrib_ray.stages import dedup
 
     ds = _read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return dedup.exact_dedup_groups(ds)
+    return _keep_columns(dedup.exact_dedup_groups(ds), pa.schema(
+        [("text", pa.string()), ("first_doc", pa.int64()), ("n_copies", pa.int64())]))
 
 
 def q_token_stats(sf_dir: str):
@@ -1647,11 +1657,11 @@ def q_corpus_clean(sf_dir: str):
             [("n_tokens", "sum"), ("n_tokens", "count")])
         return g.rename_columns(["seq_id", "ps", "pc"])
 
-    return salted_group_reduce(
+    return _keep_columns(salted_group_reduce(
         packed.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=None),
         ["seq_id"], [("ps", "sum", "sum_tokens"), ("pc", "sum", "n_docs")],
-    )
+    ), _int64_schema("seq_id", "sum_tokens", "n_docs"))
 
 
 def q_paragraph_dedup(sf_dir: str):
@@ -2820,7 +2830,8 @@ def q_dedup_keep_best(sf_dir: str):
     ds = _read_pq(f"{sf_dir}/documents.parquet",
                   columns=["doc_id", "text", "source"])
     prio = {s: i for i, s in enumerate(DEDUP_PRIORITY_SOURCES)}
-    return priority_dedup_keep_best(ds, prio, DEDUP_DEFAULT_PRIORITY)
+    return _keep_columns(priority_dedup_keep_best(ds, prio, DEDUP_DEFAULT_PRIORITY),
+                         _int64_schema("doc_id", "n_dups"))
 
 
 def q_top_bigrams_hh(sf_dir: str):
@@ -2846,7 +2857,7 @@ def q_bow_dedup(sf_dir: str):
     from geotrellis_contrib_ray.stages.dedup import bow_keep_first
 
     ds = _read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return bow_keep_first(ds)
+    return _keep_columns(bow_keep_first(ds), _int64_schema("doc_id", "n_dups"))
 
 
 def q_regex_tokens(sf_dir: str):

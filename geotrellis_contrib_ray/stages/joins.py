@@ -17,9 +17,12 @@ block count comes from the CPUs and the inputs' bytes when the plan reports
 the bytes (every side a plan leaf: a materialized Dataset, ``from_arrow``, a
 bare read) and no route copies rows (``_fans_out``), else it is
 ``agg._default_shuffle_partitions()``.  One sort-shuffle pass, no actor
-pools.  Key-hash joins use B = ``default_join_partitions()`` buckets, ~8x
-cluster CPUs (measured sweet spot, see there); the optional per-key salt is
-the skew knob (``skew_aware_join``).  Ray's native ``Dataset.join`` is not
+pools; no shuffle at all when that count is one block (one CPU, leaves
+under ``target_max_block_size``): the union is then routed and grouped in
+one narrow task (``_by_bucket``), with the same buckets and kernels.  Key-hash
+joins use B = ``default_join_partitions()`` buckets, ~8x cluster CPUs
+(measured sweet spot, see there); the optional per-key salt is the skew
+knob (``skew_aware_join``).  Ray's native ``Dataset.join`` is not
 used: its aggregator-actor pool start-up dominates (sf0.1 lineitem x
 orders: bucketed b32 4.2 s vs native p32 25 s / p16 14 s).
 
@@ -95,7 +98,8 @@ def _fans_out(route):
     """Mark ``route`` as one that may send a row to several buckets (a range
     or cell replication, a hot-key salt, a focal halo): its routed rows can
     outgrow its input's bytes, so ``_shuffle_blocks`` does not size the
-    shuffle from them."""
+    shuffle from them (nor, through it, pick ``_co_partition``'s one-task
+    tier, whose batch must hold every routed row)."""
     route.fans_out = True
     return route
 
@@ -110,7 +114,9 @@ def _shuffle_blocks(sides) -> int:
     empty blocks, each a task at every shuffle step, on a host with fewer
     than 8 CPUs, and every CPU still gets a block.  Otherwise
     ``_default_shuffle_partitions()``: the routed bytes are not known.  It
-    moves the block count, never the result."""
+    moves the block count, never the result.  A count of 1 (one CPU, the
+    leaves' bytes within one block) makes ``_co_partition`` skip the
+    shuffle for one narrow task."""
     from ray.data import DataContext
 
     from ..util import cluster_cpus
@@ -158,6 +164,21 @@ def _key_route(cols: list[str], key: str, n: int):
     return route
 
 
+def _by_bucket(t: pa.Table, group):
+    """``group`` of every ``_bucket`` of ``t`` in ascending bucket order, as
+    ``map_groups`` calls it: one stable sort (a ``take`` of the rows, the
+    only copy) and zero-copy slices."""
+    if not len(t):
+        return
+    b = t["_bucket"].to_numpy()
+    order = np.argsort(b, kind="stable")
+    b = b[order]
+    starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+    t = t.take(pa.array(order))
+    for s, e in zip(starts, np.r_[starts[1:], len(b)]):
+        yield group(t.slice(s, e - s))
+
+
 def _co_partition(sides, per_group, schemas=None):
     """The one co-partition shuffle: route -> union -> bucket.
 
@@ -174,7 +195,18 @@ def _co_partition(sides, per_group, schemas=None):
     each row once, else ``agg._default_shuffle_partitions()``; wrap a route
     that may copy a row into several buckets in ``_fans_out``.  Then it is
     grouped on ``_bucket``; ``per_group(*rows)`` gets each side's routed
-    rows of one bucket (without ``_bucket``) and returns a table."""
+    rows of one bucket (without ``_bucket``) and returns a table.
+
+    When that count is ONE block (one CPU, a union under
+    ``target_max_block_size``) and the leaves report their rows, a sort
+    into one block moves no data: the whole step is one narrow task
+    instead, a ``map_batches`` whose ``batch_size`` is the leaves' row
+    count, so Ray bundles every input block into it; it groups each routed
+    batch by ``_by_bucket``.  One side routes and groups in that single
+    map, so its batch is the whole leaf; several sides keep their tag maps
+    and union, whose rows never outnumber the leaves' because a route that
+    is not ``_fans_out`` sends each row to at most one bucket — so the task
+    sees the union in one batch."""
     from ..util import strip_schema_metadata
 
     n_sides = len(sides)
@@ -223,12 +255,24 @@ def _co_partition(sides, per_group, schemas=None):
         return per_group(*rows)
 
     group.__name__ = getattr(per_group, "__name__", "group")  # the stats' op label
-    routed = [ds.map_batches(tag(i, route), batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None)
-              for i, (ds, route) in enumerate(sides)]
+    routes = [tag(i, route) for i, (_, route) in enumerate(sides)]
+    routed = [ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+              for (ds, _), f in zip(sides, routes)]
     tagged = routed[0].union(*routed[1:]) if n_sides > 1 else routed[0]
-    return (tagged.repartition(_shuffle_blocks(sides))
-            .groupby("_bucket").map_groups(group, batch_format="pyarrow"))
+    n_blocks = _shuffle_blocks(sides)
+    rows = [_plan_leaf(ds)[0] for ds, _ in sides]
+    if n_blocks > 1 or None in rows:
+        return (tagged.repartition(n_blocks)
+                .groupby("_bucket").map_groups(group, batch_format="pyarrow"))
+    # one block: one narrow task; one side routes inside it too
+    src, route = (sides[0][0], routes[0]) if n_sides == 1 else (tagged, None)
+
+    def one_task(batch: pa.Table):
+        yield from _by_bucket(route(batch) if route else batch, group)
+
+    one_task.__name__ = group.__name__
+    return src.map_batches(one_task, batch_format="pyarrow", zero_copy_batch=True,
+                           batch_size=max(1, sum(rows)))
 
 
 def _join_schemas(left, right, how: str, schemas=None):

@@ -78,9 +78,10 @@ def tile_pixels(row: dict) -> np.ndarray:
 class _TileBatch:
     """Zero-copy row access over a tile-table batch (VERDICT r3 #9):
     metadata columns decode ONCE per batch into numpy arrays and each row's
-    pixel block is a buffer-slice VIEW into the Arrow binary column —
-    ``batch.to_pylist()`` copied every pixel blob into python bytes (128 KB
-    per 256^2 int16 tile) before any work happened."""
+    pixel block is a buffer-slice VIEW into its chunk of the Arrow binary
+    column — ``batch.to_pylist()`` copied every pixel blob into python bytes
+    (128 KB per 256^2 int16 tile) before any work happened, and
+    ``combine_chunks()`` copies every blob even of a one-chunk column."""
 
     _META = ("src_id", "tile_col", "tile_row", "band_count", "cols", "rows",
              "xmin", "ymin", "xmax", "ymax", "pos")
@@ -93,28 +94,30 @@ class _TileBatch:
         }
         self.cell_type = batch["cell_type"].to_pylist()
         arr = batch["pixels"]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        off_dt = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
-        self._offs = np.frombuffer(arr.buffers()[1], dtype=off_dt)[
-            arr.offset : arr.offset + self.n + 1
-        ].astype(np.int64)
-        buf = arr.buffers()[2]
-        self._data = (np.frombuffer(buf, dtype=np.uint8)
-                      if buf is not None else np.zeros(0, np.uint8))
+        chunks = [c for c in (arr.chunks if isinstance(arr, pa.ChunkedArray) else [arr]) if len(c)]
+        self._data, offs = [], [np.zeros(1, np.int64)]  # no chunk: no row
+        for c in chunks:
+            off_dt = np.int64 if pa.types.is_large_binary(c.type) else np.int32
+            offs.append(np.frombuffer(c.buffers()[1], dtype=off_dt)
+                        [c.offset : c.offset + len(c) + 1])
+            buf = c.buffers()[2]
+            self._data.append(np.frombuffer(buf, dtype=np.uint8)
+                              if buf is not None else np.zeros(0, np.uint8))
+        # row i: bytes _start[i] : _end[i] of chunk _chunk[i]
+        self._chunk = np.repeat(np.arange(len(chunks)), [len(c) for c in chunks])
+        self._start = np.concatenate([o[:-1] for o in offs]).astype(np.int64)
+        self._end = np.concatenate([o[1:] for o in offs]).astype(np.int64)
 
     def ct(self, i: int) -> CellType:
         return CellType.of(self.cell_type[i])
 
     def raw(self, i: int) -> np.ndarray:
         """The row's pixel bytes as a uint8 buffer VIEW (np.frombuffer-able)."""
-        return self._data[self._offs[i] : self._offs[i + 1]]
+        return self._data[self._chunk[i]][self._start[i] : self._end[i]]
 
     def pixels(self, i: int) -> np.ndarray:
         """(bands, rows, cols) VIEW into the arrow buffer (read-only)."""
-        ct = self.ct(i)
-        raw = self._data[self._offs[i] : self._offs[i + 1]]
-        return raw.view(ct.np_dtype).reshape(
+        return self.raw(i).view(self.ct(i).np_dtype).reshape(
             int(self.meta["band_count"][i]), int(self.meta["rows"][i]),
             int(self.meta["cols"][i]))
 
@@ -282,18 +285,14 @@ def mosaic_merge(tiles_ds, layout: LayoutDefinition):
     def merge_bucket(g: pa.Table) -> pa.Table:
         # arrow end-to-end: per-row pixel blobs stay buffer views (the old
         # pandas records path copied every blob through python dicts)
-        order = np.lexsort((
-            g["src_id"].to_numpy(zero_copy_only=False),
-            g["tile_row"].to_numpy(zero_copy_only=False),
-            g["tile_col"].to_numpy(zero_copy_only=False),
-        ))
-        g = g.take(pa.array(order))
+        # (tile key, src_id) order as row indices: the blobs are never copied
         tb = _TileBatch(g)
-        tc = tb.meta["tile_col"]
-        tr = tb.meta["tile_row"]
+        m = tb.meta
+        order = np.lexsort((m["src_id"], m["tile_row"], m["tile_col"]))
+        tc, tr = m["tile_col"][order], m["tile_row"][order]
         starts = np.nonzero(np.r_[True, (tc[1:] != tc[:-1]) | (tr[1:] != tr[:-1])])[0]
         ends = np.r_[starts[1:], tb.n]
-        return _tile_table([merge_one(tb, np.arange(s, e)) for s, e in zip(starts, ends)])
+        return _tile_table([merge_one(tb, order[s:e]) for s, e in zip(starts, ends)])
 
     from .joins import _bucket_count, _co_partition
 
@@ -414,13 +413,13 @@ def pyramid_build(tiles_ds, levels: int, layout: LayoutDefinition | None = None,
         def make_parents(g: pa.Table) -> pa.Table:
             pcol = g["pcol"].to_numpy(zero_copy_only=False)
             prow = g["prow"].to_numpy(zero_copy_only=False)
+            # parent-key order as row indices: the blobs are never copied
             order = np.lexsort((prow, pcol))
-            g = g.take(pa.array(order))
             tb = _TileBatch(g)
             pcol, prow = pcol[order], prow[order]
             starts = np.nonzero(np.r_[True, (pcol[1:] != pcol[:-1]) | (prow[1:] != prow[:-1])])[0]
             ends = np.r_[starts[1:], tb.n]
-            return _tile_table([make_one(tb, np.arange(s, e)) for s, e in zip(starts, ends)])
+            return _tile_table([make_one(tb, order[s:e]) for s, e in zip(starts, ends)])
 
         return make_parents
 
@@ -444,35 +443,37 @@ def summarize_tiles(tiles_ds, nodata_aware: bool = True, include_dims: bool = Tr
 
     def summarize(b: pa.Table) -> pa.Table:
         sums, valids = [], []
-        cts = b["cell_type"].to_pylist()
-        bandc = b["band_count"].to_numpy(zero_copy_only=False)
-        ncols = b["cols"].to_numpy(zero_copy_only=False)
-        nrows = b["rows"].to_numpy(zero_copy_only=False)
-        pixels = b["pixels"]
-        for i in range(len(b)):
-            ct = CellType.of(cts[i])
-            px = np.frombuffer(pixels[i].as_py(), dtype=ct.np_dtype).reshape(
-                int(bandc[i]), int(nrows[i]), int(ncols[i])
-            )
-            if nodata_aware and ct.nodata is not None:
+        tb = _TileBatch(b)
+        for i in range(tb.n):
+            ct = tb.ct(i)
+            px = tb.pixels(i)
+            if not nodata_aware or ct.nodata is None:
+                sums.append(int(px.sum(dtype=np.int64)))
+                valids.append(px.size)
+            elif ct.is_float:
                 mask = ~ct.mask(px)
                 sums.append(int(px[mask].sum(dtype=np.int64)) if mask.any() else 0)
                 valids.append(int(mask.sum()))
             else:
-                sums.append(int(px.sum(dtype=np.int64)))
-                valids.append(px.size)
+                # integer cells: count NoData instead of gathering the valid ones
+                n_nodata = int(np.count_nonzero(ct.mask(px)))
+                nd = int(ct.nodata) if n_nodata else 0
+                v = int(px.sum(dtype=np.int64)) - nd * n_nodata
+                sums.append((v + 2**63) % 2**64 - 2**63)  # int64 wraparound, as the sum's
+                valids.append(px.size - n_nodata)
         cols = {
             "tile_col": b["tile_col"],
             "tile_row": b["tile_row"],
         }
         if include_dims:
-            cols["cols"] = pa.array(ncols.astype(np.int64))
-            cols["rows"] = pa.array(nrows.astype(np.int64))
+            cols["cols"] = pa.array(tb.meta["cols"].astype(np.int64))
+            cols["rows"] = pa.array(tb.meta["rows"].astype(np.int64))
         cols["pixel_sum"] = pa.array(sums, pa.int64())
         cols["n_valid"] = pa.array(valids, pa.int64())
         return pa.table(cols)
 
-    return tiles_ds.map_batches(summarize, batch_format="pyarrow", batch_size=None)
+    return tiles_ds.map_batches(summarize, batch_format="pyarrow", zero_copy_batch=True,
+                                batch_size=None)
 
 
 _FOCAL_SCHEMA = pa.schema(

@@ -8,12 +8,14 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 @pytest.fixture(scope="session")
 def ray_session():
-    """One Ray session for the whole pytest run (per TESTDATA/driver contract)."""
+    """One Ray session for the whole pytest run (per TESTDATA/driver contract).
+    ``GRAFT_TEST_CPUS`` sets its CPU count (default 4): at 1 the
+    co-partition callers over plan leaves run their one-task tier."""
     import ray
 
     ray.init(
         address="local",
-        num_cpus=4,
+        num_cpus=int(os.environ.get("GRAFT_TEST_CPUS", "4")),
         include_dashboard=False,
         ignore_reinit_error=True,
         logging_level="ERROR",

@@ -591,3 +591,113 @@ def test_co_partition_blocks_keep_cpus_busy_and_skip_copying_routes(ray_session)
                                         ivs, on="v", bucket_width=5.0)
     assert _sorted(rj, ["event_id", "interval_id"]).equals(
         _sorted(twin, ["event_id", "interval_id"]))
+
+
+@pytest.fixture(scope="module")
+def tile_layer(ray_session):
+    """The materialized 36-tile layer (6x6 keys of 256-cell tiles), its
+    layout and the layout of its first pyramid level."""
+    from geotrellis_contrib_ray.core.grid import Extent, GridExtent, LayoutDefinition
+    from geotrellis_contrib_ray.sources.raster_source import SyntheticRasterSource
+    from geotrellis_contrib_ray.stages import raster as rst
+
+    grid = GridExtent(Extent(630000.0, 215000.0, 645000.0, 228500.0), 10.0, 10.0, 1500, 1350)
+    layout = LayoutDefinition.floating(grid, 256)
+    cols, rows = -(-layout.layout_cols // 2), -(-layout.layout_rows // 2)
+    tw, th = 2.0 * layout.tile_width, 2.0 * layout.tile_height
+    ext = layout.extent
+    parent = LayoutDefinition(
+        Extent(ext.xmin, ext.ymax - rows * th, ext.xmin + cols * tw, ext.ymax),
+        layout.tile_cols, layout.tile_rows, cols, rows)
+    return rst.tile_dataset([SyntheticRasterSource(grid)], layout).materialize(), layout, parent
+
+
+def _new_ops(ds, leaves) -> list[tuple[str, int | None]]:
+    """(name, tasks) of the operators ``ds``'s stats list beyond its
+    already-executed ``leaves``' (a Dataset's stats repeat its lineage)."""
+    import re
+
+    def ops(d):
+        return [(m[1], int(m[2]) if m[2] else None) for m in re.finditer(
+            r"^Operator \d+ (.+?): (?:(\d+) tasks executed|executed in|\[execution cached\])",
+            d.stats(), flags=re.M)]
+
+    out = ops(ds)
+    for leaf in leaves:
+        for op in ops(leaf):
+            out.remove(op)
+    return out
+
+
+def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
+    """At one CPU a co-partition over plan leaves that fits one block runs
+    as one narrow task, with no Repartition or Sort: the pyramid's two
+    levels, mosaic_merge, a bucketed_hash_join of two from_arrow leaves, a
+    windows op and an empty leaf all equal the shuffle path at 4 CPUs.  A
+    range join (a copying route) and a side behind a map still shuffle at
+    one CPU."""
+    import ray.data as rd
+
+    from geotrellis_contrib_ray import util
+    from geotrellis_contrib_ray.stages import joins
+    from geotrellis_contrib_ray.stages import raster as rst
+    from geotrellis_contrib_ray.stages.windows import sessionize
+
+    mat, layout, next_layout = tile_layer
+    rng = np.random.default_rng(11)
+    left = rd.from_arrow(pa.table({"k": rng.integers(0, 60, 500),
+                                   "a": np.arange(500)})).materialize()
+    right = rd.from_arrow(pa.table({"k": np.arange(60), "b": np.arange(60) * 7})).materialize()
+    events = rd.from_arrow(pa.table({
+        "user_id": rng.integers(0, 30, 400),
+        "ts": pa.array(np.sort(rng.integers(0, 200_000, 400)).astype("datetime64[s]")),
+    })).materialize()
+    empty = rd.from_arrow(pa.table({"user_id": pa.array([], pa.int64()),
+                                    "ts": pa.array([], pa.timestamp("s"))})).materialize()
+
+    def checksums(ds):
+        df = rst.summarize_tiles(ds).to_pandas()
+        return df.sort_values(["tile_col", "tile_row"]).reset_index(drop=True)
+
+    def rows(ds):
+        df = ds.to_pandas()
+        return df.sort_values(sorted(df.columns)).reset_index(drop=True)
+
+    def run():
+        """(result frame, executed Dataset, its leaves, kernel label) of each op."""
+        lvl1 = rst.pyramid_build(mat, 1, layout)[1].materialize()
+        lvl2 = rst.pyramid_build(lvl1, 1, next_layout)[1].materialize()
+        mosaic = rst.mosaic_merge(mat, layout).materialize()
+        hj = bucketed_hash_join(left, right, "k").materialize()
+        sess = sessionize(events).materialize()
+        none = sessionize(empty).materialize()
+        return [(checksums(lvl1), lvl1, [mat], "make_parents"),
+                (checksums(lvl2), lvl2, [lvl1], "make_parents"),
+                (checksums(mosaic), mosaic, [mat], "merge_bucket"),
+                (rows(hj), hj, [left, right], "per_bucket"),
+                (rows(sess), sess, [events], "per_bucket"),
+                (rows(none), none, [empty], "per_bucket")]
+
+    monkeypatch.setattr(util, "cluster_cpus", lambda default=4: 4)
+    shuffled = run()
+    for _, ds, leaves, _ in shuffled[:-1]:
+        assert "Sort" in [name for name, _ in _new_ops(ds, leaves)]
+    monkeypatch.setattr(util, "cluster_cpus", lambda default=4: 1)
+    narrow = run()
+    assert [len(x[0]) for x in narrow[:3]] == [9, 4, 36]
+    for (want, *_), (got, ds, leaves, kernel) in zip(shuffled, narrow):
+        assert got.equals(want)
+        ops = _new_ops(ds, leaves)
+        assert not any(w in name for name, _ in ops for w in ("Sort", "Repartition")), ops
+        assert [t for name, t in ops if name.endswith(f"MapBatches({kernel})")] == [1], ops
+
+    points = rd.from_arrow(pa.table({"event_id": np.arange(200),
+                                     "v": rng.uniform(0, 100, 200)})).materialize()
+    ivs = rd.from_arrow(pa.table({"interval_id": np.arange(30), "lo": np.arange(30) * 3.0,
+                                  "hi": np.arange(30) * 3.0 + 10.0})).materialize()
+    ranged = joins.interval_join_bucketed(points, ivs, on="v", bucket_width=5.0).materialize()
+    mapped = bucketed_hash_join(left, right.map_batches(lambda b: b, batch_format="pyarrow"),
+                                "k").materialize()
+    for ds, leaves in ((ranged, [points, ivs]), (mapped, [left, right])):
+        assert "Sort" in [name for name, _ in _new_ops(ds, leaves)]
+    assert rows(mapped).equals(shuffled[3][0])
