@@ -17,12 +17,12 @@ block count comes from the CPUs and the inputs' bytes when the plan reports
 the bytes (every side a plan leaf: a materialized Dataset, ``from_arrow``, a
 bare read) and no route copies rows (``_fans_out``), else it is
 ``agg._default_shuffle_partitions()``.  One sort-shuffle pass, no actor
-pools; no shuffle at all when that count is one block (one CPU, leaves
-under ``target_max_block_size``): the union is then routed and grouped in
-one narrow task (``_by_bucket``), with the same buckets and kernels.  Key-hash
-joins use B = ``default_join_partitions()`` buckets, ~8x cluster CPUs
-(measured sweet spot, see there); the optional per-key salt is the skew
-knob (``skew_aware_join``).  Ray's native ``Dataset.join`` is not
+pools; no shuffle at all for ONE side when that count is one block (one
+CPU, a leaf under ``target_max_block_size``): its rows are then routed and
+grouped in one narrow task (``_by_bucket``), with the same buckets and
+kernels.  Key-hash joins use B = ``default_join_partitions()`` buckets, ~8x
+cluster CPUs (measured sweet spot, see there); the optional per-key salt is
+the skew knob (``skew_aware_join``).  Ray's native ``Dataset.join`` is not
 used: its aggregator-actor pool start-up dominates (sf0.1 lineitem x
 orders: bucketed b32 4.2 s vs native p32 25 s / p16 14 s).
 
@@ -98,8 +98,7 @@ def _fans_out(route):
     """Mark ``route`` as one that may send a row to several buckets (a range
     or cell replication, a hot-key salt, a focal halo): its routed rows can
     outgrow its input's bytes, so ``_shuffle_blocks`` does not size the
-    shuffle from them (nor, through it, pick ``_co_partition``'s one-task
-    tier, whose batch must hold every routed row)."""
+    shuffle from them."""
     route.fans_out = True
     return route
 
@@ -115,8 +114,8 @@ def _shuffle_blocks(sides) -> int:
     than 8 CPUs, and every CPU still gets a block.  Otherwise
     ``_default_shuffle_partitions()``: the routed bytes are not known.  It
     moves the block count, never the result.  A count of 1 (one CPU, the
-    leaves' bytes within one block) makes ``_co_partition`` skip the
-    shuffle for one narrow task."""
+    leaf's bytes within one block) makes a one-sided ``_co_partition`` skip
+    the shuffle for one narrow task."""
     from ray.data import DataContext
 
     from ..util import cluster_cpus
@@ -197,16 +196,14 @@ def _co_partition(sides, per_group, schemas=None):
     grouped on ``_bucket``; ``per_group(*rows)`` gets each side's routed
     rows of one bucket (without ``_bucket``) and returns a table.
 
-    When that count is ONE block (one CPU, a union under
-    ``target_max_block_size``) and the leaves report their rows, a sort
-    into one block moves no data: the whole step is one narrow task
-    instead, a ``map_batches`` whose ``batch_size`` is the leaves' row
-    count, so Ray bundles every input block into it; it groups each routed
-    batch by ``_by_bucket``.  One side routes and groups in that single
-    map, so its batch is the whole leaf; several sides keep their tag maps
-    and union, whose rows never outnumber the leaves' because a route that
-    is not ``_fans_out`` sends each row to at most one bucket — so the task
-    sees the union in one batch."""
+    With ONE side, when that count is one block (one CPU, a leaf under
+    ``target_max_block_size``) and the leaf reports its rows, a sort into
+    one block moves no data: the whole step is one narrow task instead, a
+    ``map_batches`` over the leaf whose ``batch_size`` is the leaf's row
+    count, so Ray bundles every input block into one batch; the task routes
+    it and groups it by ``_by_bucket``.  Routing inside the task, after the
+    batch is formed, keeps the batch independent of how many rows the route
+    emits.  Several sides always shuffle."""
     from ..util import strip_schema_metadata
 
     n_sides = len(sides)
@@ -255,24 +252,24 @@ def _co_partition(sides, per_group, schemas=None):
         return per_group(*rows)
 
     group.__name__ = getattr(per_group, "__name__", "group")  # the stats' op label
-    routes = [tag(i, route) for i, (_, route) in enumerate(sides)]
-    routed = [ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-              for (ds, _), f in zip(sides, routes)]
-    tagged = routed[0].union(*routed[1:]) if n_sides > 1 else routed[0]
     n_blocks = _shuffle_blocks(sides)
-    rows = [_plan_leaf(ds)[0] for ds, _ in sides]
-    if n_blocks > 1 or None in rows:
-        return (tagged.repartition(n_blocks)
-                .groupby("_bucket").map_groups(group, batch_format="pyarrow"))
-    # one block: one narrow task; one side routes inside it too
-    src, route = (sides[0][0], routes[0]) if n_sides == 1 else (tagged, None)
+    rows = _plan_leaf(sides[0][0])[0] if n_sides == 1 else None
+    if n_blocks == 1 and rows is not None:
+        # one side in one block: one narrow task that routes and groups the leaf
+        route = tag(0, sides[0][1])
 
-    def one_task(batch: pa.Table):
-        yield from _by_bucket(route(batch) if route else batch, group)
+        def one_task(batch: pa.Table):
+            yield from _by_bucket(route(batch), group)
 
-    one_task.__name__ = group.__name__
-    return src.map_batches(one_task, batch_format="pyarrow", zero_copy_batch=True,
-                           batch_size=max(1, sum(rows)))
+        one_task.__name__ = group.__name__
+        return sides[0][0].map_batches(one_task, batch_format="pyarrow", zero_copy_batch=True,
+                                       batch_size=max(1, rows))
+    routed = [ds.map_batches(tag(i, route), batch_format="pyarrow",
+                             zero_copy_batch=True, batch_size=None)
+              for i, (ds, route) in enumerate(sides)]
+    tagged = routed[0].union(*routed[1:]) if n_sides > 1 else routed[0]
+    return (tagged.repartition(n_blocks)
+            .groupby("_bucket").map_groups(group, batch_format="pyarrow"))
 
 
 def _join_schemas(left, right, how: str, schemas=None):

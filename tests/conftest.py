@@ -8,8 +8,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 @pytest.fixture(scope="session")
 def ray_session():
-    """One Ray session for the whole pytest run (per TESTDATA/driver contract).
-    ``GRAFT_TEST_CPUS`` sets its CPU count (default 4): at 1 the
+    """One Ray session for the whole pytest run (see TESTDATA.md).
+    ``GRAFT_TEST_CPUS`` sets its CPU count (default 4): at 1 the one-sided
     co-partition callers over plan leaves run their one-task tier."""
     import ray
 

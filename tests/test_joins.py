@@ -630,12 +630,12 @@ def _new_ops(ds, leaves) -> list[tuple[str, int | None]]:
 
 
 def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
-    """At one CPU a co-partition over plan leaves that fits one block runs
-    as one narrow task, with no Repartition or Sort: the pyramid's two
-    levels, mosaic_merge, a bucketed_hash_join of two from_arrow leaves, a
-    windows op and an empty leaf all equal the shuffle path at 4 CPUs.  A
-    range join (a copying route) and a side behind a map still shuffle at
-    one CPU."""
+    """At one CPU a one-sided co-partition over a plan leaf that fits one
+    block runs as one narrow task, with no Repartition or Sort: the
+    pyramid's two levels, mosaic_merge, a windows op and an empty leaf all
+    equal the shuffle path at 4 CPUs.  Two-sided joins still shuffle at one
+    CPU: a bucketed_hash_join of two from_arrow leaves (equal to its 4-CPU
+    result), a range join (a copying route) and a side behind a map."""
     import ray.data as rd
 
     from geotrellis_contrib_ray import util
@@ -668,18 +668,17 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
         lvl1 = rst.pyramid_build(mat, 1, layout)[1].materialize()
         lvl2 = rst.pyramid_build(lvl1, 1, next_layout)[1].materialize()
         mosaic = rst.mosaic_merge(mat, layout).materialize()
-        hj = bucketed_hash_join(left, right, "k").materialize()
         sess = sessionize(events).materialize()
         none = sessionize(empty).materialize()
         return [(checksums(lvl1), lvl1, [mat], "make_parents"),
                 (checksums(lvl2), lvl2, [lvl1], "make_parents"),
                 (checksums(mosaic), mosaic, [mat], "merge_bucket"),
-                (rows(hj), hj, [left, right], "per_bucket"),
                 (rows(sess), sess, [events], "per_bucket"),
                 (rows(none), none, [empty], "per_bucket")]
 
     monkeypatch.setattr(util, "cluster_cpus", lambda default=4: 4)
     shuffled = run()
+    joined = rows(bucketed_hash_join(left, right, "k"))
     for _, ds, leaves, _ in shuffled[:-1]:
         assert "Sort" in [name for name, _ in _new_ops(ds, leaves)]
     monkeypatch.setattr(util, "cluster_cpus", lambda default=4: 1)
@@ -695,9 +694,11 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
                                      "v": rng.uniform(0, 100, 200)})).materialize()
     ivs = rd.from_arrow(pa.table({"interval_id": np.arange(30), "lo": np.arange(30) * 3.0,
                                   "hi": np.arange(30) * 3.0 + 10.0})).materialize()
+    hj = bucketed_hash_join(left, right, "k").materialize()
     ranged = joins.interval_join_bucketed(points, ivs, on="v", bucket_width=5.0).materialize()
     mapped = bucketed_hash_join(left, right.map_batches(lambda b: b, batch_format="pyarrow"),
                                 "k").materialize()
-    for ds, leaves in ((ranged, [points, ivs]), (mapped, [left, right])):
+    for ds, leaves in ((hj, [left, right]), (ranged, [points, ivs]), (mapped, [left, right])):
         assert "Sort" in [name for name, _ in _new_ops(ds, leaves)]
-    assert rows(mapped).equals(shuffled[3][0])
+    assert rows(hj).equals(joined)
+    assert rows(mapped).equals(joined)
