@@ -14,6 +14,10 @@ Two producers:
   interleaved shape deterministically, so ``entry()``/bench run the flagship
   pipeline over real test tables.
 
+One reader: ``SpanLeafDatasource`` reads documents parquet files down to
+``SPAN_LEAF_SCHEMA`` (``doc_id`` plus the ``kind`` and ``offset`` leaves of
+``spans``), the only columns the flagship's span explode uses.
+
 Geocoding: each media span carries a deterministic lon/lat derived from
 (doc_id, offset) by **pure integer arithmetic** (exactly reproducible in ANSI
 SQL for the DuckDB oracle):
@@ -32,10 +36,13 @@ tests and the checkpoint manifest.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterator
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+from ray.data.datasource import Datasource, ReadTask
 
 SPAN_STRUCT = pa.struct(
     [
@@ -47,6 +54,12 @@ SPAN_STRUCT = pa.struct(
 )
 
 DOCUMENTS_SCHEMA = pa.schema([("doc_id", pa.string()), ("spans", pa.list_(SPAN_STRUCT))])
+
+# what SpanLeafDatasource yields: the leaves explode_media_spans reads
+SPAN_LEAF_SCHEMA = pa.schema(
+    [("doc_id", pa.string()),
+     ("spans", pa.list_(pa.struct([("kind", pa.string()), ("offset", pa.int32())])))]
+)
 
 # geocode constants (shared with oracle SQL in __ray_entry__.py)
 LON0, LON_MOD, LON_SCALE = -80.33, 530_000, 1e-5
@@ -241,8 +254,9 @@ def verify_span_signature(batch: pa.Table) -> pa.Table:
 
 
 def doc_numeric_id(doc_id_col) -> np.ndarray:
-    """'doc-123' or '123' -> int64 ids, vectorized."""
-    stripped = pc.replace_substring(_chunk(doc_id_col), "doc-", "")
+    """'doc-123' or '123' -> int64 ids, vectorized; an Array or a
+    ChunkedArray as given (no combine copy)."""
+    stripped = pc.replace_substring(doc_id_col, "doc-", "")
     return pc.cast(stripped, pa.int64()).to_numpy(zero_copy_only=False)
 
 
@@ -297,3 +311,83 @@ def redact_text_spans(batch: pa.Table, pattern: str, token: str) -> pa.Table:
     new_spans = pa.ListArray.from_arrays(spans.offsets, new_vals)
     return pa.Table.from_arrays([batch["doc_id"], new_spans],
                                 schema=DOCUMENTS_SCHEMA)
+
+
+def has_span_leaves(schema: pa.Schema | None) -> bool:
+    """True when ``schema`` holds ``doc_id: string`` and ``spans:
+    list<struct<kind: string, offset: int32, ...>>`` — the columns a
+    ``SpanLeafDatasource`` reads."""
+    try:
+        spans = schema.field("spans").type
+        kind, offset = (spans.value_type.field(f).type for f in ("kind", "offset"))
+        doc_id = schema.field("doc_id").type
+    except (AttributeError, KeyError, TypeError):  # no schema, column, list or struct field
+        return False
+    return (pa.types.is_list(spans) and doc_id == pa.string()
+            and kind == pa.string() and offset == pa.int32())
+
+
+def _span_leaf_paths(schema: pq.ParquetSchema) -> list[str]:
+    """Parquet leaf paths of ``doc_id``, ``spans.kind`` and ``spans.offset``
+    in one file's schema, whatever its list naming
+    (``spans.list.element.kind`` or ``spans.list.item.kind``)."""
+    out = []
+    for i in range(len(schema)):
+        path = schema.column(i).path
+        parts = path.split(".")
+        if path == "doc_id" or (len(parts) == 4 and parts[0] == "spans"
+                                and parts[3] in ("kind", "offset")):
+            out.append(path)
+    return out
+
+
+def _read_span_leaves(paths, filesystem) -> Iterator[pa.Table]:
+    """Read task body of ``SpanLeafDatasource``: each file one row group at a
+    time, decoding only its ``_span_leaf_paths`` (every span's ``text`` and
+    ``media_ref`` stay undecoded).  Zero-row tables are dropped, as Ray's
+    parquet read drops them."""
+    for path in paths:
+        with filesystem.open_input_file(str(path)) as f:
+            pf = pq.ParquetFile(f)
+            leaves = _span_leaf_paths(pf.schema)
+            if len(leaves) != 3:
+                raise ValueError(f"{path}: no doc_id, spans.kind and spans.offset leaves")
+            for i in range(pf.num_row_groups):
+                t = pf.read_row_group(i, columns=leaves, use_threads=False)
+                if t.num_rows:
+                    yield t if t.schema.equals(SPAN_LEAF_SCHEMA) else t.cast(SPAN_LEAF_SCHEMA)
+
+
+class SpanLeafDatasource(Datasource):
+    """Ray datasource that reads the files of a documents parquet read down
+    to ``SPAN_LEAF_SCHEMA``: ``doc_id`` plus the ``kind`` and ``offset``
+    leaves of ``spans`` (Dremel's column-striped read of nested leaves).
+    Ray's ``read_parquet(columns=)`` and ``pyarrow.dataset`` prune top-level
+    columns only, so they decode every span's strings.
+
+    ``source`` is the ``ParquetDatasource`` of that read: its read tasks give
+    the grouping of the resolved files, their row counts and sizes (the
+    size is the full read's, an upper bound that keeps the read's task and
+    block counts those of the plain read), and its filesystem opens them.
+    Named "Parquet", so Ray names the operator ``ReadParquet`` as for the
+    plain read."""
+
+    def __init__(self, source):
+        self._source = source
+        self._filesystem = source._filesystem
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+    @property
+    def supports_distributed_reads(self) -> bool:
+        return self._source.supports_distributed_reads
+
+    def estimate_inmemory_data_size(self) -> int | None:
+        return self._source.estimate_inmemory_data_size()
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        fs = self._filesystem
+        return [ReadTask(lambda files=list(task.metadata.input_files): _read_span_leaves(files, fs),
+                         task.metadata, schema=SPAN_LEAF_SCHEMA)
+                for task in self._source.get_read_tasks(parallelism)]

@@ -86,6 +86,18 @@ def test_explode_media_spans_empty_and_all_null():
     assert flagship.explode_media_spans(nulls).num_rows == 0
 
 
+def test_explode_media_spans_skips_a_null_span_over_media_fields():
+    """A null span is not media even when its struct children (kept by
+    Arrow under the null) say kind == "media"."""
+    kids = [pa.array(["media", "media"]), pa.array(["t", "t"]), pa.array(["m", "m"]),
+            pa.array([3, 5], pa.int32())]
+    values = pa.StructArray.from_arrays(kids, fields=list(SPAN), mask=pa.array([False, True]))
+    t = pa.table({"doc_id": pa.array(["doc-7"]),
+                  "spans": pa.ListArray.from_arrays(pa.array([0, 2], pa.int32()), values)})
+    got = flagship.explode_media_spans(t)
+    assert _rows(got) == _explode_loop(t) and got["offset"].to_pylist() == [3]
+
+
 def _operators(stats: str) -> list[str]:
     return re.findall(r"^Operator \d+ (\S+):", stats, flags=re.M)
 
@@ -149,3 +161,102 @@ def test_flagship_restores_read_floor(ray_session):
         assert ctx.read_op_min_num_blocks == 37
     finally:
         ctx.read_op_min_num_blocks = before
+
+
+def _reference_rollup(table: pa.Table) -> pa.Table:
+    """flagship_over's answer over ``table``'s rows: the row-by-row explode,
+    then the per-batch key, PIP and count functions in one process."""
+    rows = _explode_loop(table)
+    pts = pa.table([pa.array(col, typ) for col, typ in zip(zip(*rows), (
+        pa.string(), pa.int64(), pa.int32(), pa.float64(), pa.float64()))],
+        names=["doc_id", "num_id", "offset", "lon", "lat"])
+    pts = spatial.add_cell(spatial.add_tile_key(pts, qd.QUERY_LAYOUT), qd.CELL_RES, qd.PARENT_RES)
+    hits = spatial.ZoneMatcher(qd.ZONE_BOXES, [qd.ZONE_CONVEX],
+                               keep_cols=("doc_id", "num_id", "cell", "parent_cell"))(pts)
+    want = (hits.group_by(["zone_name", "parent_cell"]).aggregate([("doc_id", "count")])
+            .rename_columns(["zone_name", "parent_cell", "n_spans"]))
+    assert want.num_rows > 0
+    return want.sort_by([("zone_name", "ascending"), ("parent_cell", "ascending")])
+
+
+def _rollup_of(ds) -> pa.Table:
+    import ray
+
+    got = pa.concat_tables(ray.get(flagship.flagship_over(ds).to_arrow_refs()))
+    got = got.select(["zone_name", "parent_cell", "n_spans"]).cast(pa.schema(
+        [("zone_name", pa.string()), ("parent_cell", pa.int64()), ("n_spans", pa.int64())]))
+    return got.sort_by([("zone_name", "ascending"), ("parent_cell", "ascending")])
+
+
+def _documents_dir(path, compliant: bool = True) -> pa.Table:
+    """Edge docs plus synthetic docs as three parquet files, the first two
+    of several row groups each, the third with zero rows; returns their
+    rows."""
+    synth = documents.docs_to_spans(documents.synth_flat_docs(np.arange(100, 700, dtype=np.int64)))
+    parts = [pa.concat_tables([_edge_docs(), synth.slice(0, 250)]), synth.slice(250),
+             synth.slice(0, 0)]
+    for i, part in enumerate(parts):
+        pq.write_table(part, str(path / f"part-{i}.parquet"), row_group_size=64,
+                       use_compliant_nested_type=compliant)
+    assert pq.ParquetFile(str(path / "part-0.parquet")).num_row_groups > 1
+    return pa.concat_tables(parts)
+
+
+@pytest.mark.parametrize("compliant", [True, False], ids=["element", "item"])
+def test_span_leaf_read_matches_full_read(ray_session, tmp_path, compliant):
+    """A bare parquet read is pruned to doc_id, spans.kind and spans.offset,
+    under either list naming, over several row groups and a zero-row file,
+    and gives the full read's explode and the reference rollup."""
+    import ray
+    import ray.data as rd
+
+    rows = _documents_dir(tmp_path, compliant)
+    full = rd.read_parquet(str(tmp_path))
+    pruned = flagship._span_leaf_read(full)
+    assert pruned is not full
+
+    assert set(pruned.schema().names) == {"doc_id", "spans"}
+    blocks = [t for t in ray.get(pruned.to_arrow_refs()) if t.num_rows]
+    assert blocks and all(t.schema.equals(documents.SPAN_LEAF_SCHEMA) for t in blocks)
+    assert sum(t.num_rows for t in blocks) == rows.num_rows
+
+    def exploded(ds):
+        out = ds.map_batches(flagship.explode_media_spans, batch_format="pyarrow", batch_size=None)
+        return sorted(r for t in ray.get(out.to_arrow_refs()) if t.num_rows for r in _rows(t))
+
+    assert exploded(pruned) == exploded(full) == sorted(_explode_loop(rows))
+    assert _rollup_of(rd.read_parquet(str(tmp_path))).equals(_reference_rollup(rows))
+
+
+def test_flagship_over_runs_other_inputs_as_given(ray_session, tmp_path, monkeypatch):
+    """Inputs that are not a bare parquet read keep their plan and give the
+    reference rollup over the same rows: a filtered read, a map on a read
+    (the flagship(sf_dir) shape), from_arrow, and a read whose datasource
+    lost an attribute the pruning looks at."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    docs_dir = tmp_path / "docs"
+    docs_dir.mkdir()
+    rows = _documents_dir(docs_dir)
+    ids = np.arange(1_000, 1_600, dtype=np.int64)
+    flat_dir = tmp_path / "flat"
+    flat_dir.mkdir()
+    pq.write_table(documents.synth_flat_docs(ids), str(flat_dir / "documents.parquet"))
+    mapped = rd.read_parquet(str(flat_dir), columns=["doc_id", "text"]).map_batches(
+        documents.docs_to_spans, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+    broken = rd.read_parquet(str(docs_dir))
+    monkeypatch.delattr(broken._logical_plan.dag._datasource, "_filesystem")
+
+    cases = [
+        (rd.read_parquet(str(docs_dir), filter=pc.field("doc_id") != "doc-100"),
+         rows.filter(pc.field("doc_id") != "doc-100")),
+        (mapped, documents.docs_to_spans(documents.synth_flat_docs(ids))),
+        (rd.from_arrow(rows), rows),
+        (broken, rows),
+    ]
+    flat = rd.read_parquet(str(flat_dir))  # bare, but not the documents schema
+    assert flagship._span_leaf_read(flat) is flat
+    for ds, want_rows in cases:
+        assert flagship._span_leaf_read(ds) is ds
+        assert _rollup_of(ds).equals(_reference_rollup(want_rows))
