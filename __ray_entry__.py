@@ -1562,7 +1562,7 @@ def q_lang_set_ops(sf_dir: str):
 
 def q_top_bigrams(sf_dir: str):
     """Corpus-wide top-k word bigrams (count desc, bigram asc): per-batch
-    Arrow group_by partials -> one bounded-salt reduce -> per-block partial
+    Arrow group_by partials -> one keyed reduce -> per-block partial
     top-k -> tiny driver merge.  Only (bigram, count) partials shuffle."""
     from geotrellis_contrib_ray.pipelines.query_defs import TOP_BIGRAMS_K
     from geotrellis_contrib_ray.stages.text import top_bigrams
@@ -2863,7 +2863,7 @@ def q_bow_dedup(sf_dir: str):
 def q_regex_tokens(sf_dir: str):
     """Corpus-wide regex-match counts (leftmost non-overlapping): one
     compiled-program pass per batch over a separator-joined string, per-batch
-    np.unique pre-agg, one bounded-salt reduce."""
+    np.unique pre-agg, one keyed reduce."""
     from geotrellis_contrib_ray.pipelines.query_defs import REGEX_TOKEN_PATTERN
     from geotrellis_contrib_ray.stages.text import regex_token_counts
 

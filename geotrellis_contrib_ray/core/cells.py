@@ -106,20 +106,6 @@ def cell_bounds(cell):
     return lat0, lng0, lat0 + 180.0 / ny, lng0 + 360.0 / nx
 
 
-def cells_for_bbox(lat_min, lng_min, lat_max, lng_max, res: int) -> np.ndarray:
-    """All cell ids at ``res`` intersecting a lat/lng bbox, row-major by (y, x).
-
-    The cell-cover primitive behind the PIP semi-join (J1): cover the query
-    polygon's bbox, then exact-refine inside the join stage.
-    """
-    x0, y0 = latlng_to_cell_xy(lat_min, lng_min, res)
-    x1, y1 = latlng_to_cell_xy(lat_max, lng_max, res)
-    xs = np.arange(int(x0), int(x1) + 1, dtype=np.int64)
-    ys = np.arange(int(y0), int(y1) + 1, dtype=np.int64)
-    gx, gy = np.meshgrid(xs, ys)
-    return pack_cell(res, gx.ravel(), gy.ravel())
-
-
 # --- Web-mercator ZXY (slippy-map) tiles -----------------------------------
 
 
@@ -138,10 +124,3 @@ def lnglat_to_zxy(lng, lat, zoom: int):
     np.clip(xt, 0, int(n) - 1, out=xt)
     np.clip(yt, 0, int(n) - 1, out=yt)
     return xt, yt
-
-
-def zxy_to_parent(x, y, levels: int = 1):
-    """ZXY pyramid parent: (z-1, x//2, y//2) iterated (A7)."""
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    return x >> levels, y >> levels

@@ -329,13 +329,6 @@ def point_to_ewkt(x: float, y: float, srid: int) -> str:
     return f"SRID={srid};POINT ({_fmt_coord(x)} {_fmt_coord(y)})"
 
 
-def parse_point_wkt(wkt: str) -> tuple[float, float, int | None]:
-    kind, coords, srid = parse_wkt(wkt)
-    if kind != "Point":
-        raise ValueError(f"expected POINT, got {kind}")
-    return coords[0], coords[1], srid
-
-
 class _WktReader:
     """Recursive-descent WKT reader producing the same (kind, coords, srid)
     tuples as wkb_to_geometry: Point -> (x, y); LineString -> (N,2) array;

@@ -175,7 +175,7 @@ def _zone_rollup(docs_ds: "rd.Dataset", stats_sink: dict | None = None) -> "rd.D
     # final reduce: the group count is BOUNDED (zones x parent cells — 27 at
     # the bench layout), so the driver-combine tier beats any all-to-all by
     # its whole fixed cost (measured @8cpu/2M docs: 1.7 s vs 3.8 s for the
-    # bounded-salt shuffle plan; stages/agg.py tier rules)
+    # keyed-reduce plan; stages/agg.py tier rules)
     return rd.from_arrow(driver_group_rollup(
         joined.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,),
         ["zone_name", "parent_cell"], [("pcnt", "sum", "n_spans")],

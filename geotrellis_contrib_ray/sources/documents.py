@@ -44,6 +44,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 from ray.data.datasource import Datasource, ReadTask
 
+from ..util import as_array
+
 SPAN_STRUCT = pa.struct(
     [
         ("kind", pa.string()),
@@ -148,7 +150,7 @@ def docs_to_spans(batch: pa.Table) -> pa.Table:
     Deterministic — derived only from (doc_id, text).
     """
     ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    texts = _chunk(batch["text"]).cast(pa.string())
+    texts = as_array(batch["text"]).cast(pa.string())
     n = len(batch)
     # split each text at its byte midpoint, zero-copy on the shared values
     # buffer: both halves are contiguous sub-slices, so we rebuild two string
@@ -189,7 +191,7 @@ def docs_to_spans(batch: pa.Table) -> pa.Table:
 
     def span_struct(kind, text, mref, off):
         return pa.StructArray.from_arrays(
-            [pa.array([kind] * n, pa.string()), _chunk(text), _chunk(mref), _chunk(off)],
+            [pa.array([kind] * n, pa.string()), as_array(text), as_array(mref), as_array(off)],
             fields=list(SPAN_STRUCT),
         )
 
@@ -228,12 +230,6 @@ def _substr_array(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> pa.
     )
 
 
-def _chunk(arr):
-    if isinstance(arr, pa.ChunkedArray):
-        return arr.combine_chunks()
-    return arr
-
-
 def attach_span_signature(batch: pa.Table) -> pa.Table:
     """Pipeline guard, part 1: stamp each row with its span-sequence
     fingerprint (kind, text, media_ref, order) before a stage under test."""
@@ -268,7 +264,7 @@ def span_signature(batch: pa.Table) -> np.ndarray:
     order; we hash them too for strictness.
     """
     out = np.empty(len(batch), dtype=np.uint64)
-    spans = _chunk(batch["spans"])
+    spans = as_array(batch["spans"])
     kinds = spans.values.field("kind")
     texts = spans.values.field("text")
     refs = spans.values.field("media_ref")
@@ -297,7 +293,7 @@ def redact_text_spans(batch: pa.Table, pattern: str, token: str) -> pa.Table:
     Vectorized: one RE2 replace over the flattened span-text child; the
     list/struct skeleton (offsets, other children) is rebuilt as-is."""
     spans = batch["spans"]
-    spans = spans.combine_chunks() if isinstance(spans, pa.ChunkedArray) else spans
+    spans = as_array(spans)
     v = spans.values
     kind = v.field("kind")
     text = v.field("text")

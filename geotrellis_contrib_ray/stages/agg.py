@@ -1,23 +1,25 @@
-"""Bounded-fanout distributed group-reduce (fast groupby.aggregate swap-in).
+"""Keyed total reductions (fast groupby.aggregate swap-in).
 
 Measured in this sandbox: Ray's ``groupby(keys).aggregate(...)`` sort-based
 path costs ~10-15 s for ~500k rows / ~30k groups REGARDLESS of key layout
 (packed single int64 key with Sum+Max: 10.5 s; 4-col key with Sum: 15.2 s —
 the per-task AggregateMap/Reduce machinery dominates, not the key compare).
-The same total reduction expressed as ONE groupby over a bounded
-deterministic key-hash salt (<= ``salt`` groups) with a vectorized
-lexsort + ``np.*.reduceat`` inside each group measures ~0.26 s — 40x.
+The same total reduction expressed as ONE shuffle over a bounded number of
+key-hash groups with a vectorized lexsort + ``np.*.reduceat`` inside each
+group measured ~0.26 s — 40x; here that shuffle is a one-sided
+``joins._co_partition`` over key-hash buckets.
 
-Correctness: the salt is a pure function of the FULL key, so every row of a
-given key lands in exactly one salted group and the in-group reduction is
-total (not partial).  Group count is bounded by ``salt`` (default 64), so
-the ~1 ms/group python overhead of map_groups stays bounded (CLAUDE.md
-gotcha) while skew is spread by the hash.
+Correctness: the bucket is a pure function of the FULL key, so every row of
+a given key lands in exactly one bucket and the in-bucket reduction is
+total (not partial).  The bucket count is ``joins._bucket_count(ds)`` (CPUs,
+raised by the input's footer rows), so the per-group python overhead of
+``map_groups`` stays bounded while skew is spread by the hash.  One hot key
+still fills one bucket.
 
 At 100 TB this is the same single all-to-all as groupby.aggregate — rows
-move once, keyed by hash(key) % salt — with ``salt`` sized ~4x the cluster
-reduce-task slots.  Callers should still pre-aggregate per batch upstream
-when the reduction collapses rows (same rule as everywhere else).
+move once, keyed by hash(key) % buckets.  Callers should still
+pre-aggregate per batch upstream when the reduction collapses rows (same
+rule as everywhere else).
 
 Ops: sum / min / max / count / first; ``carry`` columns must be pure
 functions of the key (constant within each group; first value is taken).
@@ -32,13 +34,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..util import as_array
+
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _col_hash(arr: "pa.ChunkedArray | pa.Array") -> np.ndarray:
     """Vectorized uint64 hash of one key column (no python per row)."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = as_array(arr)
     t = arr.type
     if pa.types.is_string(t) or pa.types.is_large_string(t):
         from .text import hash_utf8_array
@@ -55,21 +58,19 @@ def _col_hash(arr: "pa.ChunkedArray | pa.Array") -> np.ndarray:
     return v.astype(np.int64, copy=False).view(np.uint64)
 
 
-def _add_salt(keys: list[str], salt: int):
-    from ..util import strip_schema_metadata
-
-    def add(b: pa.Table) -> pa.Table:
-        # metadata-bearing schemas (the parquet b'pandas' blob) are
-        # unhashable and defeat Ray's shuffle schema-dedup cache — strip
-        # here, the chokepoint every salted wide op passes through
-        b = strip_schema_metadata(b)
+def _hash_route(cols: list[str], keys: list[str], n: int):
+    """The keyed route of ``joins._co_partition``: project ``cols`` and
+    bucket every row on the multi-key hash of ``keys`` (``_col_hash``:
+    -0.0/NaN canonicalised, strings FNV) mod ``n``.  Every row of one key
+    tuple lands in one bucket."""
+    def route(b: pa.Table) -> pa.Table:
         h = np.zeros(len(b), dtype=np.uint64)
         for k in keys:
             h = (h * _MIX) ^ _col_hash(b[k])
-        return b.append_column("_gsalt", pa.array(
-            (h % np.uint64(salt)).astype(np.int64)))
+        return b.select(cols).append_column(
+            "_bucket", pa.array((h % np.uint64(n)).astype(np.int64)))
 
-    return add
+    return route
 
 
 def _sort_codes(vals: np.ndarray) -> np.ndarray:
@@ -218,8 +219,8 @@ def driver_group_rollup(ds, keys: list[str],
 
 def salted_group_reduce(ds, keys: list[str],
                         aggs: list[tuple[str | None, str, str]],
-                        *, salt: int = 64, carry: tuple[str, ...] = ()):
-    """groupby(keys) total reduction via one bounded-salt shuffle.
+                        *, carry: tuple[str, ...] = ()):
+    """groupby(keys) total reduction via one keyed co-partition.
 
     ``aggs``: (source_col, op, alias) with op in sum|min|max|count|first
     (source_col is ignored for count).  ``carry``: columns constant within
@@ -227,23 +228,36 @@ def salted_group_reduce(ds, keys: list[str],
     columns keys + carry + aliases; dtypes are preserved (int sums stay
     int64, strings stay utf8 — empty results keep utf8 via explicit types).
 
-    Ray's sort-shuffle cost scales with the BLOCK count of its input
-    (measured here: 0.82 s at 64 blocks vs 0.22 s at 8 for the same 500k
-    rows), so the input is narrowly repartitioned to ~cluster_CPUs/2
-    partitions before the wide step — enough reduce-side parallelism for
-    the <= ``salt`` groups, without the 64x64 task-matrix fixed cost, and
-    scaling with the cluster (more nodes -> more partitions).
+    The rows are routed on the multi-key hash (``_hash_route``) to
+    ``joins._bucket_count(ds)`` buckets of ``joins._co_partition``, which
+    sizes the shuffle (or runs one narrow task); ``_reduce_columns`` is a
+    total reduce across every key of its input, so each bucket is one
+    vectorized call with no per-key loop.
     """
-    def reduce_groups(g):
-        return _reduce_columns(lambda c: g[c].to_numpy(), keys, aggs, carry)
+    from .joins import _bucket_count, _co_partition
 
-    return (
-        ds.map_batches(_add_salt(keys, salt), batch_format="pyarrow",
-                       zero_copy_batch=True, batch_size=None)
-        .repartition(_default_shuffle_partitions())
-        .groupby("_gsalt")
-        .map_groups(reduce_groups, batch_format="pandas")
-    )
+    srcs = [s for s, op, _ in aggs if s is not None and op != "count"]
+    cols = list(dict.fromkeys([*keys, *carry, *srcs]))
+
+    def reduce_bucket(t: pa.Table) -> pa.Table:
+        return _reduce_columns(lambda c: t[c].to_numpy(), keys, aggs, carry)
+
+    return _co_partition([(ds, _hash_route(cols, keys, _bucket_count(ds)))], reduce_bucket)
+
+
+def _map_key_groups(ds, keys: list[str], cols: list[str], kernel):
+    """Ray's ``groupby(keys)`` + per-group ``kernel`` as one keyed
+    co-partition: the rows (projected to ``cols``) are routed on the hash
+    of ``keys`` (``_hash_route``) and ``kernel`` gets the Arrow rows of
+    every distinct key tuple of a bucket (``joins._by_bucket``; NULL keys
+    form one group).  Its outputs in one bucket must share one schema."""
+    from .joins import _bucket_count, _by_bucket, _co_partition
+
+    def per_bucket(t: pa.Table) -> pa.Table:
+        return pa.concat_tables(list(_by_bucket(t, kernel, keys)))
+
+    per_bucket.__name__ = kernel.__name__  # the stats' op label
+    return _co_partition([(ds, _hash_route(cols, keys, _bucket_count(ds)))], per_bucket)
 
 
 def _finalize_subtotals(reduced, upstream, keys: list[str], value_col: str | None,
@@ -305,7 +319,7 @@ def rollup_counts(ds, keys: list[str], value_col: str | None = None,
 
     ONE shuffle: each batch pre-aggregates every level locally (n+1 tiny
     group_bys over the already-reduced finest level), the tagged rows ride
-    one bounded-salt reduce.  Returns an eager driver-side ``pa.Table``:
+    one keyed reduce.  Returns an eager driver-side ``pa.Table``:
     keys..., n (count)[, sum_<value_col>] — keys must be low-cardinality
     (the bounded-group contract of :func:`_finalize_subtotals`, which also
     types the empty-input sum; ``empty_sum_type`` overrides it)."""
@@ -359,7 +373,7 @@ def rollup_counts(ds, keys: list[str], value_col: str | None = None,
     reduced = salted_group_reduce(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
                        batch_size=None),
-        keys, specs, salt=64)
+        keys, specs)
     return _finalize_subtotals(reduced, ds, keys, value_col, total_label,
                                has_grand_total=True, value_type=empty_sum_type)
 
@@ -373,7 +387,7 @@ def grouping_sets_counts(ds, keys: list[str], sets: list[tuple[str, ...]],
     all four subsets).  Same one-shuffle plan: each batch reduces to the
     finest level once, every requested set aggregates FROM that finest
     local partial (any subset is derivable from it), rolled-up keys get the
-    string sentinel, and all tagged rows ride one bounded-salt reduce.
+    string sentinel, and all tagged rows ride one keyed reduce.
 
     ``sets`` must be unique subsets of ``keys`` (duplicates would
     double-count).  Same string-key contract as rollup_counts (the sentinel
@@ -432,7 +446,7 @@ def grouping_sets_counts(ds, keys: list[str], sets: list[tuple[str, ...]],
     reduced = salted_group_reduce(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
                        batch_size=None),
-        keys, specs, salt=64)
+        keys, specs)
     return _finalize_subtotals(reduced, ds, keys, value_col, total_label,
                                has_grand_total=(() in (tuple(
                                    k for k in keys if k in st) for st in sets)),
@@ -460,9 +474,7 @@ def pivot_counts(ds, row_key: str, col_key: str, categories: list[str],
 
     def partial(b: pa.Table) -> pa.Table:
         b = strip_schema_metadata(b)
-        col = b[col_key]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = as_array(b[col_key])
         valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
         matched = np.zeros(len(b), dtype=bool)
         ind = {}

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..util import as_array
+
 
 def _embedding_matrix(col) -> np.ndarray:
     """list<float> column -> (n, d) float64 matrix.
@@ -18,7 +20,7 @@ def _embedding_matrix(col) -> np.ndarray:
     Uses ``flatten()`` (offset-aware — ``arr.values`` ignores slice offsets)
     and validates a fixed dimension from the offsets: ragged rows or nulls
     raise instead of silently reshaping misaligned data into wrong vectors."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    arr = as_array(col)
     n = len(arr)
     if n == 0:
         return np.zeros((0, 0), dtype=np.float64)

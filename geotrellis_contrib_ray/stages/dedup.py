@@ -7,7 +7,7 @@ groups with groupby; never move document bodies through the shuffle.
 
 Every exact-key dedup (derive a key, keep one winner per key: the
 reference's D1 window collapse) runs on one of two private primitives:
-``_keyed_reduce`` (one bounded-salt reduce, one row per key) or
+``_keyed_reduce`` (one keyed reduce, one row per key) or
 ``_keep_first_rows`` (one bucket shuffle keeping whole first rows).  Both
 hold one collision contract: the 64-bit key h1 travels with an independent
 64-bit hash h2, and a key whose h2 varies is refused (combined miss
@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..util import as_array
 from .agg import _default_shuffle_partitions
 
 _log = logging.getLogger("geotrellis_contrib_ray.dedup")
@@ -52,19 +53,15 @@ _NULL_TEXT_FP = np.int64(-0x61C8864680B583EB)
 _NULL_TEXT_H2 = np.int64(0x3C79AC492BA7B653)
 
 
-def _combined(col):
-    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-
-
 def _split_tokens(texts: pa.Array) -> tuple[pa.Array, np.ndarray]:
     """Space-split ``texts``: the flat token array and the int64 offsets
     (from 0, one per doc + 1) of each doc's tokens in it."""
-    toks = _combined(pc.split_pattern(texts, " "))
+    toks = as_array(pc.split_pattern(texts, " "))
     off_dt = np.int64 if pa.types.is_large_list(toks.type) else np.int32
     offs = np.frombuffer(toks.buffers()[1], dtype=off_dt)[
         toks.offset : toks.offset + len(texts) + 1].astype(np.int64)
     lo, hi = int(offs[0]), int(offs[-1])
-    return _combined(toks.values).slice(lo, hi - lo), offs - lo
+    return as_array(toks.values).slice(lo, hi - lo), offs - lo
 
 
 def _join_tokens(flat: pa.Array, offs: np.ndarray) -> pa.Array:
@@ -96,7 +93,7 @@ def _text_keys(text_col: str, null_group: bool):
     from .text import add_fingerprint, hash_utf8_array
 
     def keys(batch: pa.Table):
-        texts = _combined(batch[text_col])
+        texts = as_array(batch[text_col])
         valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
         if not null_group:
             batch, texts = batch.filter(pa.array(valid)), texts.filter(pa.array(valid))
@@ -121,7 +118,7 @@ def _keyed_reduce(ds, rows, aggs: list[tuple[str | None, str, str]], out=None):
     ``rows(batch)`` -> table (_key, _h2, *sources): the 64-bit signature
     hash h1, its independent check hash and the winner / payload columns —
     texts never move.  Every batch pre-aggregates per key (a key repeated
-    inside a block ships once), the partials ride ONE bounded-salt reduce,
+    inside a block ships once), the partials ride ONE keyed reduce,
     and a key whose h2 min != max is refused (_refuse_collision).
 
     ``aggs``: (source, op, alias) with op min | count (source None) | first
@@ -145,7 +142,6 @@ def _keyed_reduce(ds, rows, aggs: list[tuple[str | None, str, str]], out=None):
         [("_h2min", "min", "_h2min"), ("_h2max", "max", "_h2max")]
         + [(f"_p{i}", _COMBINE_OP[op], alias)
            for i, (_, op, alias) in enumerate(aggs)],
-        salt=256,
     )
 
     def finalize(b: pa.Table) -> pa.Table:
@@ -163,7 +159,7 @@ def _run_first(t: pa.Table, key: str, order: tuple[str, ...]) -> np.ndarray:
     equality (dictionary codes)."""
     if len(t) == 0:
         return np.zeros(0, np.int64)
-    k = _combined(t[key])
+    k = as_array(t[key])
     if pa.types.is_string(k.type) or pa.types.is_large_string(k.type):
         k = pc.dictionary_encode(k).indices
     k = k.to_numpy(zero_copy_only=False)
@@ -205,7 +201,7 @@ def _keep_first_rows(sides, order: tuple[str, ...], *, key: str = "_key",
             b = tag(b)
             if pre_collapse:
                 b = b.take(pa.array(_run_first(b, key, order)))
-            return b.append_column("_bucket", pa.array(_bucket_of(_combined(b[key]), n_buckets)))
+            return b.append_column("_bucket", pa.array(_bucket_of(as_array(b[key]), n_buckets)))
 
         return f
 
@@ -267,7 +263,7 @@ _MERSENNE = np.uint64((1 << 61) - 1)
 def _shingle_hashes(texts: pa.Array, k: int) -> list[np.ndarray]:
     """Per-row arrays of k-byte-shingle hashes (rolling polynomial, vectorized
     across rows via the shared utf8 buffer)."""
-    texts = texts.combine_chunks() if isinstance(texts, pa.ChunkedArray) else texts
+    texts = as_array(texts)
     n = len(texts)
     if n == 0:
         return []
@@ -479,7 +475,7 @@ def minhash_candidate_pairs(ds, num_perm=64, bands=16, shingle_k=5,
     from .agg import salted_group_reduce
 
     return salted_group_reduce(cand, ["id1", "id2"],
-                               [(None, "count", "n_bands")], salt=group_salt)
+                               [(None, "count", "n_bands")])
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1052,7 @@ def jaccard_similarity_join(ds, shingle_k: int = 5, threshold: float = 0.5,
     3. n_shared: salted_group_reduce(id1, id2) -> total sum of cnt, with
        sz1/sz2 carried (pure functions of the key).  Ray's native
        groupby.aggregate measured ~9 s on this stage's ~470k rows / ~31k
-       groups; the bounded-salt lexsort+reduceat plan measures ~0.3 s
+       groups; the keyed lexsort+reduceat reduce measures ~0.3 s
        (see stages/agg.py for the measurements).
     4. jaccard = n_shared / (sz1 + sz2 - n_shared) as one int64/int64 double
        division (bit-identical to the SQL oracle's CAST(... AS DOUBLE)/...).
@@ -1134,7 +1130,7 @@ def jaccard_similarity_join(ds, shingle_k: int = 5, threshold: float = 0.5,
              .groupby("gsalt").map_groups(pair_partials, batch_format="pandas"))
     shared = salted_group_reduce(
         pairs, ["id1", "id2"], [("cnt", "sum", "n_shared")],
-        salt=group_salt, carry=("sz1", "sz2"),
+        carry=("sz1", "sz2"),
     )
 
     def finalize(b: pa.Table) -> pa.Table:
@@ -1242,7 +1238,7 @@ def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
     df_ds = salted_group_reduce(
         ds.map_batches(tok_partials, batch_format="pyarrow",
                        zero_copy_batch=True, batch_size=None),
-        ["tok"], [("pdf", "sum", "df")], salt=256,
+        ["tok"], [("pdf", "sum", "df")],
     )
     # distributed materialization: blocks stay in the object store (spillable)
     # and count() is then free metadata — the tier switch never scans twice
@@ -1733,7 +1729,7 @@ def substring_match_pairs(ds, win: int = 32, stride: int = 16,
     Scale shape: narrow window extraction (distinct per doc) -> window
     strings salted by hash(g) % group_salt (equal windows co-locate, group
     COUNT stays bounded) -> vectorized equal-g run detection + triu pair
-    emission with IN-GROUP partial pair counts -> bounded-salt total sum.
+    emission with IN-GROUP partial pair counts -> keyed total sum.
     Exactness: grouping/verification is on the window STRING (Arrow/numpy
     equality), never only its hash — no false pairs from hash collisions.
     ``max_bucket=None`` (the default) emits EVERY pair so the operator
@@ -1812,7 +1808,7 @@ def _chunk_rows(batch: pa.Table, k_tokens: int, id_col: str, text_col: str,
     pc.split_pattern flattens the batch once, the chunk token lists are one
     take over the flat tokens, and pc.binary_join materializes the chunk
     strings in one kernel."""
-    texts = _combined(batch[text_col])
+    texts = as_array(batch[text_col])
     valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[valid]
     texts = texts.filter(pa.array(valid))
@@ -1903,7 +1899,7 @@ def paragraph_dedup(ds, k_tokens: int = 10, id_col: str = "doc_id",
         n_tot = g["n_total"].to_numpy(zero_copy_only=False)[starts]
         return pa.table({
             "doc_id": pa.array(doc[starts]),
-            "clean_text": _join_tokens(_combined(g["chunk"]),
+            "clean_text": _join_tokens(as_array(g["chunk"]),
                                        np.r_[0, np.cumsum(lens)]),
             "n_kept": pa.array(lens.astype(np.int64)),
             "n_total": pa.array(n_tot.astype(np.int64)),
@@ -1945,7 +1941,7 @@ def paragraph_dup_ratio(ds, k_tokens: int = 10, drop_above: float | None = None,
                              "paragraph_dup_ratio", finish=doc_partials)
     scored = salted_group_reduce(
         partials, ["doc_id"],
-        [("pn", "sum", "n_chunks"), ("pd", "sum", "n_dup_chunks")], salt=256)
+        [("pn", "sum", "n_chunks"), ("pd", "sum", "n_dup_chunks")])
 
     def finish(b: pa.Table) -> pa.Table:
         nn = b["n_chunks"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2270,9 +2266,7 @@ def edit_distance_pairs(ds, max_dist: int = 4, id_col: str = "doc_id",
         from ..util import strip_schema_metadata
 
         batch = strip_schema_metadata(batch)
-        texts = batch[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
+        texts = as_array(batch[text_col])
         valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
         ids_all = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         ids = ids_all[valid]
@@ -2483,7 +2477,7 @@ def bow_keep_first(ds, id_col: str = "doc_id", text_col: str = "text"):
     from .text import hash_utf8_array
 
     def sig_rows(batch: pa.Table) -> pa.Table:
-        texts = _combined(batch[text_col])
+        texts = as_array(batch[text_col])
         valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)[valid]
         texts = texts.filter(pa.array(valid)).cast(pa.string())
@@ -2551,7 +2545,7 @@ def priority_dedup_keep_best(ds, priority_of: dict, default_priority: int,
             raise ValueError("priority_dedup_keep_best: ids must fit 2^40")
         # vectorized priority lookup: unknown AND NULL sources take the
         # default (the SQL twin's CASE ... ELSE)
-        src = _combined(batch[source_col]).cast(pa.string())
+        src = as_array(batch[source_col]).cast(pa.string())
         prio = np.full(len(src), default_priority, np.int64)
         if len(srcs):
             pos = pc.index_in(src, value_set=src_set)

@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..util import as_array
 from .joins import bucketed_hash_join
 
 
@@ -212,7 +213,7 @@ def connected_components(edges, nodes, id_col: str = "node",
                                      zero_copy_batch=True, batch_size=None)
         # min-label per node: one group per NODE, so Ray's native aggregate
         # pays its per-group cost over the whole node table every round —
-        # the bounded-salt reduceat plan does the same total min in one
+        # the keyed reduceat plan does the same total min in one
         # bounded shuffle (stages/agg.py measurements)
         from .agg import salted_group_reduce
 
@@ -326,10 +327,7 @@ def neardup_clusters(ds, key_len: int = 10, id_col: str = "doc_id",
     from .text import hash_utf8_array
 
     def keys(b: pa.Table) -> pa.Table:
-        texts = b[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        texts = texts.cast(pa.string())
+        texts = as_array(b[text_col]).cast(pa.string())
         ids = b[id_col].combine_chunks().cast(pa.int64())
         # NULL texts carry NO keys (edgeless singletons, like the twin's
         # NULL substr keys) — hashing them would alias NULL with '' (the
@@ -382,7 +380,7 @@ def iterative_rank(edges, iters: int = 3, scale: int = 1_000_000,
       consumed once per iteration, so it is SPILLED TO PARQUET once (the
       persist-shared-projection rule — a corpus-wide edge set must not pin
       the object store); each iteration is one bucketed hash join (ranks
-      ride the shuffle, 16 B/row) plus one salted reduce of per-batch
+      ride the shuffle, 16 B/row) plus one keyed reduce of per-batch
       pre-aggregated contribution partials.
     - ``broadcast`` (node count <= max_broadcast_nodes AND source-set ==
       dst-set, i.e. undirected callers): ranks+degrees live in one

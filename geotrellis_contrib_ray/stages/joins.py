@@ -27,11 +27,17 @@ used: its aggregator-actor pool start-up dominates (sf0.1 lineitem x
 orders: bucketed b32 4.2 s vs native p32 25 s / p16 14 s).
 
 With ONE side it is the keyed wide step (``groupby(key).map_groups``, one
-vectorized kernel per bucket of keys) of the seven per-user ``windows`` ops,
-``stats.top_k_per_group``, ``graph.star_edges`` and the raster mosaic /
-pyramid / focal steps, with ``_bucket_count(ds)`` buckets:
-``max(default_join_partitions(), ceil(rows / _BUCKET_ROWS))``, ``rows`` from
-the input's parquet footer.  One hot key still fills one bucket."""
+vectorized kernel per bucket of keys) of the keyed total reduce
+(``agg.salted_group_reduce``, every rollup / cube / token-count / rank
+reduce), the per-key steps of ``agg._map_key_groups`` (the grouped
+quantiles and HLL merge, ``pack_sequences``' chunk offsets and
+``mixture_sample``'s prefix; ``_by_bucket`` iterates the keys of a
+bucket), the seven per-user ``windows`` ops, ``stats.top_k_per_group``,
+``graph.star_edges`` and the raster mosaic / pyramid / focal steps, with
+``_bucket_count(ds)`` buckets: ``max(default_join_partitions(), ceil(rows /
+_BUCKET_ROWS))``, ``rows`` from the input's parquet footer.  With two sides
+and no join it is ``pack_sequences``' doc-to-offset assignment.  One hot
+key still fills one bucket."""
 
 from __future__ import annotations
 
@@ -82,6 +88,23 @@ def _plan_leaf(ds) -> tuple[int | None, int | None]:
     except AttributeError:  # a Ray plan-API change loses the sizes, not the query
         return None, None
     return meta.num_rows, meta.size_bytes if leaf is op else None
+
+
+def _shuffled_blocks(ds) -> int | None:
+    """``k`` when the plan of ``ds`` is, below per-block maps, a sort over
+    ``repartition(k)`` — the output of a ``_co_partition`` shuffle, whose
+    sort keeps its input's ``k`` blocks — else None."""
+    try:
+        from ray.data._internal.logical.operators.all_to_all_operator import Repartition, Sort
+        from ray.data._internal.logical.operators.map_operator import AbstractUDFMap
+
+        op = ds._logical_plan.dag
+        while isinstance(op, AbstractUDFMap):
+            op = op.input_dependencies[0]
+        below = op.input_dependencies[0] if isinstance(op, Sort) else None
+        return below._num_outputs if isinstance(below, Repartition) else None
+    except (AttributeError, ImportError):  # a Ray plan-API change keeps the narrowing
+        return None
 
 
 def _bucket_count(ds) -> int:
@@ -163,18 +186,26 @@ def _key_route(cols: list[str], key: str, n: int):
     return route
 
 
-def _by_bucket(t: pa.Table, group):
-    """``group`` of every ``_bucket`` of ``t`` in ascending bucket order, as
-    ``map_groups`` calls it: one stable sort (a ``take`` of the rows, the
-    only copy) and zero-copy slices."""
+def _by_bucket(t: pa.Table, group, keys=("_bucket",)):
+    """``group`` of every distinct ``keys`` tuple of ``t`` (by default every
+    ``_bucket``, in ascending order, as ``map_groups`` calls it): one stable
+    sort (a ``take`` of the rows, the only copy) and zero-copy slices.  NULL
+    keys form one group, as in Ray's groupby (``agg._sort_codes``); the
+    per-key steps inside a bucket kernel iterate with it."""
     if not len(t):
         return
-    b = t["_bucket"].to_numpy()
-    order = np.argsort(b, kind="stable")
-    b = b[order]
-    starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+    from .agg import _sort_codes
+
+    codes = [_sort_codes(t[k].to_numpy()) for k in keys]
+    order = np.lexsort(codes[::-1])
+    change = np.zeros(len(order), bool)
+    change[0] = True
+    for c in codes:
+        c = c[order]
+        change[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(change)
     t = t.take(pa.array(order))
-    for s, e in zip(starts, np.r_[starts[1:], len(b)]):
+    for s, e in zip(starts, np.r_[starts[1:], len(t)]):
         yield group(t.slice(s, e - s))
 
 
@@ -192,9 +223,12 @@ def _co_partition(sides, per_group, schemas=None):
     16) — to ``_shuffle_blocks`` blocks: sized from the sides' bytes and the
     CPUs when every side is a plan leaf that reports its size and routes
     each row once, else ``agg._default_shuffle_partitions()``; wrap a route
-    that may copy a row into several buckets in ``_fans_out``.  Then it is
-    grouped on ``_bucket``; ``per_group(*rows)`` gets each side's routed
-    rows of one bucket (without ``_bucket``) and returns a table.
+    that may copy a row into several buckets in ``_fans_out``.  One side
+    that is already a shuffle's output of at most that many blocks
+    (``_shuffled_blocks``: a keyed reduce feeding a per-key step) is not
+    narrowed again.  Then it is grouped on ``_bucket``; ``per_group(*rows)``
+    gets each side's routed rows of one bucket (without ``_bucket``) and
+    returns a table.
 
     With ONE side, when that count is one block (one CPU, a leaf under
     ``target_max_block_size``) and the leaf reports its rows, a sort into
@@ -268,8 +302,10 @@ def _co_partition(sides, per_group, schemas=None):
                              zero_copy_batch=True, batch_size=None)
               for i, (ds, route) in enumerate(sides)]
     tagged = routed[0].union(*routed[1:]) if n_sides > 1 else routed[0]
-    return (tagged.repartition(n_blocks)
-            .groupby("_bucket").map_groups(group, batch_format="pyarrow"))
+    k = _shuffled_blocks(sides[0][0]) if n_sides == 1 else None
+    if k is None or k > n_blocks:  # a shuffle's output of <= n_blocks is narrow already
+        tagged = tagged.repartition(n_blocks)
+    return tagged.groupby("_bucket").map_groups(group, batch_format="pyarrow")
 
 
 def _join_schemas(left, right, how: str, schemas=None):
@@ -406,7 +442,7 @@ def skew_aware_join(left, right, on: str, *, hot_threshold: int = 100_000,
     in one bucket group.
 
     1. DETECT — skew.detect_hot_keys census over the LEFT side: per-batch
-       partial counts, salted reduce, the ``n > hot_threshold`` filter runs
+       partial counts, keyed reduce, the ``n > hot_threshold`` filter runs
        DISTRIBUTED so only the (tiny by definition) hot set reaches the
        driver; broadcast via ray.put.
     2. SPLIT+SALT — hot LEFT rows get ``_salt = arange % salt`` (any
@@ -732,7 +768,7 @@ def bloom_semi_join(left, right_keys, on: str, *, bits_log2: int = 23,
     survivors = left.map_batches(prefilter, batch_format="pyarrow",
                                  zero_copy_batch=True, batch_size=None)
 
-    # distinct right keys (per-batch collapse, then one bounded-salt
+    # distinct right keys (per-batch collapse, then one keyed
     # reduce — Ray's native aggregate pays ~1 ms/group at this group count,
     # see stages/agg.py)
     def batch_distinct(b: pa.Table) -> pa.Table:

@@ -11,7 +11,7 @@ by ordering on doc_id.  Distributed shape: a two-level prefix sum —
   2. chunk prefix offsets on the driver (broadcast via closure — at 10^12
      docs this level itself becomes a dataset and the same two steps recurse
      one level up; the chunk table is 1/chunk_size the corpus);
-  3. per-chunk groupby: within-chunk cumsum + broadcast offset -> seq_id.
+  3. one co-partition on chunk: within-chunk cumsum + offset -> seq_id.
 
 ``train_val_test_split`` tags each doc by a deterministic integer hash of
 its id — pure map, no shuffle, reproducible across runs and engines.
@@ -22,6 +22,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..util import as_array, worker_cached
+from .agg import _hash_route, _map_key_groups
 
 # split-hash constants (shared with the SQL oracle).  The id is reduced mod
 # SPLIT_P BEFORE multiplying so the product stays < 2^52 — identical exact
@@ -57,19 +60,20 @@ def pack_sequences(ds, budget: int, id_col: str = "doc_id", text_col: str = "tex
     one inherently sequential step; hierarchy makes every level bounded):
 
       1. per-chunk token totals (chunk = doc_id // chunk_size): partial
-         per-batch aggregation + one bounded-salt reduce — a DATASET of
+         per-batch aggregation + one keyed reduce — a DATASET of
          n/chunk_size rows, never collected;
       2. per-SUPER-chunk totals (sc = chunk // super_size): second partial
          reduce; only n/(chunk_size*super_size) rows reach the driver for
          the exclusive cumsum (10^12 docs at the 4096/4096 defaults ->
          ~60k driver rows), broadcast via ray.put;
-      3. chunk offsets: groupby(sc) over the level-1 dataset — within-sc
-         exclusive cumsum + the broadcast sc prefix (<= super_size rows per
-         group) -> a (chunk, _chunk_off) dataset;
-      4. final assignment: the chunk-offset rows are UNIONED with the doc
-         rows (tagged-union join — shares the one groupby(chunk) shuffle
-         instead of a second join stage); within each chunk group the
-         offset row seeds the doc-level cumsum.
+      3. chunk offsets: a keyed step on sc over the level-1 dataset
+         (``agg._map_key_groups``) — within-sc exclusive cumsum + the
+         broadcast sc prefix (<= super_size rows per group) -> a (chunk,
+         _chunk_off) dataset;
+      4. final assignment: the chunk-offset rows and the doc rows ride ONE
+         two-sided co-partition on chunk (``joins._co_partition``, no
+         separate join stage); within each chunk the offset row seeds the
+         doc-level cumsum.
 
     Only (doc_id, n_tokens, chunk) cross the wide step — the text column
     never shuffles.  Partitioning assumptions: one chunk (chunk_size docs)
@@ -97,7 +101,7 @@ def pack_sequences(ds, budget: int, id_col: str = "doc_id", text_col: str = "tex
 
     chunked = with_tok.map_batches(add_chunk, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
 
-    # level 1: per-chunk totals (partial per batch, bounded-salt reduce)
+    # level 1: per-chunk totals (partial per batch, keyed reduce)
     def chunk_partial(b: pa.Table) -> pa.Table:
         g = b.select(["chunk", "n_tokens"]).group_by("chunk", use_threads=False).aggregate(
             [("n_tokens", "sum")]
@@ -107,7 +111,7 @@ def pack_sequences(ds, budget: int, id_col: str = "doc_id", text_col: str = "tex
     from .agg import salted_group_reduce
 
     # chunk count scales with the corpus (max_id/chunk_size) — many-group
-    # total reduce via the bounded-salt plan (the ~40x rule, stages/agg.py)
+    # total reduce via the keyed-reduce plan (the ~40x rule, stages/agg.py)
     # materialize: chunk_tot feeds BOTH the super-chunk reduce and the
     # offsets stage — without this the whole corpus tokenize re-executes
     # per consumer (a Dataset consumed by two plans re-runs its upstream).
@@ -117,8 +121,6 @@ def pack_sequences(ds, budget: int, id_col: str = "doc_id", text_col: str = "tex
         chunked.map_batches(chunk_partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None),
         ["chunk"], [("ptok", "sum", "chunk_tokens")],
     ).materialize()
-
-    from .agg import _default_shuffle_partitions
 
     # ADAPTIVE tier split (chunk_tot is materialized, so count() is free):
     # when the chunk table itself is driver-sized, cumsum it directly and
@@ -164,70 +166,54 @@ def pack_sequences(ds, budget: int, id_col: str = "doc_id", text_col: str = "tex
             sc = b["chunk"].to_numpy(zero_copy_only=False).astype(np.int64) // super_size
             return b.append_column("_sc", pa.array(sc))
 
-        def chunk_offsets(g):
+        def chunk_offsets(g: pa.Table) -> pa.Table:
             import ray as _ray
 
-            base = int(_ray.get(sc_ref)[int(g["_sc"].iloc[0])])
-            g = g.sort_values("chunk", kind="mergesort")
-            tok = g["chunk_tokens"].to_numpy(dtype=np.int64)
+            sc_prefix = worker_cached("pack.sc_prefix", sc_ref.hex(), lambda: _ray.get(sc_ref))
+            base = int(sc_prefix[g["_sc"][0].as_py()])
+            chunk = g["chunk"].to_numpy().astype(np.int64)
+            o = np.argsort(chunk, kind="stable")
+            tok = g["chunk_tokens"].to_numpy().astype(np.int64)[o]
             off = base + np.concatenate([[0], np.cumsum(tok)[:-1]])
             return pa.table({
-                "chunk": pa.array(g["chunk"].to_numpy(dtype=np.int64)),
+                "chunk": pa.array(chunk[o]),
                 "_chunk_off": pa.array(off.astype(np.int64)),
             })
 
-        offsets = (chunk_tot.map_batches(add_sc, batch_format="pyarrow",
-                                         zero_copy_batch=True, batch_size=None)
-                   .repartition(_default_shuffle_partitions())
-                   .groupby("_sc").map_groups(chunk_offsets, batch_format="pandas"))
+        offsets = _map_key_groups(
+            chunk_tot.map_batches(add_sc, batch_format="pyarrow",
+                                  zero_copy_batch=True, batch_size=None),
+            ["_sc"], ["_sc", "chunk", "chunk_tokens"], chunk_offsets)
 
-    # level 4: tagged union (offset rows ride the same chunk shuffle as the
-    # doc rows — no separate join stage), then per-chunk cumsum + assignment
-    null_i64 = pa.int64()
+    # level 4: one two-sided co-partition on chunk (the offset rows ride the
+    # doc rows' shuffle — no separate join stage), then per-chunk cumsum +
+    # assignment
+    from .joins import _bucket_count, _by_bucket, _co_partition
 
-    def tag_docs(b: pa.Table) -> pa.Table:
-        return pa.table({
-            id_col: b[id_col],
-            "n_tokens": b["n_tokens"],
-            "chunk": b["chunk"],
-            "_chunk_off": pa.nulls(len(b), null_i64),
-        })
+    doc_cols = [id_col, "n_tokens", "chunk"]
+    i64 = pa.int64()
+    out_schema = pa.schema([(id_col, i64), ("n_tokens", i64), ("seq_id", i64)])
+    n = _bucket_count(chunked)
 
-    def tag_offs(b: pa.Table) -> pa.Table:
-        return pa.table({
-            id_col: pa.nulls(len(b), null_i64),
-            "n_tokens": pa.nulls(len(b), null_i64),
-            "chunk": b["chunk"],
-            "_chunk_off": b["_chunk_off"],
-        })
+    def assign(docs: pa.Table, offs: pa.Table) -> pa.Table:
+        chunk_off = dict(zip(offs["chunk"].to_pylist(), offs["_chunk_off"].to_pylist()))
 
-    unioned = (chunked.map_batches(tag_docs, batch_format="pyarrow",
-                                   zero_copy_batch=True, batch_size=None)
-               .union(offsets.map_batches(tag_offs, batch_format="pyarrow",
-                                          zero_copy_batch=True, batch_size=None))
-               .repartition(_default_shuffle_partitions()))
+        def one_chunk(g: pa.Table) -> pa.Table:
+            ids = g[id_col].to_numpy()
+            o = np.argsort(ids, kind="stable")
+            tok = g["n_tokens"].to_numpy()[o]
+            presum = chunk_off[g["chunk"][0].as_py()] + np.concatenate([[0], np.cumsum(tok)[:-1]])
+            return pa.table([pa.array(ids[o]), pa.array(tok), pa.array(presum // budget)],
+                            schema=out_schema)
 
-    def assign(g):
-        import pandas as pd
+        return pa.concat_tables([out_schema.empty_table(),
+                                 *_by_bucket(docs, one_chunk, ["chunk"])])
 
-        off_rows = g[g["_chunk_off"].notna()]
-        docs = g[g[id_col].notna()].sort_values(id_col, kind="mergesort")
-        if len(docs) == 0:
-            return pd.DataFrame({id_col: pd.Series([], dtype=np.int64),
-                                 "n_tokens": pd.Series([], dtype=np.int64),
-                                 "seq_id": pd.Series([], dtype=np.int64)})
-        chunk_off = int(off_rows["_chunk_off"].iloc[0])
-        tok = docs["n_tokens"].to_numpy(dtype=np.int64)
-        presum = chunk_off + np.concatenate([[0], np.cumsum(tok)[:-1]])
-        return pd.DataFrame(
-            {
-                id_col: docs[id_col].to_numpy(dtype=np.int64),
-                "n_tokens": tok,
-                "seq_id": (presum // budget).astype(np.int64),
-            }
-        )
-
-    return unioned.groupby("chunk").map_groups(assign, batch_format="pandas")
+    return _co_partition(
+        [(chunked, _hash_route(doc_cols, ["chunk"], n)),
+         (offsets, _hash_route(["chunk", "_chunk_off"], ["chunk"], n))],
+        assign, (pa.schema([(c, i64) for c in doc_cols]),
+                 pa.schema([("chunk", i64), ("_chunk_off", i64)])))
 
 
 def train_val_test_split(ds, id_col: str = "doc_id", val_pct: int = 10, test_pct: int = 10):
@@ -326,9 +312,7 @@ def chunk_batch_table(b: pa.Table, *, size: int, stride: int,
     ])
     if n == 0:
         return out_schema.empty_table()
-    arr = b[text_col].combine_chunks()
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.chunk(0) if arr.num_chunks else pa.array([], pa.string())
+    arr = as_array(b[text_col])
     # character lengths (SQL substr counts characters, not bytes)
     char_lens = pc.utf8_length(arr).to_numpy(zero_copy_only=False).astype(np.int64)
     byte_lens = pc.binary_length(arr).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -439,7 +423,7 @@ def mixture_sample(ds, budget_tokens: int, source_col: str = "source",
          sources x n_chunks rows, no all-to-all — agg.driver_group_rollup);
       3. driver computes each chunk's exclusive prefix within its source and
          broadcasts the offsets;
-      4. ONE groupby((source, chunk)): in-group sort by (hkey, id), local
+      4. ONE keyed step on (source, chunk): in-group sort by (hkey, id), local
          cumsum + chunk offset, keep presum < budget.  Group count is
          bounded; group size is ~corpus/(sources*n_chunks).
 
@@ -526,20 +510,11 @@ def mixture_sample(ds, budget_tokens: int, source_col: str = "source",
     off_ref = ray.put(offsets)
 
     def take_prefix(g: pa.Table) -> pa.Table:
-        if len(g) == 0:
-            return pa.table({source_col: pa.array([], pa.string()),
-                             id_col: pa.array([], pa.int64()),
-                             "n_tokens": pa.array([], pa.int64()),
-                             "presum": pa.array([], pa.int64())})
-        offs = ray.get(off_ref)
+        # one fetch per worker: a ray.get per (source, chunk) group cost ~3.6 ms
+        offs = worker_cached("pack.mixture_offsets", off_ref.hex(), lambda: ray.get(off_ref))
         src = g[source_col][0].as_py()
         chunk = int(g["_chunk"][0].as_py())
         base = offs.get((src, chunk), 0)
-        if base >= budget_tokens:
-            return pa.table({source_col: pa.array([], pa.string()),
-                             id_col: pa.array([], pa.int64()),
-                             "n_tokens": pa.array([], pa.int64()),
-                             "presum": pa.array([], pa.int64())})
         h = g["hkey"].to_numpy(zero_copy_only=False)
         ids = g[id_col].to_numpy(zero_copy_only=False)
         nt = g["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -555,8 +530,5 @@ def mixture_sample(ds, budget_tokens: int, source_col: str = "source",
             "presum": pa.array(presum[keep]),
         })
 
-    from .agg import _default_shuffle_partitions
-
-    return (keyed.repartition(_default_shuffle_partitions())
-            .groupby([source_col, "_chunk"])
-            .map_groups(take_prefix, batch_format="pyarrow"))
+    return _map_key_groups(keyed, [source_col, "_chunk"],
+                           [source_col, id_col, "n_tokens", "hkey", "_chunk"], take_prefix)

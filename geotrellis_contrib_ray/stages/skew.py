@@ -1,25 +1,16 @@
-"""Skew handling: explicit salting for hot keys in wide operations.
+"""Skew handling: hot-key census and the skew-safe keep-first.
 
 North-star requirement: "groupby-aggregate shuffles on cell keys with
-explicit salting for skewed hot cells".  Two layers:
-
-1. Associative *aggregations* (count/sum/min/max) are already skew-immune
-   here because every wide op is fed by an in-batch partial aggregation —
-   a hot key contributes ONE row per block to the shuffle regardless of its
-   row count (see stages/spatial.py).
-
-2. Associative *group reductions* that go through ``map_groups``
-   (merge-reduce) get the salted two-phase below: phase 1 reduces
-   (key, salt) sub-groups — a hot key's rows split across ``salt_buckets``
-   reducers — phase 2 reduces the <= salt_buckets partials per key.
-   Requires the reduce to be associative + commutative across sub-groups
-   (the caller asserts this by choosing this path).
+explicit salting for skewed hot cells".  Associative *aggregations*
+(count/sum/min/max) are already skew-immune here because every wide op is
+fed by an in-batch partial aggregation — a hot key contributes ONE row per
+block to the shuffle regardless of its row count (see stages/spatial.py).
 
 ``detect_hot_keys`` gives the cheap pre-pass: per-batch partial counts ->
-tiny groupby -> keys above a threshold; cold keys can skip the salt (salt=0)
-so phase 2 is a near-no-op for them.  Keep-first needs neither: the per-batch
-pre-collapse of ``dedup_keep_first_salted`` caps a hot key at one row per
-block, like layer 1.
+one keyed reduce -> keys above a threshold (``joins.skew_aware_join``
+salts only those).  Keep-first needs no census: the per-batch pre-collapse
+of ``dedup_keep_first_salted`` caps a hot key at one row per block, like
+the aggregations.
 """
 
 from __future__ import annotations
@@ -73,62 +64,6 @@ def detect_hot_keys(ds, keys: list[str], threshold: int,
     if len(keys) == 1:
         return set(hot[keys[0]].tolist())
     return set(map(tuple, hot[keys].to_numpy()))
-
-
-def salted_map_groups(
-    ds,
-    keys: list[str],
-    reduce_fn,
-    *,
-    salt_buckets: int = 16,
-    hot_keys: set | None = None,
-    batch_format: str = "pandas",
-):
-    """Two-phase salted group reduction for an associative ``reduce_fn``
-    (pandas group in -> pandas rows out, same schema both phases).
-
-    Phase 1 groups on keys + ``_salt`` (hot keys split across buckets, cold
-    keys all land in _salt=0); phase 2 re-reduces per key.  When ``hot_keys``
-    is None every key is salted (uniform protection).
-
-    SCALE CONTRACT: both phases group on the RAW key, paying ~1 ms/group
-    python overhead per distinct key (CLAUDE.md) — this generic-reduce_fn
-    utility is for BOUNDED key counts (hundreds).  For many-key reductions
-    use the vectorized plans instead: agg.salted_group_reduce (sum/min/max/
-    count/first) or dedup.exact_dedup_keep_first / dedup_keep_first_salted
-    below (keep-first)."""
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        if hot_keys is None:
-            salt = np.arange(n, dtype=np.int64) % salt_buckets
-        else:
-            if len(keys) == 1:
-                kv = batch[keys[0]].to_numpy(zero_copy_only=False)
-                is_hot = np.isin(kv, list(hot_keys)) if hot_keys else np.zeros(n, bool)
-            else:
-                kvs = list(zip(*[batch[k].to_numpy(zero_copy_only=False) for k in keys]))
-                is_hot = np.array([kv in hot_keys for kv in kvs])
-            salt = np.where(is_hot, np.arange(n, dtype=np.int64) % salt_buckets, 0)
-        from ..util import strip_schema_metadata
-
-        return strip_schema_metadata(batch).append_column("_salt", pa.array(salt))
-
-    def phase1(g):
-        out = reduce_fn(g.drop(columns=["_salt"]))
-        return out
-
-    def phase2(g):
-        return reduce_fn(g)
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    partials = salted.groupby(keys + ["_salt"]).map_groups(phase1, batch_format=batch_format)
-    if batch_format == "pandas":
-        # pandas-format blocks feeding a groupby pay ~13x (CLAUDE.md) —
-        # force Arrow blocks between the phases
-        partials = partials.map_batches(lambda b: b, batch_format="pyarrow",
-                                        zero_copy_batch=True, batch_size=None)
-    return partials.groupby(keys).map_groups(phase2, batch_format=batch_format)
 
 
 def dedup_keep_first_salted(ds, id_col: str = "doc_id", key_col: str = "fingerprint"):

@@ -453,7 +453,7 @@ def rasterize_count(ds, grid: GridExtent, value_col: str | None = None):
     aggs = [("pcnt", "sum", "n_points")]
     if value_col is not None:
         aggs.append(("psum", "sum", f"sum_{value_col}"))
-    # one group per grid cell — bounded-salt reduce (stages/agg.py)
+    # one group per grid cell — keyed reduce (stages/agg.py)
     return salted_group_reduce(part, ["col", "row"], aggs)
 
 

@@ -20,6 +20,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import _map_key_groups
+from .joins import _by_bucket
+
 
 def top_k_per_group(ds, group_col: str, order_col: str, k: int,
                     tie_col: str, ascending: bool = False,
@@ -81,8 +84,6 @@ def grouped_quantiles(ds, value_col: str, qs: tuple[float, ...],
     Output: (group_col?, q:float64, value: <value_col type>).
     Partitioning assumption: one GROUP's histogram fits a worker (domain-
     bounded, not corpus-bounded)."""
-    from ray.data.aggregate import Sum
-
     gcols = [group_col] if group_col else []
 
     def partial(b: pa.Table) -> pa.Table:
@@ -94,7 +95,7 @@ def grouped_quantiles(ds, value_col: str, qs: tuple[float, ...],
         return g.rename_columns(gcols + [value_col, "pcnt"])
 
     # histogram combine = a MANY-group total reduction (one group per
-    # distinct (group, value)): bounded-salt reduce, not raw groupby
+    # distinct (group, value)): keyed reduce, not raw groupby
     # aggregate (the ~40x rule, CLAUDE.md / stages/agg.py)
     from .agg import salted_group_reduce
 
@@ -106,7 +107,7 @@ def grouped_quantiles(ds, value_col: str, qs: tuple[float, ...],
 
     qarr = np.asarray(sorted(qs), dtype=np.float64)
 
-    def select(g):
+    def select(g: pa.Table) -> pa.Table:
         vals = g[value_col].to_numpy()
         cnts = g["cnt"].to_numpy().astype(np.int64)
         o = np.argsort(vals, kind="mergesort")
@@ -119,17 +120,15 @@ def grouped_quantiles(ds, value_col: str, qs: tuple[float, ...],
         idx = np.searchsorted(cum, ranks, side="left")
         cols = {}
         if group_col:
-            cols[group_col] = np.repeat(g[group_col].to_numpy()[:1], len(qarr))
+            cols[group_col] = g[group_col].take(np.zeros(len(qarr), np.int64))
         cols["q"] = qarr
         cols["value"] = v[idx]
         return pa.table(cols)
 
     if group_col:
-        return hist.groupby(group_col).map_groups(select, batch_format="pandas")
+        return _map_key_groups(hist, [group_col], [group_col, value_col, "cnt"], select)
     # global: the histogram is domain-bounded (small) — one final task
-    return hist.repartition(1).map_batches(
-        lambda b: select(b.to_pandas()), batch_format="pyarrow", batch_size=None
-    )
+    return hist.repartition(1).map_batches(select, batch_format="pyarrow", batch_size=None)
 
 
 def grouped_quantiles_cont(ds, value_col: str, qs: tuple[float, ...],
@@ -166,7 +165,7 @@ def grouped_quantiles_cont(ds, value_col: str, qs: tuple[float, ...],
 
     qarr = sorted({float(q) for q in qs})
 
-    def select(g):
+    def select(g: pa.Table) -> pa.Table:
         vals = g[value_col].to_numpy().astype(np.float64)
         cnts = g["cnt"].to_numpy().astype(np.int64)
         o = np.argsort(vals, kind="mergesort")
@@ -184,17 +183,17 @@ def grouped_quantiles_cont(ds, value_col: str, qs: tuple[float, ...],
             out_q.append(q)
             out_v.append(lo_v + (hi_v - lo_v) * frac)
         return pa.table({
-            group_col: np.repeat(g[group_col].to_numpy()[:1], len(qarr)),
+            group_col: g[group_col].take(np.zeros(len(qarr), np.int64)),
             "q": pa.array(out_q, pa.float64()),
             "value": pa.array(out_v, pa.float64()),
         })
 
-    return hist.groupby(group_col).map_groups(select, batch_format="pandas")
+    return _map_key_groups(hist, [group_col], [group_col, value_col, "cnt"], select)
 
 
 def grouped_mode(ds, group_col: str, value_col: str):
     """Exact per-group MODE (most frequent value; ties -> smallest value):
-    per-batch (group, value) count partials, ONE bounded-salt shuffle to
+    per-batch (group, value) count partials, ONE keyed-reduce shuffle to
     total the histogram, then the top-k winner merge (k=1) — never a
     per-group python pass at corpus-scale group counts, and the shuffle
     moves one row per distinct (group, value) per block, not the corpus.
@@ -344,12 +343,8 @@ def grouped_count_distinct_hll(ds, group_col: str, value_col: str, p: int = 12):
         raise ValueError("grouped_count_distinct_hll requires p >= 12")
     m = 1 << p
 
-    def sketch(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            return pa.table({group_col: pa.array([], b.schema.field(group_col).type),
-                             "regs": pa.array([], pa.binary())})
-        gv = b[group_col].to_numpy(zero_copy_only=False)
-        vals = b[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def sketch_group(g: pa.Table) -> pa.Table:
+        vals = g[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         h = _hll_mix(vals)
         idx = (h >> np.uint64(64 - p)).astype(np.int64)
         rest = (h << np.uint64(p)) | np.uint64(1 << (p - 1))  # sentinel caps rank
@@ -357,31 +352,29 @@ def grouped_count_distinct_hll(ds, group_col: str, value_col: str, p: int = 12):
         # (bits >> 52) - 1023 = floor(log2 v), so clz = 1086 - (bits >> 52)
         # (validated exactly against bit_length over the full range)
         rank = (1087 - (rest.astype(np.float64).view(np.int64) >> 52)).astype(np.uint8)
-        order = np.argsort(gv, kind="stable")
-        g, i, r = gv[order], idx[order], rank[order]
-        starts = np.nonzero(np.r_[True, g[1:] != g[:-1]])[0]
-        out_groups, out_regs = [], []
-        bounds = np.r_[starts, len(g)]
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            regs = np.zeros(m, np.uint8)
-            np.maximum.at(regs, i[s:e], r[s:e])
-            out_groups.append(g[s])
-            out_regs.append(regs.tobytes())
-        return pa.table({group_col: pa.array(out_groups),
-                         "regs": pa.array(out_regs, pa.binary())})
-
-    def merge(grp):
         regs = np.zeros(m, np.uint8)
-        for buf in grp["regs"]:
-            regs = np.maximum(regs, np.frombuffer(buf, np.uint8))
+        np.maximum.at(regs, idx, rank)
+        return pa.table({group_col: g[group_col].slice(0, 1),
+                         "regs": pa.array([regs.tobytes()], pa.binary())})
+
+    def sketch(b: pa.Table) -> pa.Table:
+        if len(b) == 0:
+            return pa.table({group_col: pa.array([], b.schema.field(group_col).type),
+                             "regs": pa.array([], pa.binary())})
+        return pa.concat_tables(list(_by_bucket(b.select([group_col, value_col]),
+                                                sketch_group, [group_col])))
+
+    def merge(g: pa.Table) -> pa.Table:
+        # one row per block that saw the group: a (blocks, m) register max
+        regs = np.frombuffer(b"".join(g["regs"].to_pylist()), np.uint8).reshape(-1, m)
         return pa.table({
-            group_col: pa.array([grp[group_col].iloc[0]]),
-            "n_approx": pa.array([int(round(_hll_estimate(regs)))], pa.int64()),
+            group_col: g[group_col].slice(0, 1),
+            "n_approx": pa.array([int(round(_hll_estimate(regs.max(axis=0))))], pa.int64()),
         })
 
     part = ds.map_batches(sketch, batch_format="pyarrow", zero_copy_batch=True,
                           batch_size=None)
-    return part.groupby(group_col).map_groups(merge, batch_format="pandas")
+    return _map_key_groups(part, [group_col], [group_col, "regs"], merge)
 
 
 def _resolve_order_stats(ds, value_col: str, ranks_of_n, coarse_bits: int,
@@ -416,7 +409,7 @@ def _resolve_order_stats(ds, value_col: str, ranks_of_n, coarse_bits: int,
         red = salted_group_reduce(
             src.map_batches(partial, batch_format="pyarrow",
                             zero_copy_batch=True, batch_size=None),
-            ["bin"], [("pcnt", "sum", "cnt")], salt=64)
+            ["bin"], [("pcnt", "sum", "cnt")])
         t = pa.concat_tables(
             list(red.iter_batches(batch_size=None, batch_format="pyarrow"))
             or [pa.table({"bin": pa.array([], pa.int64()),

@@ -13,6 +13,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..util import as_array
+
 
 def add_token_stats(batch: pa.Table) -> pa.Table:
     """n_tokens = whitespace-separated token count (single-space convention,
@@ -63,9 +65,7 @@ class QualityScorer:
         self.stop = pa.array(list(STOP_WORDS), pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
+        texts = as_array(batch["text"])
 
         def count(pattern: str) -> np.ndarray:
             # null text -> null count -> NaN through numpy; treat as 0 (the
@@ -77,8 +77,6 @@ class QualityScorer:
         # stopword count: split on the complement class, flatten the whole
         # batch's tokens, one is_in, segment-sum back per doc
         toks = pc.split_pattern_regex(texts, self.split_regex)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
         flat = toks.flatten()
         hits = pc.is_in(flat, value_set=self.stop).to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -118,9 +116,7 @@ def hash_utf8_array(texts, seed: int = 0) -> np.ndarray:
     shuffle round-trips).  Offset-aware (sliced arrays hash correctly).
     ``seed`` xors the init basis — a second independent 64-bit family for
     collision cross-checks (see dedup.exact_dedup_groups)."""
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    texts = texts.cast(pa.string())
+    texts = as_array(texts).cast(pa.string())
     n = len(texts)
     if n == 0:
         return np.zeros(0, np.int64)
@@ -230,9 +226,7 @@ def tfidf_top_terms(ds, top_n: int = 3, id_col: str = "doc_id",
         # NULL unnests to zero rows); unfiltered they crash the np.repeat
         # below (NULL list lengths surface as NaN)
         b = b.filter(pc.is_valid(b[text_col]))
-        toks = pc.split_pattern(b[text_col], " ")
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = as_array(pc.split_pattern(b[text_col], " "))
         ids = b[id_col].combine_chunks().cast(pa.int64())
         lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         flat_ids = pa.array(np.repeat(ids.to_numpy(zero_copy_only=False), lens))
@@ -300,10 +294,7 @@ def repetition_stats(ds, k: int = 5, id_col: str = "doc_id",
     def stats(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        texts = b[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        texts = texts.cast(pa.string())
+        texts = as_array(b[text_col]).cast(pa.string())
         nch = pc.fill_null(pc.utf8_length(texts), 0).to_numpy(
             zero_copy_only=False).astype(np.int64)
         grams = np.maximum(nch - k + 1, 0)
@@ -366,19 +357,19 @@ def vocab_coverage(ds, top_v: int = 32, id_col: str = "doc_id",
 
     def token_tf(b: pa.Table) -> pa.Table:
         toks = pc.split_pattern(b[text_col], " ")
-        flat = toks.combine_chunks().flatten() if isinstance(toks, pa.ChunkedArray) else toks.flatten()
+        flat = as_array(toks).flatten()
         t = pa.table({"tok": flat})
         g = t.group_by("tok", use_threads=False).aggregate([([], "count_all")])
         return pa.table({"tok": g["tok"], "c": g["count_all"].cast(pa.int64())})
 
     from .agg import salted_group_reduce
 
-    # one group per distinct token: bounded-salt reduce instead of the
+    # one group per distinct token: keyed reduce instead of the
     # per-group-cost native aggregate (stages/agg.py measurements)
     counts = salted_group_reduce(
         ds.map_batches(token_tf, batch_format="pyarrow", zero_copy_batch=True,
                        batch_size=None),
-        ["tok"], [("c", "sum", "n")], salt=256,
+        ["tok"], [("c", "sum", "n")],
     )
     # top-V selection: per-block partial top-V, tiny driver merge — a full
     # Dataset.sort range-shuffles every (token, count) row just to keep 32
@@ -396,10 +387,7 @@ def vocab_coverage(ds, top_v: int = 32, id_col: str = "doc_id",
     vocab = pa.array(tt[sel], pa.string())
 
     def score(b: pa.Table) -> pa.Table:
-        toks = b[text_col]
-        toks = pc.split_pattern(toks, " ")
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = as_array(pc.split_pattern(b[text_col], " "))
         flat = toks.flatten()
         hits = pc.is_in(flat, value_set=vocab).to_numpy(zero_copy_only=False).astype(np.int64)
         # null texts -> null list lengths -> NaN; a raw int64 cast would
@@ -465,7 +453,7 @@ def top_bigrams(ds, k: int = 20, text_col: str = "text"):
 
     Scale shape (vocab_coverage's plan): per-batch bigram tf (one Arrow
     group_by inside the block — only (bigram, count) partials ever cross the
-    wire) -> ONE bounded-salt reduce -> per-block partial top-k -> tiny
+    wire) -> ONE keyed reduce -> per-block partial top-k -> tiny
     driver merge.  Tokenization is split-on-single-space, empty tokens
     preserved; a bigram is tokens i, i+1 of the SAME doc joined with one
     space — bit-identical to the DuckDB twin's
@@ -478,7 +466,7 @@ def top_bigrams(ds, k: int = 20, text_col: str = "text"):
     counts = salted_group_reduce(
         ds.map_batches(bigram_tf, batch_format="pyarrow", zero_copy_batch=True,
                        batch_size=None),
-        ["bigram"], [("c", "sum", "n")], salt=256,
+        ["bigram"], [("c", "sum", "n")],
     )
 
     def block_top(b: pa.Table) -> pa.Table:
@@ -503,9 +491,7 @@ def _bigram_tf_fn(text_col: str):
     import pyarrow.compute as pc
 
     def bigram_tf(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(b[text_col], " ")
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = as_array(pc.split_pattern(b[text_col], " "))
         n = len(toks)
         empty = pa.table({"bigram": pa.array([], pa.string()),
                           "c": pa.array([], pa.int64())})
@@ -522,8 +508,6 @@ def _bigram_tf_fn(text_col: str):
         left_idx = (np.repeat(doc_offs[:-1], nb)
                     + np.arange(total) - np.repeat(np.cumsum(nb) - nb, nb))
         flat = toks.values
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
         left = flat.take(pa.array(left_idx))
         right = flat.take(pa.array(left_idx + 1))
         bg = pc.binary_join_element_wise(left, right, " ")
@@ -557,7 +541,7 @@ def top_bigrams_hh(ds, k: int = 20, text_col: str = "text",
        the largest DROPPED count is the block's error bound and rides the
        same reduce under the space-free sentinel key (``_HH_DROP_KEY``,
        which no bigram — always exactly one space — can equal);
-    2. ONE bounded-salt reduce over blocks x capacity summary rows (vs the
+    2. ONE keyed reduce over blocks x capacity summary rows (vs the
        exact tier's blocks x distinct rows); driver pulls the global
        top-(k + slack) partial sums + total_drop = sum of block bounds;
     3. rescue pass: exact counts for ONLY the candidate set (broadcast
@@ -597,7 +581,7 @@ def top_bigrams_hh(ds, k: int = 20, text_col: str = "text",
     counts = salted_group_reduce(
         ds.map_batches(summarize, batch_format="pyarrow",
                        zero_copy_batch=True, batch_size=None),
-        ["bigram"], [("c", "sum", "n")], salt=256,
+        ["bigram"], [("c", "sum", "n")],
     )
     kpad = k + slack
 
@@ -672,7 +656,7 @@ def regex_token_counts(ds, pattern: str, text_col: str = "text"):
     raises ValueError), so the compiled program makes a single
     C-level pass per batch instead of a per-row python loop; matches are
     count-reduced inside the batch (np.unique) and only (tok, count)
-    partials shuffle through one bounded-salt reduce.  Output: Dataset
+    partials shuffle through one keyed reduce.  Output: Dataset
     (tok:string, n:int64), one row per distinct match text.
 
     SQL twin: ``unnest(regexp_extract_all(text, pat))`` + GROUP BY — python
@@ -693,10 +677,7 @@ def regex_token_counts(ds, pattern: str, text_col: str = "text"):
     def partial(b: pa.Table) -> pa.Table:
         # the pattern rides as a plain string; each worker compiles it once
         rx = worker_cached("text.regex", pattern, lambda: re.compile(pattern))
-        texts = b[text_col]
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        texts = texts.drop_null().cast(pa.string())
+        texts = as_array(b[text_col]).drop_null().cast(pa.string())
         empty = pa.table({"tok": pa.array([], pa.string()),
                           "c": pa.array([], pa.int64())})
         if len(texts) == 0:
@@ -720,4 +701,4 @@ def regex_token_counts(ds, pattern: str, text_col: str = "text"):
 
     rows = ds.map_batches(partial, batch_format="pyarrow",
                           zero_copy_batch=True, batch_size=None)
-    return salted_group_reduce(rows, ["tok"], [("c", "sum", "n")], salt=256)
+    return salted_group_reduce(rows, ["tok"], [("c", "sum", "n")])

@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core import geom as geommod
+from ..util import as_array
 
 
 def encode_points_wkb(batch: pa.Table, x_col: str = "x", y_col: str = "y") -> pa.Table:
@@ -45,7 +46,7 @@ def decode_point_wkb(batch: pa.Table, col: str = "wkb") -> pa.Table:
 
     Falls back to the general parser for rows that aren't plain LE points
     (hex strings, EWKB with SRID, other geometry types)."""
-    arr = batch[col].combine_chunks() if isinstance(batch[col], pa.ChunkedArray) else batch[col]
+    arr = as_array(batch[col])
     n = len(arr)
     offs = np.frombuffer(arr.buffers()[1], dtype=np.int32)[arr.offset : arr.offset + n + 1]
     data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)

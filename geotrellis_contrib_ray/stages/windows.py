@@ -37,7 +37,7 @@ def tumbling_window_agg(ds, window_sec: int = 3600):
 
     part = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,)
     # window count grows with the stream's time range — many-group total
-    # reduce via the bounded-salt plan (the ~40x rule, stages/agg.py)
+    # reduce via the keyed-reduce plan (the ~40x rule, stages/agg.py)
     return salted_group_reduce(
         part, ["event_type", "window_start"],
         [("psum", "sum", "sum_cents"), ("pcnt", "sum", "n_events")],
@@ -464,7 +464,7 @@ def window_distinct_users(ds, window_sec: int = 3600):
 
     # global distinct (window, user): one group per pair, so Ray's native
     # aggregate pays per-group cost over every distinct pair — the
-    # bounded-salt reduce does the same distinct in one bounded shuffle
+    # keyed reduce does the same distinct in one bounded shuffle
     dedup = salted_group_reduce(
         ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True,
                        batch_size=None),

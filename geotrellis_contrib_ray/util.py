@@ -58,3 +58,15 @@ def strip_schema_metadata(b):
     if s.metadata is None and all(f.metadata is None for f in s):
         return b
     return b.cast(pa.schema([pa.field(f.name, f.type) for f in s]))
+
+
+def as_array(col):
+    """One Arrow Array of ``col``: a one-chunk ``ChunkedArray`` gives its
+    chunk as is (no copy, and it may be a slice: a reader of raw buffers
+    honours ``.offset``), a ``ChunkedArray`` of several chunks or none is
+    combined into one, an Array comes back unchanged."""
+    import pyarrow as pa
+
+    if not isinstance(col, pa.ChunkedArray):
+        return col
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()

@@ -9,11 +9,17 @@ from geotrellis_contrib_ray.stages.agg import salted_group_reduce
 
 
 def _run(ds_table, keys, aggs, **kw):
+    """salted_group_reduce over ``ds_table`` behind a map (always the
+    shuffle) and as a plan leaf (``from_arrow``: the one-task tier at one
+    CPU); both inputs must give the same rows, which are returned."""
     import ray
 
-    ds = ray.data.from_arrow(ds_table).map_batches(
-        lambda b: b, batch_format="pyarrow", zero_copy_batch=True)
-    return salted_group_reduce(ds, keys, aggs, **kw).to_pandas()
+    leaf = ray.data.from_arrow(ds_table)
+    mapped = leaf.map_batches(lambda b: b, batch_format="pyarrow", zero_copy_batch=True)
+    got, got_leaf = (salted_group_reduce(ds, keys, aggs, **kw).to_pandas()
+                     .sort_values(keys).reset_index(drop=True) for ds in (mapped, leaf))
+    pd.testing.assert_frame_equal(got, got_leaf)
+    return got
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -28,8 +34,7 @@ def test_salted_reduce_matches_pandas_int_keys(ray_session, seed):
     })
     got = _run(t, ["k1", "k2"],
                [("v", "sum", "vs"), ("v", "min", "vmin"), ("v", "max", "vmax"),
-                (None, "count", "cnt"), ("f", "max", "fmax")],
-               salt=16)
+                (None, "count", "cnt"), ("f", "max", "fmax")])
     got = got.sort_values(["k1", "k2"]).reset_index(drop=True)
     df = t.to_pandas()
     exp = (df.groupby(["k1", "k2"], as_index=False)
@@ -61,7 +66,7 @@ def test_salted_reduce_string_keys_and_carry(ray_session):
         "car": pa.array(carry),
         "v": pa.array(src),
     })
-    got = _run(t, ["lang", "kid"], [("v", "sum", "vs")], carry=("car",), salt=8)
+    got = _run(t, ["lang", "kid"], [("v", "sum", "vs")], carry=("car",))
     got = got.sort_values(["lang", "kid"]).reset_index(drop=True)
     df = t.to_pandas()
     exp = (df.groupby(["lang", "kid"], as_index=False)
@@ -107,6 +112,41 @@ def test_salted_reduce_null_and_negzero_keys(ray_session):
     out = salted_group_reduce(ds, ["k"], [("s", "sum", "s")]).to_pandas()
     got = dict(zip(out["k"], out["s"]))
     assert got == {0.0: 3, 1.0: 4}
+
+
+def test_salted_reduce_dtypes_keep_schema(ray_session):
+    """A bool value, a nullable-int value, float keys with -0.0/NaN and
+    string keys with NULL vs '': every output block, over both inputs, has
+    one fixed schema (a nullable int reduces to float64), NULL and '' stay
+    apart, -0.0 joins 0.0 and NaNs group."""
+    import ray
+    import ray.data as rd
+
+    nan = float("nan")
+    t = pa.table({
+        "fk": pa.array([0.0, -0.0, nan, nan, nan, 1.5, 1.5, 1.5], pa.float64()),
+        "sk": pa.array(["", "", None, None, "", None, "", ""], pa.string()),
+        "b": pa.array([True, False, True, True, False, False, True, False]),
+        "ni": pa.array([1, None, None, 4, None, None, 7, None], pa.int64()),
+    })
+    aggs = [("b", "max", "bmax"), ("b", "min", "bmin"), ("ni", "sum", "nisum"),
+            ("ni", "max", "nimax"), (None, "count", "n")]
+    schema = pa.schema([("fk", pa.float64()), ("sk", pa.string()), ("bmax", pa.bool_()),
+                        ("bmin", pa.bool_()), ("nisum", pa.float64()),
+                        ("nimax", pa.float64()), ("n", pa.int64())])
+    leaf = rd.from_arrow(t)
+    for ds in (leaf.map_batches(lambda b: b, batch_format="pyarrow"), leaf):
+        out = salted_group_reduce(ds, ["fk", "sk"], aggs).materialize()
+        blocks = [b for b in ray.get(out.to_arrow_refs()) if b.num_rows]
+        assert blocks and all(b.schema == schema for b in blocks)
+        rows = pa.concat_tables(blocks).to_pylist()
+        got = {("nan" if r["fk"] != r["fk"] else r["fk"], r["sk"]): (r["bmax"], r["bmin"], r["n"])
+               for r in rows}
+        assert got == {(0.0, ""): (True, False, 2), (1.5, ""): (True, False, 2),
+                       (1.5, None): (False, False, 1), ("nan", ""): (False, False, 1),
+                       ("nan", None): (True, True, 2)}
+        # every group holds a NULL ni: its sum and max are NaN
+        assert all(r["nisum"] != r["nisum"] and r["nimax"] != r["nimax"] for r in rows)
 
 
 def test_reduce_columns_empty_table(ray_session):

@@ -41,26 +41,12 @@ def test_cell_center_within_bounds():
     assert lat0 <= 40.5 <= lat1 and lng0 <= -77.5 <= lng1
 
 
-def test_cells_for_bbox_cover():
-    cover = cells.cells_for_bbox(40.0, -78.0, 40.5, -77.0, 10)
-    # every sampled interior point's cell is in the cover
-    for lat in np.linspace(40.0, 40.4999, 7):
-        for lng in np.linspace(-78.0, -77.0001, 7):
-            c = cells.latlng_to_cell([lat], [lng], 10)[0]
-            assert c in set(cover.tolist())
-
-
 def test_zxy_known_values():
     # classic OSM example: (lat=41.85, lon=-87.65) at z=3 -> (2, 2) ... at z=0 -> (0,0)
     x, y = cells.lnglat_to_zxy([-87.65], [41.85], 3)
     assert (x[0], y[0]) == (2, 2)
     x, y = cells.lnglat_to_zxy([0.0], [0.0], 1)
     assert (x[0], y[0]) == (1, 1)
-
-
-def test_zxy_parent():
-    x, y = cells.zxy_to_parent([5], [7], 1)
-    assert (x[0], y[0]) == (2, 3)
 
 
 def test_add_geohash_matches_classic_subdivision():

@@ -702,3 +702,33 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
         assert "Sort" in [name for name, _ in _new_ops(ds, leaves)]
     assert rows(hj).equals(joined)
     assert rows(mapped).equals(joined)
+
+
+def test_keyed_step_over_a_keyed_reduce_is_not_narrowed_again(ray_session):
+    """A one-sided co-partition whose input is already a shuffle's output of
+    at most its block count (a keyed reduce feeding a per-key step, the
+    grouped quantiles' shape) adds its sort but no second Repartition, and
+    its answer equals pandas."""
+    import ray.data as rd
+
+    from geotrellis_contrib_ray.stages.agg import _map_key_groups, salted_group_reduce
+
+    rng = np.random.default_rng(5)
+    t = pa.table({"g": rng.integers(0, 9, 3000), "v": rng.integers(0, 40, 3000)})
+    mapped = rd.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow")
+    hist = salted_group_reduce(mapped, ["g", "v"], [(None, "count", "n")])
+
+    def mode(g: pa.Table) -> pa.Table:
+        return g.sort_by([("n", "descending"), ("v", "ascending")]).slice(0, 1)
+
+    out = _map_key_groups(hist, ["g"], ["g", "v", "n"], mode)
+    names, op = [], out._logical_plan.dag
+    while op is not None:
+        names.append(type(op).__name__)
+        op = op.input_dependencies[0] if op.input_dependencies else None
+    assert names.count("Repartition") == 1 and names.count("Sort") == 2, names
+    got = out.to_pandas().sort_values("g").reset_index(drop=True)
+    exp = (t.to_pandas().value_counts(["g", "v"]).rename("n").reset_index()
+           .sort_values(["g", "n", "v"], ascending=[True, False, True])
+           .groupby("g").head(1).reset_index(drop=True))
+    assert got[["g", "v", "n"]].values.tolist() == exp[["g", "v", "n"]].values.tolist()

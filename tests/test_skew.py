@@ -1,13 +1,9 @@
-"""Salted two-phase reduction vs plain groupby on skewed keys."""
+"""Hot-key census and skew-safe keep-first vs plain groupby on skewed keys."""
 
 import numpy as np
 import pyarrow as pa
 
-from geotrellis_contrib_ray.stages.skew import (
-    dedup_keep_first_salted,
-    detect_hot_keys,
-    salted_map_groups,
-)
+from geotrellis_contrib_ray.stages.skew import dedup_keep_first_salted, detect_hot_keys
 
 
 def _skewed_ds(n=20_000):
@@ -47,40 +43,6 @@ def test_salted_keep_first_matches_plain(ray_session):
         .reset_index(drop=True)
     )
     assert plain.equals(salted)
-    # uniform salting (no hot-key census) also matches
-    uniform = (
-        salted_map_groups(ds, ["fingerprint"], keep_first, salt_buckets=8)
-        .to_pandas()
-        .sort_values("fingerprint")
-        .reset_index(drop=True)
-    )
-    assert plain.equals(uniform)
-
-
-def test_salted_sum_reduction(ray_session):
-    import pandas as pd
-
-    ds = _skewed_ds(10_000)
-
-    def sum_reduce(g):
-        return pd.DataFrame(
-            {"fingerprint": [g["fingerprint"].iloc[0]], "doc_id": [np.int64(g["doc_id"].sum())]}
-        )
-
-    got = (
-        salted_map_groups(ds, ["fingerprint"], sum_reduce, salt_buckets=4)
-        .to_pandas()
-        .sort_values("fingerprint")
-        .reset_index(drop=True)
-    )
-    exp = (
-        ds.to_pandas()
-        .groupby("fingerprint", as_index=False)["doc_id"]
-        .sum()
-        .sort_values("fingerprint")
-        .reset_index(drop=True)
-    )
-    assert got["doc_id"].tolist() == exp["doc_id"].tolist()
 
 
 def test_detect_hot_keys_many_distinct(ray_session):

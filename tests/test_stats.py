@@ -142,6 +142,37 @@ def test_hll_grouped_count_distinct_accuracy(ray_session):
     assert abs(got[0] - truth[0]) <= 1
 
 
+def test_grouped_steps_null_group_key(ray_session):
+    """A NULL group key is one group, apart from '', in the quantile and
+    HLL per-key steps, and keeps the key's string type; over a plan leaf
+    (the one-task tier at one CPU) and behind a shuffle alike."""
+    import ray.data as rd
+
+    from geotrellis_contrib_ray.stages.stats import (
+        grouped_count_distinct_hll,
+        grouped_quantiles_cont,
+    )
+
+    t = pa.table({"g": pa.array(["a", None, "a", None, "", None, "a"], pa.string()),
+                  "v": pa.array([1, 5, 3, 7, 2, 9, 3], pa.int64())})
+    leaf = rd.from_arrow(t)
+    for ds in (leaf, leaf.repartition(3)):
+        runs = {
+            "disc": grouped_quantiles(ds, "v", qs=(0.5,), group_col="g"),
+            "cont": grouped_quantiles_cont(ds, "v", qs=(0.5,), group_col="g"),
+            "hll": grouped_count_distinct_hll(ds, "g", "v"),
+        }
+        got = {}
+        for name, out in runs.items():
+            rows = out.take_all()
+            assert all(type(r["g"]) in (str, type(None)) for r in rows), name
+            col = "n_approx" if name == "hll" else "value"
+            got[name] = {r["g"]: r[col] for r in rows}
+        assert got["disc"] == {"a": 3, None: 7, "": 2}
+        assert got["cont"] == {"a": 3.0, None: 7.0, "": 2.0}
+        assert got["hll"] == {"a": 2, None: 3, "": 1}
+
+
 def test_exact_quantiles_unbounded_matches_duckdb(ray_session):
     """Radix-refinement quantiles over an unbounded float64 domain: exact
     quantile_disc parity incl. forced recursion (tiny pull_limit), negative
