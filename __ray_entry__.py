@@ -1357,9 +1357,7 @@ def q_jaccard_exact_pairs(sf_dir: str):
     """EXACT n-gram Jaccard self-join (oracle-checked): distributed
     inverted-index plan — no LSH, no driver materialization; see
     dedup.jaccard_similarity_join for the 5-stage dataflow.  Runs on the
-    JACCARD_SAMPLE_LIMIT id range (scan-pushed predicate); group_salt=16
-    so the per-group partial aggregation actually collapses the ~60
-    shared-token incidences per pair before the global pair shuffle."""
+    JACCARD_SAMPLE_LIMIT id range (scan-pushed predicate)."""
     import pyarrow.compute as pc
 
     from geotrellis_contrib_ray.pipelines.query_defs import (
@@ -1375,7 +1373,7 @@ def q_jaccard_exact_pairs(sf_dir: str):
         filter=pc.field("doc_id") < JACCARD_SAMPLE_LIMIT,
     )
     return _keep_columns(dedup.jaccard_similarity_join(
-        ds, shingle_k=JACCARD_K, threshold=JACCARD_THRESHOLD, group_salt=16,
+        ds, shingle_k=JACCARD_K, threshold=JACCARD_THRESHOLD,
     ), _jaccard_schema())
 
 

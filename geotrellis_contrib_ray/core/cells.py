@@ -86,16 +86,6 @@ def cell_to_parent(cell, parent_res: int | None = None):
     return pack_cell(pres, x >> shift, y >> shift)
 
 
-def cell_to_latlng(cell):
-    """Cell center (lat, lng)."""
-    res, x, y = unpack_cell(cell)
-    nx = (np.int64(1) << (res + 1)).astype(np.float64)
-    ny = (np.int64(1) << res).astype(np.float64)
-    lng = (x.astype(np.float64) + 0.5) / nx * 360.0 - 180.0
-    lat = (y.astype(np.float64) + 0.5) / ny * 180.0 - 90.0
-    return lat, lng
-
-
 def cell_bounds(cell):
     """(lat_min, lng_min, lat_max, lng_max) of each cell."""
     res, x, y = unpack_cell(cell)

@@ -73,6 +73,16 @@ def _hash_route(cols: list[str], keys: list[str], n: int):
     return route
 
 
+def _keyed_buckets(ds, keys: list[str], cols: list[str], kernel, per_row: int = 1):
+    """The one-sided keyed co-partition: the rows of ``ds`` (projected to
+    ``cols``) routed on the hash of ``keys`` (``_hash_route``) into
+    ``joins._bucket_count(ds, per_row)`` buckets; ``kernel`` gets the Arrow
+    rows of each bucket, every row of a key tuple in one."""
+    from .joins import _bucket_count, _co_partition
+
+    return _co_partition([(ds, _hash_route(cols, keys, _bucket_count(ds, per_row)))], kernel)
+
+
 def _sort_codes(vals: np.ndarray) -> np.ndarray:
     """int sort codes for one key column.  Nulls group TOGETHER (one code),
     matching Ray's groupby().aggregate(): pandas factorize handles None in
@@ -234,30 +244,30 @@ def salted_group_reduce(ds, keys: list[str],
     total reduce across every key of its input, so each bucket is one
     vectorized call with no per-key loop.
     """
-    from .joins import _bucket_count, _co_partition
-
     srcs = [s for s, op, _ in aggs if s is not None and op != "count"]
     cols = list(dict.fromkeys([*keys, *carry, *srcs]))
 
     def reduce_bucket(t: pa.Table) -> pa.Table:
         return _reduce_columns(lambda c: t[c].to_numpy(), keys, aggs, carry)
 
-    return _co_partition([(ds, _hash_route(cols, keys, _bucket_count(ds)))], reduce_bucket)
+    return _keyed_buckets(ds, keys, cols, reduce_bucket)
 
 
-def _map_key_groups(ds, keys: list[str], cols: list[str], kernel):
+def _map_key_groups(ds, keys: list[str], cols: list[str], kernel, per_row: int = 1):
     """Ray's ``groupby(keys)`` + per-group ``kernel`` as one keyed
     co-partition: the rows (projected to ``cols``) are routed on the hash
     of ``keys`` (``_hash_route``) and ``kernel`` gets the Arrow rows of
     every distinct key tuple of a bucket (``joins._by_bucket``; NULL keys
-    form one group).  Its outputs in one bucket must share one schema."""
-    from .joins import _bucket_count, _by_bucket, _co_partition
+    form one group).  Its outputs in one bucket must share one schema.
+    ``per_row``: the row factor of the maps that made ``ds`` from its leaf
+    (``joins._bucket_count``)."""
+    from .joins import _by_bucket
 
     def per_bucket(t: pa.Table) -> pa.Table:
         return pa.concat_tables(list(_by_bucket(t, kernel, keys)))
 
     per_bucket.__name__ = kernel.__name__  # the stats' op label
-    return _co_partition([(ds, _hash_route(cols, keys, _bucket_count(ds)))], per_bucket)
+    return _keyed_buckets(ds, keys, cols, per_bucket, per_row)
 
 
 def _finalize_subtotals(reduced, upstream, keys: list[str], value_col: str | None,

@@ -3,7 +3,15 @@ Jaccard, PassJoin edit distance, cross-document paragraph dedup.
 
 Scale pattern (per the Ray Data aggregation guidance): hash/sketch per batch
 (narrow, vectorized), shuffle only the small (key, id) projection, resolve
-groups with groupby; never move document bodies through the shuffle.
+groups in one keyed co-partition (``joins._co_partition``, routed on the
+group key into ``joins._bucket_count`` buckets); never move document bodies
+through the shuffle.
+
+The near-dup family (MinHash, SimHash, the Jaccard joins, substring and
+edit-distance pairs, the embedding ops) shares two private steps: a bucket
+kernel turns runs of equal keys into id pairs with ``_run_pairs`` (one cap,
+one logged drop), and the ops with an exact text verify re-attach the texts
+and regroup on the pair with ``_verify_pairs``.
 
 Every exact-key dedup (derive a key, keep one winner per key: the
 reference's D1 window collapse) runs on one of two private primitives:
@@ -300,8 +308,8 @@ class MinHashLSH:
 
     num_perm minhashes via the standard (a*x+b) mod p universal family;
     permutation parameters generated once in __init__ (seed-fixed).
-    Bands of r rows each; near-duplicates collide in >=1 band and are grouped
-    by a downstream groupby(["band_id", "band_hash"]).
+    Bands of r rows each; near-duplicates collide in >=1 band and meet in a
+    downstream co-partition routed on (band_id, band_hash).
     """
 
     def __init__(self, num_perm: int = 64, bands: int = 16, shingle_k: int = 5, seed: int = 42):
@@ -388,32 +396,75 @@ class MinHashLSH:
         )
 
 
-def _bucket_runs(hashes: np.ndarray, order: np.ndarray):
-    """Sorted-run detection: -> (starts, ends) of equal-hash runs in
-    ``hashes[order]``.  Vectorized; the caller loops only over runs with
-    >= 2 members (the duplicate tail, a small fraction of rows)."""
-    h = hashes[order]
-    starts = np.nonzero(np.r_[True, h[1:] != h[:-1]])[0]
-    ends = np.r_[starts[1:], len(h)]
-    return starts, ends
+def _runs(keys: list[np.ndarray], minor: list[np.ndarray]):
+    """``(order, starts, lens)``: the rows sorted by ``keys`` and then by
+    ``minor`` (least significant first), and the runs of one ``keys``
+    tuple in that order."""
+    order = np.lexsort(minor + keys[::-1])
+    change = np.zeros(len(order), bool)
+    change[:1] = True
+    for k in keys:
+        k = k[order]
+        change[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(change)
+    return order, starts, np.diff(np.r_[starts, len(order)])
+
+
+def _run_pairs(keys: list[np.ndarray], ids: np.ndarray, kind: str,
+               cap: int | None = None, side: np.ndarray | None = None):
+    """Row indices ``(a, b)`` of the candidate pairs in every run of rows
+    with one ``keys`` tuple (a band, a token, a window, a PassJoin key),
+    vectorized with no python per run.  Without ``side``: every two rows
+    of a run, ``ids[a] <= ids[b]``.  With ``side`` (0/1 per row): every
+    side-0 row with every side-1 row of its run.  A run with more pairs
+    than a run of ``cap`` rows (``cap * (cap - 1) / 2``) emits none, and
+    the drop is logged (``_log_bucket_drop``)."""
+    from .joins import _ragged_expand
+
+    n = len(ids)
+    order, starts, lens = _runs(keys, [ids] if side is None else [ids, side])
+    end = np.repeat(starts + lens, lens)
+    if side is None:
+        lo = np.arange(1, n + 1)  # a row pairs with the rows after it
+    else:  # a side-0 row pairs with its run's side-1 rows, sorted last
+        s1 = side[order] == 1
+        lo = np.where(s1, end, end - np.repeat(np.add.reduceat(s1.astype(np.int64), starts), lens))
+    cnt = end - lo
+    if cap is not None:
+        over = np.add.reduceat(cnt, starts) > cap * (cap - 1) // 2
+        for m in lens[over]:
+            _log_bucket_drop(kind, int(m), cap)
+        cnt[np.repeat(over, lens)] = 0
+    a, k = _ragged_expand(cnt)
+    return order[a], order[lo[a] + k]
+
+
+def _pair_table(id1: np.ndarray, id2: np.ndarray, **cols) -> pa.Table:
+    """One row per distinct (id1, id2) with the ``cols`` of its first
+    occurrence and ``n``, its number of occurrences."""
+    o = np.lexsort((id2, id1))
+    a, b = id1[o], id2[o]
+    first = np.ones(len(a), bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    st = np.flatnonzero(first)
+    return pa.table({"id1": pa.array(a[st], pa.int64()), "id2": pa.array(b[st], pa.int64()),
+                     **{c: pa.array(v[o][st], pa.int64()) for c, v in cols.items()},
+                     "n": pa.array(np.diff(np.r_[st, len(a)]), pa.int64())})
 
 
 def minhash_candidate_pairs(ds, num_perm=64, bands=16, shingle_k=5,
-                            group_salt: int = 64, max_bucket: int = 1000,
-                            distinct: bool = True):
-    """Near-dup candidate pairs via LSH banding: signature stage ->
-    groupby((band, band_hash % group_salt)) -> vectorized run-based pair
-    emission -> distinct.
+                            max_bucket: int = 1000, distinct: bool = True):
+    """Near-dup candidate pairs via LSH banding: signature stage -> one
+    co-partition routed on (band_id, band_hash) -> the pairs of every
+    (band_id, band_hash) run of a bucket (``_run_pairs``; a run over
+    ``max_bucket`` members is a logged drop) -> distinct.
 
-    The group key is the band hash SALTED DOWN to ``group_salt`` partitions
-    per band, not the raw hash: grouping by the raw hash makes one tiny
-    group per bucket (per-group overhead dominates — measured 15 s at sf0.1),
-    while salting bounds the group COUNT at bands x group_salt and equal
-    hashes still co-locate.  Partitioning assumption: one salted group
-    (corpus x bands / (bands x group_salt) rows) fits a worker — scale
-    ``group_salt`` with the corpus.  Output: id1 < id2 candidate pairs
-    (verify Jaccard downstream)."""
+    ``joins._bucket_count`` sizes the buckets from the corpus rows times
+    ``bands``, so a bucket's band rows stay bounded as the corpus grows.
+    Output: id1 < id2 candidate pairs with ``n_bands``, the number of
+    bands they collide in (verify Jaccard downstream)."""
     from ..util import worker_cached
+    from .agg import _keyed_buckets, salted_group_reduce
 
     def band_rows(batch: pa.Table) -> pa.Table:
         # the seed-fixed sketcher is built once per worker process
@@ -426,54 +477,22 @@ def minhash_candidate_pairs(ds, num_perm=64, bands=16, shingle_k=5,
         band_rows, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        salt = (b["band_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
-                % np.uint64(group_salt)).astype(np.int64)
-        return b.append_column("gsalt", pa.array(salt))
-
-    salted = banded.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-
-    def pairs(g):
-        # Arrow return: pandas-format blocks pay ~13x in the downstream
-        # groupby/aggregate (see CLAUDE.md / jaccard_similarity_join)
+    def pairs(g: pa.Table) -> pa.Table:
         ids = g["doc_id"].to_numpy()
-        hashes = g["band_hash"].to_numpy()
-        order = np.lexsort((ids, hashes))
-        starts, ends = _bucket_runs(hashes, order)
-        sids = ids[order]
-        id1s, id2s = [], []
-        counts = ends - starts
-        for ri in np.nonzero(counts >= 2)[0]:
-            n = int(counts[ri])
-            if n > max_bucket:
-                _log_bucket_drop("minhash_candidate_pairs", n, max_bucket)
-                continue
-            run = np.sort(sids[starts[ri] : ends[ri]])
-            ii, jj = np.triu_indices(n, k=1)
-            id1s.append(run[ii])
-            id2s.append(run[jj])
-        if not id1s:
-            z = pa.array([], pa.int64())
-            return pa.table({"id1": z, "id2": z})
-        return pa.table({"id1": pa.array(np.concatenate(id1s).astype(np.int64)),
-                         "id2": pa.array(np.concatenate(id2s).astype(np.int64))})
+        a, b = _run_pairs([g["band_id"].to_numpy(), g["band_hash"].to_numpy()], ids,
+                          "minhash_candidate_pairs", max_bucket)
+        return pa.table({"id1": pa.array(ids[a], pa.int64()), "id2": pa.array(ids[b], pa.int64())})
 
-    cand = (salted.repartition(_default_shuffle_partitions())
-            .groupby(["band_id", "gsalt"]).map_groups(pairs, batch_format="pandas"))
+    cand = _keyed_buckets(banded, ["band_id", "band_hash"], ["band_id", "band_hash", "doc_id"],
+                          pairs, per_row=bands)
 
-    # Each (pair, band) is emitted exactly once (one band_hash per
-    # (doc, band) -> one bucket per band; buckets partition across gsalt),
-    # so a plain count per pair IS the band-match count.  The old per-block
-    # distinct pre-pass was both unnecessary and subtly wrong: a map_groups
-    # output BLOCK can span several band groups, so distinct-per-block could
-    # collapse the same pair across two bands and undercount n_bands.
-    # ``distinct=False`` skips this whole barrier for callers whose
-    # downstream already groups per pair (ngram_jaccard_pairs' verify) —
-    # they get (id1, id2) rows duplicated once per colliding band.
+    # Each (pair, band) is emitted exactly once (one band_hash per (doc,
+    # band) -> one run per band), so a plain count per pair IS the
+    # band-match count.  ``distinct=False`` skips this whole barrier for
+    # callers whose downstream already groups per pair (ngram_jaccard_pairs'
+    # verify) — they get (id1, id2) rows duplicated once per colliding band.
     if not distinct:
         return cand
-    from .agg import salted_group_reduce
-
     return salted_group_reduce(cand, ["id1", "id2"],
                                [(None, "count", "n_bands")])
 
@@ -551,8 +570,9 @@ def _simhash_blocked_pairs(sigA, idsA, sigB, idsB, max_h: int, triangular: bool,
     so no triu index matrix is ever allocated (the old np.triu_indices path
     built O(bucket^2) int64 scratch — 110 MB for one hot 3.7k bucket).
     ``triangular=True`` means A is B and only j > i pairs are emitted.
-    Returns (id_lo, id_hi, hd) int64 arrays."""
-    lo_out, hi_out, hd_out = [], [], []
+    Returns (id_lo, id_hi, hd) int64 arrays and the uint64 xor of each
+    pair's signatures."""
+    lo_out, hi_out, hd_out, x_out = [], [], [], []
     nB = len(sigB)
     for s0 in range(0, len(sigA), slab):
         s1 = min(s0 + slab, len(sigA))
@@ -569,12 +589,13 @@ def _simhash_blocked_pairs(sigA, idsA, sigB, idsB, max_h: int, triangular: bool,
             lo_out.append(np.minimum(a, b))
             hi_out.append(np.maximum(a, b))
             hd_out.append(hd[ii, jj])
+            x_out.append(x[ii, jj])
     if not lo_out:
         z = np.zeros(0, np.int64)
-        return z, z, z
+        return z, z, z, z.view(np.uint64)
     return (np.concatenate(lo_out).astype(np.int64),
             np.concatenate(hi_out).astype(np.int64),
-            np.concatenate(hd_out))
+            np.concatenate(hd_out), np.concatenate(x_out))
 
 
 def _simhash_occupancy_shards(signed, bands: int, width: int, mask: np.uint64,
@@ -595,8 +616,7 @@ def _simhash_occupancy_shards(signed, bands: int, width: int, mask: np.uint64,
     the pair stage is ~2*occ/n_shards (both shards of a pair group land in
     one task), so n_shards = ceil(3*max_occ/target_run) keeps runs under
     ``target_run`` with a 1.5x hash-imbalance margin, clamped to [1, 64]
-    (64 shards = 2080 shard-pair groups — the map_groups ~1 ms/group
-    overhead bound, CLAUDE.md)."""
+    (64 shards = 2080 shard pairs, 32x the band rows)."""
     import tempfile
 
     import pyarrow.compute as pc
@@ -648,7 +668,7 @@ def _simhash_occupancy_shards(signed, bands: int, width: int, mask: np.uint64,
 
 
 def simhash_candidate_pairs(ds, max_hamming: int = 3, bands: int = 4,
-                            group_salt: int | None = None, max_bucket: int = 1000,
+                            max_bucket: int = 1000,
                             allow_partial_recall: bool = False,
                             n_shards: int | str = 4, input_blocks: int | None = None,
                             target_run: int = 2048, spill_dir: str | None = None,
@@ -667,13 +687,15 @@ def simhash_candidate_pairs(ds, max_hamming: int = 3, bands: int = 4,
     chunks at bands=9) make bucket occupancy structurally linear in corpus
     size, so one hot bucket used to serialize an O(occ^2) triu in a single
     task.  Each doc's band row is now replicated to ``n_shards`` shard-pair
-    groups keyed by a second signature-derived hash: bucket occupancy PER
-    TASK drops to occ/n_shards and the triangular work spreads over
-    n_shards*(n_shards+1)/2 balanced tasks (linear row cost: bands*n_shards
-    rows/doc).  Within a task the hamming verify is blocked (no triu index
-    allocation).  Each surviving pair is emitted ONLY in its FIRST
-    colliding band (recomputed from the two signatures in-task), so every
-    pair appears exactly once globally and the old cross-band
+    groups keyed by a second signature-derived hash: run length drops to
+    ~2*occ/n_shards and the triangular work spreads over
+    n_shards*(n_shards+1)/2 shard pairs (linear row cost: bands*n_shards
+    rows/doc).  The rows meet in one co-partition routed on (band, chunk,
+    shard pair), sized for bands*n_shards rows per doc; each bucket kernel
+    walks its (band, shard pair, chunk) runs and blocks their hamming
+    verify (no triu index allocation).  Each surviving pair is emitted ONLY
+    in its FIRST colliding band (recomputed from the two signatures
+    in-task), so every pair appears exactly once globally and the old cross-band
     distinct/min-reduce shuffle (~7 rows/pair at max_hamming=8) is gone
     entirely — the pair stage output IS the result.
 
@@ -715,11 +737,6 @@ def simhash_candidate_pairs(ds, max_hamming: int = 3, bands: int = 4,
             diag["n_shards"] = n_shards
             diag["max_occ"] = max_occ
     n_shards = max(1, int(n_shards))
-    n_shard_pairs = n_shards * (n_shards + 1) // 2
-    if group_salt is None:
-        # bound TOTAL group count (bands x salt x shard-pairs) near ~512:
-        # map_groups pays ~1 ms/group python overhead (CLAUDE.md)
-        group_salt = max(1, 512 // max(1, bands * n_shard_pairs))
 
     def band_rows(batch: pa.Table) -> pa.Table:
         if "sh_valid" in batch.column_names:
@@ -733,35 +750,24 @@ def simhash_candidate_pairs(ds, max_hamming: int = 3, bands: int = 4,
         z = (sh ^ (sh >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z ^= z >> np.uint64(27)
         shard = (z % np.uint64(n_shards)).astype(np.int64)
-        out_band, out_key, out_id, out_sh, out_shard, out_tgt = [], [], [], [], [], []
-        for b in range(bands):
-            chunk = (sh >> np.uint64(b * width)) & mask
-            for t in range(n_shards):
-                out_band.append(np.full(n, b, dtype=np.int32))
-                out_key.append(chunk)
-                out_id.append(ids)
-                out_sh.append(sh)
-                out_shard.append(shard)
-                out_tgt.append(np.full(n, t, dtype=np.int64))
-        key = np.concatenate(out_key)
-        shard_all = np.concatenate(out_shard)
-        tgt_all = np.concatenate(out_tgt)
-        lo = np.minimum(shard_all, tgt_all)
-        hi = np.maximum(shard_all, tgt_all)
-        # flatten (gsalt, shard-pair) into ONE group column: pair index in
-        # the (lo, hi) triangle = lo*n_shards - lo*(lo-1)/2 + (hi-lo)
-        sp = lo * n_shards - (lo * (lo - 1)) // 2 + (hi - lo)
-        gslot = (key % np.uint64(group_salt)).astype(np.int64) * n_shard_pairs + sp
+        # one row per (band, target shard): the pair (lo, hi) of the doc's
+        # shard and the target, as its index sp in the (lo, hi) triangle =
+        # lo*n_shards - lo*(lo-1)/2 + (hi-lo)
+        tgt = np.repeat(np.arange(n_shards, dtype=np.int64), n)
+        lo = np.minimum(np.tile(shard, n_shards), tgt)
+        hi = np.maximum(np.tile(shard, n_shards), tgt)
+        sp = np.tile(lo * n_shards - (lo * (lo - 1)) // 2 + (hi - lo), bands)
+        key = np.concatenate([np.tile((sh >> np.uint64(b * width)) & mask, n_shards)
+                              for b in range(bands)])
         return pa.table(
             {
-                "band_id": np.concatenate(out_band),
+                "band_id": np.repeat(np.arange(bands, dtype=np.int32), n * n_shards),
                 # band_key chunks are < 2^width <= 2^16 — int64-safe as-is
                 "band_key": key.astype(np.int64),
-                "gslot": gslot,
-                "shard": shard_all,
+                "shard": np.tile(shard, bands * n_shards),
                 "sp": sp,
-                "doc_id": np.concatenate(out_id),
-                "simhash": np.concatenate(out_sh).view(np.int64),
+                "doc_id": np.tile(ids, bands * n_shards),
+                "simhash": np.tile(sh, bands * n_shards).view(np.int64),
             }
         )
 
@@ -773,71 +779,43 @@ def simhash_candidate_pairs(ds, max_hamming: int = 3, bands: int = 4,
         for hi_s in range(lo_s, n_shards):
             sp_to_pair[lo_s * n_shards - (lo_s * (lo_s - 1)) // 2 + (hi_s - lo_s)] = (lo_s, hi_s)
 
-    def first_band_mask(sig_lo: np.ndarray, sig_hi: np.ndarray, band: int) -> np.ndarray:
-        """True where ``band`` is the FIRST band whose chunks are equal —
-        the global-dedup rule (each colliding pair has >=1 equal band)."""
-        x = sig_lo ^ sig_hi
+    def pairs(g: pa.Table) -> pa.Table:
+        """The pairs of every (band_id, sp, band_key) run of a bucket: its
+        shard si rows with its shard sj rows (triangular when si == sj)."""
+        band, sp = g["band_id"].to_numpy(), g["sp"].to_numpy()
+        order, starts, lens = _runs([band, sp, g["band_key"].to_numpy()], [g["doc_id"].to_numpy()])
+        ids, shard = g["doc_id"].to_numpy()[order], g["shard"].to_numpy()[order]
+        sh = g["simhash"].to_numpy().view(np.uint64)[order]
+        band, sp = band[order], sp[order]
+        z = np.zeros(0, np.int64)
+        out = [(z, z, z, z.view(np.uint64), z)]
+        for st, n in zip(starts[lens >= 2], lens[lens >= 2]):
+            if n > max_bucket:
+                _log_bucket_drop("simhash_candidate_pairs", int(n), max_bucket)
+                continue
+            si, sj = sp_to_pair[sp[st]]
+            run = slice(st, st + n)
+            a, b = shard[run] == si, shard[run] == sj
+            if not (a.any() and b.any()) or (si == sj and a.sum() < 2):
+                continue
+            lo, hi, hd, x = _simhash_blocked_pairs(sh[run][a], ids[run][a], sh[run][b], ids[run][b],
+                                                   max_hamming, triangular=si == sj)
+            out.append((lo, hi, hd, x, np.full(len(lo), band[st])))
+        lo, hi, hd, x, pair_band = (np.concatenate(c) for c in zip(*out))
+        # emit only in the first colliding band -> globally exactly-once
         first = np.full(len(x), bands, dtype=np.int64)
         for b in range(bands - 1, -1, -1):
-            eq = ((x >> np.uint64(b * width)) & mask) == 0
-            first[eq] = b
-        return first == band
+            first[((x >> np.uint64(b * width)) & mask) == 0] = b
+        keep = first == pair_band
+        return pa.table({"id1": pa.array(lo[keep], pa.int64()),
+                         "id2": pa.array(hi[keep], pa.int64()),
+                         "hamming": pa.array(hd[keep], pa.int64())})
 
-    def pairs(g):
-        band = int(g["band_id"].iloc[0]) if hasattr(g, "iloc") else int(g["band_id"][0])
-        keys = np.asarray(g["band_key"], dtype=np.int64)
-        ids = np.asarray(g["doc_id"], dtype=np.int64)
-        shards = np.asarray(g["shard"], dtype=np.int64)
-        sh_all = np.asarray(g["simhash"], dtype=np.int64).view(np.uint64)
-        si, sj = sp_to_pair[int(g["sp"].iloc[0] if hasattr(g, "iloc") else g["sp"][0])]
-        order = np.lexsort((ids, keys))
-        starts, ends = _bucket_runs(keys, order)
-        sids, ssh, ssh_shard = ids[order], sh_all[order], shards[order]
-        id1s, id2s, hds = [], [], []
-        counts = ends - starts
-        for ri in np.nonzero(counts >= 2)[0]:
-            n = int(counts[ri])
-            if n > max_bucket:
-                _log_bucket_drop("simhash_candidate_pairs", n, max_bucket)
-                continue
-            sl = slice(starts[ri], ends[ri])
-            run_ids, run_sh, run_shard = sids[sl], ssh[sl], ssh_shard[sl]
-            if si == sj:
-                selA = run_shard == si
-                if selA.sum() < 2:
-                    continue
-                lo, hi, hd = _simhash_blocked_pairs(
-                    run_sh[selA], run_ids[selA], run_sh[selA], run_ids[selA],
-                    max_hamming, triangular=True)
-            else:
-                selA, selB = run_shard == si, run_shard == sj
-                if not (selA.any() and selB.any()):
-                    continue
-                lo, hi, hd = _simhash_blocked_pairs(
-                    run_sh[selA], run_ids[selA], run_sh[selB], run_ids[selB],
-                    max_hamming, triangular=False)
-            if len(lo):
-                id1s.append(lo)
-                id2s.append(hi)
-                hds.append(hd)
-        if not id1s:
-            z = pa.array([], pa.int64())
-            return pa.table({"id1": z, "id2": z, "hamming": z})
-        lo = np.concatenate(id1s)
-        hi = np.concatenate(id2s)
-        hd = np.concatenate(hds)
-        # emit only in the first colliding band -> globally exactly-once
-        # (ids are unique within a group: one row per (doc, band, target))
-        sidx = np.argsort(ids)
-        sig_sorted, ids_sorted = sh_all[sidx], ids[sidx]
-        sig_lo = sig_sorted[np.searchsorted(ids_sorted, lo)]
-        sig_hi = sig_sorted[np.searchsorted(ids_sorted, hi)]
-        keep = first_band_mask(sig_lo, sig_hi, band)
-        return pa.table({"id1": pa.array(lo[keep]), "id2": pa.array(hi[keep]),
-                         "hamming": pa.array(hd[keep])})
+    from .agg import _keyed_buckets
 
-    return (banded.repartition(_default_shuffle_partitions())
-            .groupby(["band_id", "gslot"]).map_groups(pairs, batch_format="pandas"))
+    return _keyed_buckets(banded, ["band_id", "band_key", "sp"],
+                          ["band_id", "band_key", "shard", "sp", "doc_id", "simhash"],
+                          pairs, per_row=bands * n_shards)
 
 
 # Row count past which ngram_jaccard_pairs' bloom text-pushdown pays for
@@ -851,6 +829,72 @@ def simhash_candidate_pairs(ds, max_hamming: int = 3, bands: int = 4,
 _BLOOM_PUSHDOWN_ROWS = 100_000
 
 
+_PROBE_SCHEMA = pa.schema([("doc_id", pa.int64()), ("id1", pa.int64()), ("id2", pa.int64()),
+                           ("slot", pa.int8())])
+_TEXT_SCHEMA = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
+
+
+def _explode_pairs(b: pa.Table) -> pa.Table:
+    """Each (id1, id2) pair as two probe rows (doc_id, id1, id2, slot):
+    slot 0 fetches id1's text, slot 1 id2's."""
+    id1 = b["id1"].to_numpy(zero_copy_only=False).astype(np.int64)
+    id2 = b["id2"].to_numpy(zero_copy_only=False).astype(np.int64)
+    n = len(id1)
+    return pa.table([np.concatenate([id1, id2]), np.concatenate([id1, id1]),
+                     np.concatenate([id2, id2]),
+                     np.repeat(np.array([0, 1], np.int8), n)], schema=_PROBE_SCHEMA)
+
+
+def _verify_pairs(cand, ds, id_col: str, text_col: str, verify, bloom: bool = False):
+    """The exact verify of the candidate pairs ``cand`` (id1, id2; a pair
+    may repeat): the pairs explode into probe rows, the texts of ``ds``
+    re-attach by a bucketed hash join on doc_id (texts never ride the
+    candidate shuffle; NULL texts are dropped), and the probes regroup on
+    the pair in one co-partition routed on (id1, id2).
+
+    ``verify(p1, p2, docs, texts)`` gets the distinct pairs of a bucket
+    whose two texts arrived, the sorted distinct doc ids of the bucket and
+    their texts (an Arrow string array), and returns the output table.
+    ``bloom`` first drops non-candidate texts in a narrow pass
+    (joins.bloom_semi_join over the probes, materialized once: the bloom
+    build and the join both read them)."""
+    from .agg import _keyed_buckets
+    from .joins import bloom_semi_join, bucketed_hash_join
+
+    probes = cand.map_batches(_explode_pairs, batch_format="pyarrow",
+                              zero_copy_batch=True, batch_size=None)
+
+    def project(b: pa.Table) -> pa.Table:
+        b = pa.table([b[id_col], b[text_col]], names=["doc_id", "text"])
+        return b.filter(pc.is_valid(b["text"]))
+
+    texts = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True,
+                           batch_size=None)
+    if bloom:
+        probes = probes.materialize()
+        texts = bloom_semi_join(texts, probes, on="doc_id",
+                                schemas=(_TEXT_SCHEMA, _PROBE_SCHEMA))
+    # static schemas: .schema() on the probes would run the candidate plan;
+    # buckets ~ CPUs (not the 8x default): a small join, and the sort
+    # shuffle's fixed cost scales with the partition count (stages/agg.py)
+    attached = bucketed_hash_join(probes, texts, on="doc_id",
+                                  schemas=(_PROBE_SCHEMA, _TEXT_SCHEMA),
+                                  buckets=2 * _default_shuffle_partitions())
+
+    def per_bucket(g: pa.Table) -> pa.Table:
+        slot = g["slot"].to_numpy()
+        id1, id2 = g["id1"].to_numpy(), g["id2"].to_numpy()
+        docs, first = np.unique(np.where(slot == 0, id1, id2), return_index=True)
+        # pair runs carrying BOTH slots (a NULL text never arrives)
+        o, st, n = _runs([id1, id2], [slot])
+        ok = (slot[o[st]] == 0) & (slot[o[st + n - 1]] == 1)
+        return verify(id1[o[st[ok]]], id2[o[st[ok]]], docs,
+                      as_array(g["text"]).take(pa.array(first)))
+
+    per_bucket.__name__ = verify.__name__  # the stats' op label
+    return _keyed_buckets(attached, ["id1", "id2"], ["id1", "id2", "slot", "text"], per_bucket)
+
+
 def ngram_jaccard_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
                         num_perm: int = 64, bands: int = 16,
                         max_bucket: int = 1000,
@@ -859,7 +903,7 @@ def ngram_jaccard_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
     """n-gram Jaccard near-dup: MinHash-LSH candidates -> texts re-attached
     via a hash-partitioned SHUFFLE JOIN on doc_id (no driver-side corpus
     materialization, no ray.put of the text column) -> exact Jaccard per
-    candidate pair.
+    candidate pair (``_verify_pairs``).
 
     Scale shape: the candidate side is tiny (near-dup pairs), the text side
     streams through a hash-partitioned join once; the inner join IS the
@@ -881,119 +925,43 @@ def ngram_jaccard_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
     machinery instead of spawning a separate aggregator-actor pool that
     competes for CPUs with the up/downstream stages.  Output: id1 < id2,
     jaccard >= threshold (exact, float64)."""
-    from .joins import bucketed_hash_join
-
     if bloom_prefilter == "auto":
         bloom_prefilter = (approx_rows is not None
                            and approx_rows >= _BLOOM_PUSHDOWN_ROWS)
 
-    # distinct=False: the per-pair verify below already groups by pair, so
-    # the candidate-distinct barrier (a full extra all-to-all) is skipped;
+    # distinct=False: the per-pair verify already groups by pair, so the
+    # candidate-distinct barrier (a full extra all-to-all) is skipped;
     # pairs arrive duplicated once per colliding band (small constant)
     cand = minhash_candidate_pairs(ds, num_perm=num_perm, bands=bands,
                                    shingle_k=shingle_k, distinct=False,
                                    max_bucket=max_bucket)
 
-    # explode each candidate pair into two (doc_id, id1, id2, slot) probe rows
-    def explode(b: pa.Table) -> pa.Table:
-        id1 = b["id1"].to_numpy(zero_copy_only=False).astype(np.int64)
-        id2 = b["id2"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(id1)
-        return pa.table(
-            {
-                "doc_id": np.concatenate([id1, id2]),
-                "id1": np.concatenate([id1, id1]),
-                "id2": np.concatenate([id2, id2]),
-                "slot": np.concatenate(
-                    [np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)]
-                ),
-            }
-        )
-
-    probes = cand.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    texts = ds.select_columns(["doc_id", "text"])
-    i64 = pa.int64()
-    probe_schema = pa.schema([("doc_id", i64), ("id1", i64), ("id2", i64), ("slot", pa.int8())])
-    text_schema = pa.schema([("doc_id", i64), ("text", pa.string())])
-    if bloom_prefilter:
-        from .joins import bloom_semi_join
-
-        # materialize the probe rows ONCE (bounded: two narrow rows per
-        # candidate pair) — the bloom build AND the verify join both
-        # consume them; without this each consumer would re-execute the
-        # entire LSH candidate pipeline
-        probes = probes.materialize()
-        texts = bloom_semi_join(texts, probes, on="doc_id",
-                                schemas=(text_schema, probe_schema))
-    # static schemas: .schema() on the probes side would re-execute the
-    # whole LSH candidate pipeline once more just for the column list
-    # buckets ~ CPUs (not the 8x default): this is a small verify join and
-    # sort-shuffle fixed cost scales with partition count (stages/agg.py)
-    attached = bucketed_hash_join(probes, texts, on="doc_id",
-                                  schemas=(probe_schema, text_schema),
-                                  buckets=2 * _default_shuffle_partitions())
-
-    # final verify: pairs grouped by a SALT of the pair key (bounded group
-    # count — one map_groups call per pair would pay per-group overhead for
-    # every candidate), each group verifying its pairs with python set
-    # jaccard (texts are short; the candidate set is the small side)
-    def add_pair_salt(b: pa.Table) -> pa.Table:
-        id1 = b["id1"].to_numpy(zero_copy_only=False)
-        id2 = b["id2"].to_numpy(zero_copy_only=False)
-        salt = ((id1 * np.int64(31) + id2) * np.int64(2654435761)) % 256
-        return b.append_column("psalt", pa.array(salt))
-
-    salted = attached.map_batches(add_pair_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-
-    def jac_group(g):
-        i1, i2, ns, nu = _pairwise_hash_jaccard(g, shingle_k)
+    def ngram_jaccard(p1, p2, docs, texts) -> pa.Table:
+        p1, p2, ns, nu = _pair_shingle_counts(p1, p2, docs, texts, shingle_k)
         jac = ns / np.maximum(nu, 1)
         keep = jac >= threshold
-        return pa.table({"id1": pa.array(i1[keep]), "id2": pa.array(i2[keep]),
-                         "jaccard": pa.array(jac[keep])})
+        return pa.table({"id1": pa.array(p1[keep]), "id2": pa.array(p2[keep]),
+                         "jaccard": pa.array(jac[keep], pa.float64())})
 
-    return salted.groupby("psalt").map_groups(jac_group, batch_format="pandas")
+    return _verify_pairs(cand, ds, "doc_id", "text", ngram_jaccard, bloom=bloom_prefilter)
 
 
-def _pairwise_hash_jaccard(g, shingle_k: int, text_col: str = "text"):
-    """Exact per-pair Jaccard counts for one attached pair-probe group.
-
-    Input rows: (id1, id2, slot, text) — slot 0 carries id1's text, slot 1
-    id2's.  One vectorized shingle-hash pass per DISTINCT doc in the group
-    (docs appear in many pairs; the old per-pair python set-of-substrings
-    re-shingled each text once per pair), then each pair is a sorted-int64
+def _pair_shingle_counts(p1, p2, docs, texts, shingle_k: int):
+    """Exact Jaccard counts of the pairs (p1, p2) over the texts of
+    ``docs`` (sorted ids): one vectorized shingle-hash pass per DISTINCT doc
+    (docs appear in many pairs), then each pair is a sorted-int64
     ``np.intersect1d``.  Counts are exact modulo 64-bit hash collisions —
     the same guarantee (and the same tokenizer) as jaccard_similarity_join,
     so the SQL oracle parity carries over.
 
-    Returns (id1, id2, n_shared, n_union) int64 arrays over pairs where
-    both texts arrived and the union is non-empty."""
-    z = np.zeros(0, np.int64)
-    if len(g) == 0:
-        return z, z, z, z
-    slot = np.asarray(g["slot"])
-    id1 = np.asarray(g["id1"]).astype(np.int64)
-    id2 = np.asarray(g["id2"]).astype(np.int64)
-    did = np.where(slot == 0, id1, id2)
-    texts = np.asarray(g[text_col], dtype=object)
-    uids, first_idx = np.unique(did, return_index=True)
-    hs = _shingle_hashes(pa.array(texts[first_idx], pa.string()), shingle_k)
-    toks = [np.unique(h) for h in hs]
-    # pair runs carrying BOTH slots (a missing side's text never arrived)
-    order = np.lexsort((id2, id1))
-    s1, s2, ss = id1[order], id2[order], slot[order]
-    first = np.r_[True, (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])]
-    starts = np.nonzero(first)[0]
-    ok = (np.minimum.reduceat(ss, starts) == 0) & \
-         (np.maximum.reduceat(ss, starts) == 1)  # runs are never empty
-    p1, p2 = s1[starts[ok]], s2[starts[ok]]
-    if not len(p1):
-        return z, z, z, z
+    Returns (id1, id2, n_shared, n_union) int64 arrays over the pairs
+    whose union is non-empty."""
+    toks = [np.unique(h) for h in _shingle_hashes(texts, shingle_k)]
+    ia = np.searchsorted(docs, p1)
+    ib = np.searchsorted(docs, p2)
     # per-pair sorted-set intersection; measured FASTER than one giant
     # (pid, token) lexsort-and-count (many small cache-resident sorts beat
     # a single 2-key sort of the full gather — 19 vs 433 ms per group)
-    ia = np.searchsorted(uids, p1)
-    ib = np.searchsorted(uids, p2)
     ns = np.empty(len(p1), np.int64)
     nu = np.empty(len(p1), np.int64)
     for x, (a_i, b_i) in enumerate(zip(ia, ib)):
@@ -1029,8 +997,7 @@ def _distinct_doc_tokens(batch: pa.Table, shingle_k: int, id_col: str, text_col:
 
 
 def jaccard_similarity_join(ds, shingle_k: int = 5, threshold: float = 0.5,
-                            id_col: str = "doc_id", text_col: str = "text",
-                            group_salt: int = 256, max_df: int | None = None):
+                            id_col: str = "doc_id", text_col: str = "text"):
     """EXACT n-gram Jaccard similarity self-join (no LSH approximation):
     distributed inverted-index plan, SQL-oracle-checkable.
 
@@ -1043,12 +1010,10 @@ def jaccard_similarity_join(ds, shingle_k: int = 5, threshold: float = 0.5,
        size-reattach joins the previous layout paid (a Dataset consumed by
        two plans re-executes its upstream, so the old separate "sizes" pass
        re-shingled the whole corpus).
-    2. pair partials: groupby(tok % group_salt) -> within each salted group,
-       sort by (tok, doc_id), detect equal-token runs, emit each run's
-       id1<id2 pairs (with their sz1/sz2 riding along) and pre-aggregate
-       counts (np.unique) BEFORE the wide shuffle.  Salting bounds the group
-       count at ``group_salt`` (one group per raw token would pay ~1 ms/group
-       python overhead).
+    2. pair partials: one co-partition routed on the token; each bucket
+       emits the id1<id2 pairs of its equal-token runs (``_run_pairs``,
+       with their sz1/sz2 riding along) and pre-aggregates their counts
+       BEFORE the wide shuffle.
     3. n_shared: salted_group_reduce(id1, id2) -> total sum of cnt, with
        sz1/sz2 carried (pure functions of the key).  Ray's native
        groupby.aggregate measured ~9 s on this stage's ~470k rows / ~31k
@@ -1060,74 +1025,31 @@ def jaccard_similarity_join(ds, shingle_k: int = 5, threshold: float = 0.5,
     Exactness caveat: tokens are compared by 64-bit rolling hash; a hash
     collision between two k-grams co-occurring in a doc pair would inflate
     n_shared (probability ~ #tokens^2 / 2^64 — negligible; the text itself
-    never rides the shuffle).  ``max_df`` optionally skips tokens shared by
-    more than max_df docs WITH A LOGGED DROP (turns the join approximate but
-    bounds the run^2 blowup; the exact-at-scale alternative is PPJoin-style
-    prefix filtering — see ``jaccard_prefix_pairs``).
+    never rides the shuffle).  A token shared by m docs emits m^2/2 pairs;
+    the exact-at-scale alternative is PPJoin-style prefix filtering — see
+    ``jaccard_prefix_pairs``.
 
     Output: id1 < id2, n_shared, n_union (int64), jaccard (float64) for all
     pairs with jaccard >= threshold.  Reference parity: the window-overlap
     dedup semantics of vlm RasterSourceSpec (overlap detection by shared
     content) generalized to set similarity."""
-    from .agg import salted_group_reduce
+    from .agg import _keyed_buckets, salted_group_reduce
 
     def tokens(batch: pa.Table) -> pa.Table:
         dids, toks, sz = _distinct_doc_tokens(batch, shingle_k, id_col, text_col)
         # token rows come out row-major, so each row's sz repeats sz times
-        szrep = np.repeat(sz, sz)
-        salt = (toks.view(np.uint64) % np.uint64(group_salt)).astype(np.int64)
-        return pa.table({"tok": toks, "doc_id": dids,
-                         "sz": szrep.astype(np.int64), "gsalt": salt})
+        return pa.table({"tok": toks, "doc_id": dids, "sz": np.repeat(sz, sz)})
 
     tok_ds = ds.map_batches(tokens, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
 
-    def pair_partials(g):
-        # returns an ARROW table: Ray's sort/aggregate path on pandas-format
-        # blocks is ~13x slower (measured 154 s vs 12 s on 470k rows @4 CPUs)
-        toks = g["tok"].to_numpy()
-        ids = g["doc_id"].to_numpy()
-        szs = g["sz"].to_numpy()
-        order = np.lexsort((ids, toks))
-        starts, ends = _bucket_runs(toks, order)
-        sids = ids[order]
-        ssz = szs[order]
-        counts = ends - starts
-        id1s, id2s, s1s, s2s = [], [], [], []
-        triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for ri in np.nonzero(counts >= 2)[0]:
-            m = int(counts[ri])
-            if max_df is not None and m > max_df:
-                _log_bucket_drop("jaccard_similarity_join", m, max_df)
-                continue
-            run = sids[starts[ri] : ends[ri]]  # id-sorted within the run
-            rsz = ssz[starts[ri] : ends[ri]]
-            if m not in triu_cache:
-                triu_cache[m] = np.triu_indices(m, k=1)
-            ii, jj = triu_cache[m]
-            id1s.append(run[ii])
-            id2s.append(run[jj])
-            s1s.append(rsz[ii])
-            s2s.append(rsz[jj])
-        if not id1s:
-            z = pa.array([], pa.int64())
-            return pa.table({"id1": z, "id2": z, "cnt": z, "sz1": z, "sz2": z})
-        p1 = np.concatenate(id1s)
-        p2 = np.concatenate(id2s)
-        q1 = np.concatenate(s1s)
-        q2 = np.concatenate(s2s)
-        # partial aggregation inside the group: one row per (id1, id2)
-        o = np.lexsort((p2, p1))
-        a, b = p1[o], p2[o]
-        st = np.nonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])[0]
-        cnt = np.diff(np.r_[st, len(a)])
-        return pa.table({"id1": pa.array(a[st].astype(np.int64)),
-                         "id2": pa.array(b[st].astype(np.int64)),
-                         "cnt": pa.array(cnt.astype(np.int64)),
-                         "sz1": pa.array(q1[o][st].astype(np.int64)),
-                         "sz2": pa.array(q2[o][st].astype(np.int64))})
+    def pair_partials(g: pa.Table) -> pa.Table:
+        ids, sz = g["doc_id"].to_numpy(), g["sz"].to_numpy()
+        a, b = _run_pairs([g["tok"].to_numpy()], ids, "jaccard_similarity_join")
+        # partial aggregation inside the bucket: one row per (id1, id2)
+        return _pair_table(ids[a], ids[b], sz1=sz[a], sz2=sz[b]).rename_columns(
+            ["id1", "id2", "sz1", "sz2", "cnt"])
 
-    pairs = (tok_ds.repartition(_default_shuffle_partitions())
-             .groupby("gsalt").map_groups(pair_partials, batch_format="pandas"))
+    pairs = _keyed_buckets(tok_ds, ["tok"], ["tok", "doc_id", "sz"], pair_partials)
     shared = salted_group_reduce(
         pairs, ["id1", "id2"], [("cnt", "sum", "n_shared")],
         carry=("sz1", "sz2"),
@@ -1153,7 +1075,7 @@ def jaccard_similarity_join(ds, shingle_k: int = 5, threshold: float = 0.5,
 
 
 def _prefix_rows(dids: np.ndarray, toks: np.ndarray, dfv: np.ndarray,
-                 threshold: float, group_salt: int) -> pa.Table:
+                 threshold: float) -> pa.Table:
     """PPJoin prefix selection over co-located (doc, tok, df) rows: sort a
     doc's tokens by (df, tok) ascending and keep only the first
     ``|X| - ceil(t*|X|) + 1`` (the rare-token prefix).  Requires ALL of a
@@ -1161,7 +1083,7 @@ def _prefix_rows(dids: np.ndarray, toks: np.ndarray, dfv: np.ndarray,
     by both df-attach tiers."""
     if len(toks) == 0:
         z = np.zeros(0, np.int64)
-        return pa.table({"tok": z, "doc_id": z, "gsalt": z})
+        return pa.table({"tok": z, "doc_id": z})
     o = np.lexsort((toks, dfv, dids))
     d, t = dids[o], toks[o]
     doc_start = np.r_[True, d[1:] != d[:-1]]
@@ -1173,15 +1095,12 @@ def _prefix_rows(dids: np.ndarray, toks: np.ndarray, dfv: np.ndarray,
     size_per_row = np.repeat(lens, lens)
     prefix_len = size_per_row - np.ceil(threshold * size_per_row).astype(np.int64) + 1
     keep = rank < prefix_len
-    tk, dk = t[keep], d[keep]
-    salt = (tk.view(np.uint64) % np.uint64(group_salt)).astype(np.int64)
-    return pa.table({"tok": tk, "doc_id": dk, "gsalt": salt})
+    return pa.table({"tok": t[keep], "doc_id": d[keep]})
 
 
 def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
                          id_col: str = "doc_id", text_col: str = "text",
-                         group_salt: int = 64, pair_salt: int = 256,
-                         driver_df_limit: int = 2_000_000, doc_salt: int = 256):
+                         driver_df_limit: int = 2_000_000):
     """EXACT n-gram Jaccard self-join via PPJoin-style PREFIX FILTERING —
     identical results to ``jaccard_similarity_join`` (shares its SQL oracle)
     with a candidate expansion bounded by the rare-token prefix instead of
@@ -1204,15 +1123,17 @@ def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
          ray.put once and each batch prefix-selects locally (zero extra
          shuffles);
        - above the bound: bucketed tier — (doc, tok) incidences join the df
-         table on ``tok`` (hash-partitioned bucket join), then a doc-salted
-         regroup co-locates each doc's tokens for the prefix selection.
+         table on ``tok`` (hash-partitioned bucket join), then a
+         co-partition routed on the doc co-locates each doc's tokens for
+         the prefix selection.
          Costs two all-to-alls over the incidence projection but NOTHING is
          ever pulled to the driver (the r3-verdict driver-OOM fix);
-    4. salted run-detect pair emission over PREFIX tokens -> distinct
-       candidate pairs (complete by the theorem);
-    5. exact verify: texts re-attached with a hash-partitioned bucket join,
-       true (n_shared, n_union, jaccard) computed per pair from the full
-       shingle sets, threshold applied.
+    4. a co-partition routed on the PREFIX token emits the pairs of its
+       equal-token runs (``_run_pairs``) -> distinct candidate pairs
+       (complete by the theorem);
+    5. exact verify (``_verify_pairs``): texts re-attached with a
+       hash-partitioned bucket join, true (n_shared, n_union, jaccard)
+       computed per pair from the full shingle sets, threshold applied.
 
     Output: id1 < id2, n_shared, n_union (int64), jaccard (float64).
 
@@ -1225,6 +1146,7 @@ def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
     what this operator exists for."""
     import ray
 
+    from .agg import _keyed_buckets, salted_group_reduce
     from .joins import bucketed_hash_join
 
     # --- stage 1+2: global token document frequencies -----------------------
@@ -1232,8 +1154,6 @@ def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
         _d, toks, _sz = _distinct_doc_tokens(batch, shingle_k, id_col, text_col)
         u, c = np.unique(toks, return_counts=True)
         return pa.table({"tok": pa.array(u), "pdf": pa.array(c.astype(np.int64))})
-
-    from .agg import salted_group_reduce
 
     df_ds = salted_group_reduce(
         ds.map_batches(tok_partials, batch_format="pyarrow",
@@ -1260,9 +1180,9 @@ def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
             tok_keys, tok_dfs = ray.get(df_ref)
             dids, toks, _sz = _distinct_doc_tokens(batch, shingle_k, id_col, text_col)
             if len(toks) == 0:
-                return _prefix_rows(toks, toks, toks, threshold, group_salt)
+                return _prefix_rows(toks, toks, toks, threshold)
             dfv = tok_dfs[np.searchsorted(tok_keys, toks)]
-            return _prefix_rows(dids, toks, dfv, threshold, group_salt)
+            return _prefix_rows(dids, toks, dfv, threshold)
 
         pref = ds.map_batches(prefix_tokens, batch_format="pyarrow",
                               zero_copy_batch=True, batch_size=None)
@@ -1280,110 +1200,33 @@ def jaccard_prefix_pairs(ds, shingle_k: int = 5, threshold: float = 0.5,
                      pa.schema([("tok", i64), ("df", i64)])),
         )
 
-        def add_dsalt(b: pa.Table) -> pa.Table:
-            d = b["doc_id"].to_numpy(zero_copy_only=False)
-            salt = ((d * np.int64(2654435761)) % np.int64(doc_salt)).astype(np.int64)
-            return b.append_column("dsalt", pa.array(np.abs(salt)))
+        def prefix_sel(g: pa.Table) -> pa.Table:
+            return _prefix_rows(g["doc_id"].to_numpy(), g["tok"].to_numpy(),
+                                g["df"].to_numpy(), threshold)
 
-        def prefix_sel(g):
-            dids = np.asarray(g["doc_id"], dtype=np.int64)
-            toks = np.asarray(g["tok"], dtype=np.int64)
-            dfv = np.asarray(g["df"], dtype=np.int64)
-            return _prefix_rows(dids, toks, dfv, threshold, group_salt)
-
-        pref = (joined.map_batches(add_dsalt, batch_format="pyarrow",
-                                   zero_copy_batch=True, batch_size=None)
-                .repartition(_default_shuffle_partitions())
-                .groupby("dsalt").map_groups(prefix_sel, batch_format="pandas"))
+        pref = _keyed_buckets(joined, ["doc_id"], ["doc_id", "tok", "df"], prefix_sel)
 
     # --- stage 4: candidate pairs from prefix-token runs ---------------------
-    def cand_pairs(g):
-        toks = g["tok"].to_numpy()
+    def cand_pairs(g: pa.Table) -> pa.Table:
         ids = g["doc_id"].to_numpy()
-        o = np.lexsort((ids, toks))
-        starts, ends = _bucket_runs(toks, o)
-        sids = ids[o]
-        counts = ends - starts
-        id1s, id2s = [], []
-        cache: dict[int, tuple] = {}
-        for ri in np.nonzero(counts >= 2)[0]:
-            m = int(counts[ri])
-            run = sids[starts[ri] : ends[ri]]
-            if m not in cache:
-                cache[m] = np.triu_indices(m, k=1)
-            ii, jj = cache[m]
-            id1s.append(run[ii])
-            id2s.append(run[jj])
-        if not id1s:
-            z = pa.array([], pa.int64())
-            return pa.table({"id1": z, "id2": z})
-        p1 = np.concatenate(id1s)
-        p2 = np.concatenate(id2s)
-        # in-group distinct: exact (sorted run mask), no hash-collision risk
-        oo = np.lexsort((p2, p1))
-        a, b = p1[oo], p2[oo]
-        first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
-        return pa.table({"id1": pa.array(a[first]), "id2": pa.array(b[first])})
+        a, b = _run_pairs([g["tok"].to_numpy()], ids, "jaccard_prefix_pairs")
+        return _pair_table(ids[a], ids[b]).drop_columns(["n"])  # in-bucket distinct
 
     cand = salted_group_reduce(
-        pref.repartition(_default_shuffle_partitions())
-        .groupby("gsalt").map_groups(cand_pairs, batch_format="pandas"),
+        _keyed_buckets(pref, ["tok"], ["tok", "doc_id"], cand_pairs),
         ["id1", "id2"], [(None, "count", "_nb")],  # global distinct
     )
 
     # --- stage 5: exact verify via text re-attach ----------------------------
-    def explode(b: pa.Table) -> pa.Table:
-        id1 = b["id1"].to_numpy(zero_copy_only=False).astype(np.int64)
-        id2 = b["id2"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(id1)
-        return pa.table(
-            {
-                "doc_id": np.concatenate([id1, id2]),
-                "id1": np.concatenate([id1, id1]),
-                "id2": np.concatenate([id2, id2]),
-                "slot": np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)]),
-            }
-        )
-
-    probes = cand.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-    texts = ds.select_columns([id_col, text_col])
-    i64 = pa.int64()
-    attached = bucketed_hash_join(
-        probes,
-        texts,
-        on="doc_id",
-        # static schemas — .schema() would re-run the prefix/candidate plan
-        schemas=(
-            pa.schema([("doc_id", i64), ("id1", i64), ("id2", i64), ("slot", pa.int8())]),
-            pa.schema([("doc_id", i64), (text_col, pa.string())]),
-        ),
-        # small verify join: buckets ~ CPUs, not the 8x large-join default
-        buckets=2 * _default_shuffle_partitions(),
-    )
-
-    def add_pair_salt(b: pa.Table) -> pa.Table:
-        id1 = b["id1"].to_numpy(zero_copy_only=False)
-        id2 = b["id2"].to_numpy(zero_copy_only=False)
-        salt = ((id1 * np.int64(31) + id2) * np.int64(2654435761)) % pair_salt
-        return b.append_column("psalt", pa.array(salt))
-
-    salted = attached.map_batches(add_pair_salt, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-
-    def verify(g):
-        i1, i2, ns, nu = _pairwise_hash_jaccard(g, shingle_k, text_col)
+    def jaccard(p1, p2, docs, texts) -> pa.Table:
+        p1, p2, ns, nu = _pair_shingle_counts(p1, p2, docs, texts, shingle_k)
         jac = ns / nu  # int64/int64 -> float64, same IEEE division as SQL
         keep = jac >= threshold
-        return pa.table(
-            {
-                "id1": pa.array(i1[keep]),
-                "id2": pa.array(i2[keep]),
-                "n_shared": pa.array(ns[keep]),
-                "n_union": pa.array(nu[keep]),
-                "jaccard": pa.array(jac[keep]),
-            }
-        )
+        return pa.table({"id1": pa.array(p1[keep]), "id2": pa.array(p2[keep]),
+                         "n_shared": pa.array(ns[keep]), "n_union": pa.array(nu[keep]),
+                         "jaccard": pa.array(jac[keep], pa.float64())})
 
-    return salted.groupby("psalt").map_groups(verify, batch_format="pandas")
+    return _verify_pairs(cand, ds, id_col, text_col, jaccard)
 
 
 class MultiBandHyperplaneLSH:
@@ -1419,12 +1262,21 @@ class MultiBandHyperplaneLSH:
         return pa.concat_tables(outs)
 
 
-def _lsh_buckets(ds, namespace: str, params: tuple, make_sketcher):
-    """Banded LSH bucket rows in plain tasks.  The sketcher's planes are
-    sized from the data, so it is built once per worker process AND
-    embedding dimension (``make_sketcher(dim)``)."""
+def _lsh_pairs(ds, id_col: str, sketcher: tuple, n_bands: int, max_bucket: int, kind: str,
+               score, aggs):
+    """The embedding near-dup skeleton.  Banded LSH bucket rows in plain
+    tasks: ``sketcher = (namespace, params, make)``, whose planes are sized
+    from the data, so it is built once per worker process AND embedding
+    dimension (``make(dim)``).  The rows meet one (band, bucket) group at a
+    time (``agg._map_key_groups``): ``score(ids, emb)`` gets a group's ids
+    in ascending order with their (n, dim) float64 embeddings and returns
+    its pairs; a group over ``max_bucket`` members is scored empty, with a
+    logged drop.  Last, one row per pair across bands (``aggs``)."""
     from ..util import worker_cached
+    from .agg import _map_key_groups, salted_group_reduce
     from .ann import _embedding_matrix
+
+    namespace, params, make = sketcher
 
     def bucket_rows(batch: pa.Table) -> pa.Table:
         emb = _embedding_matrix(batch["embedding"])
@@ -1436,11 +1288,21 @@ def _lsh_buckets(ds, namespace: str, params: tuple, make_sketcher):
                 "bucket": pa.array([], pa.int64()),
             })
         dim = emb.shape[1]
-        sk = worker_cached(namespace, params + (dim,), lambda: make_sketcher(dim))
-        return sk(batch, emb)
+        return worker_cached(namespace, params + (dim,), lambda: make(dim))(batch, emb)
 
-    return ds.map_batches(bucket_rows, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=None)
+    def pairs(g: pa.Table) -> pa.Table:
+        if len(g) > max_bucket:
+            _log_bucket_drop(kind, len(g), max_bucket)
+            g = g.slice(0, 0)
+        ids = g[id_col].to_numpy()
+        order = np.argsort(ids)
+        return score(ids[order], _embedding_matrix(g["embedding"])[order])
+
+    bucketed = ds.map_batches(bucket_rows, batch_format="pyarrow", zero_copy_batch=True,
+                              batch_size=None)
+    cand = _map_key_groups(bucketed, ["band", "bucket"], [id_col, "embedding", "band", "bucket"],
+                           pairs, per_row=n_bands)
+    return salted_group_reduce(cand, ["id1", "id2"], aggs)
 
 
 def embedding_neardup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
@@ -1452,43 +1314,21 @@ def embedding_neardup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     Over-cap buckets are skipped with a LOGGED drop (never silent); shuffle
     payload is n_bands copies of (id, embedding, band, bucket).
     Output: id1 < id2, cosine."""
-    bucketed = _lsh_buckets(ds, "dedup.hyperplane_lsh", (n_planes, n_bands),
-                            lambda dim: MultiBandHyperplaneLSH(dim, n_planes, n_bands))
-
-    def pairs(g):
-        ids = g[id_col].to_numpy()
-        order = np.argsort(ids)
-        ids = ids[order]
-        if len(ids) < 2 or len(ids) > max_bucket:
-            if len(ids) > max_bucket:
-                _log_bucket_drop("embedding_neardup_pairs", len(ids), max_bucket)
-            z = pa.array([], pa.int64())
-            return pa.table({"id1": z, "id2": z, "cosine": pa.array([], pa.float64())})
-        emb = np.stack(g["embedding"].to_numpy())[order].astype(np.float64)
+    def cosine(ids: np.ndarray, emb: np.ndarray) -> pa.Table:
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         sims = (emb / norms) @ (emb / norms).T
         ii, jj = np.triu_indices(len(ids), k=1)
         keep = sims[ii, jj] >= threshold
-        return pa.table({"id1": pa.array(ids[ii][keep].astype(np.int64)),
-                         "id2": pa.array(ids[jj][keep].astype(np.int64)),
-                         "cosine": pa.array(sims[ii, jj][keep])})
-
-    cand = (bucketed.repartition(_default_shuffle_partitions())
-            .groupby(["band", "bucket"]).map_groups(pairs, batch_format="pandas"))
+        return pa.table({"id1": pa.array(ids[ii][keep], pa.int64()),
+                         "id2": pa.array(ids[jj][keep], pa.int64()),
+                         "cosine": pa.array(sims[ii, jj][keep], pa.float64())})
 
     # distinct across bands: a true pair can collide in several bands
-    # (max-of-max per pair; same cosine value wherever the pair collides)
-    def pre(b: pa.Table) -> pa.Table:
-        g = b.group_by(["id1", "id2"], use_threads=False).aggregate([("cosine", "max")])
-        return g.rename_columns(["id1", "id2", "cosine"])
-
-    from .agg import salted_group_reduce
-
-    return salted_group_reduce(
-        cand.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True, batch_size=None),
-        ["id1", "id2"], [("cosine", "max", "cosine")],
-    )
+    return _lsh_pairs(ds, id_col, ("dedup.hyperplane_lsh", (n_planes, n_bands),
+                                   lambda dim: MultiBandHyperplaneLSH(dim, n_planes, n_bands)),
+                      n_bands, max_bucket, "embedding_neardup_pairs", cosine,
+                      [("cosine", "max", "cosine")])
 
 
 # --- exact-arithmetic embedding near-dup (oracle-checkable variant) --------
@@ -1543,59 +1383,30 @@ def embedding_neardup_pairs_exact(ds, threshold_num: int = 9, threshold_den: int
     the generated DuckDB twin.  Over-cap buckets are logged drops, same
     policy as the float variant.  The sketcher's state is PURE DERIVED
     (seed-fixed integer planes), built once per worker process."""
-    bucketed = _lsh_buckets(ds, "dedup.quantized_lsh", (n_planes, n_bands),
-                            lambda dim: QuantizedMultiBandLSH(dim, n_planes, n_bands))
-
-    def pairs(g):
-        ids = g[id_col].to_numpy()
-        order = np.argsort(ids)
-        ids = ids[order]
-        z = pa.array([], pa.int64())
-        empty = pa.table({"id1": z, "id2": z, "dot_q": z, "d1": z, "d2": z})
-        if len(ids) < 2 or len(ids) > max_bucket:
-            if len(ids) > max_bucket:
-                _log_bucket_drop("embedding_neardup_pairs_exact", len(ids), max_bucket)
-            return empty
-        emb = np.stack(g["embedding"].to_numpy())[order]
-        q = quantize_embeddings(np.asarray(emb, dtype=np.float64))
+    def quantized_dot(ids: np.ndarray, emb: np.ndarray) -> pa.Table:
+        q = quantize_embeddings(emb)
         dots = q @ q.T                      # <= dim * (2^20 * |e|)^2 < 2^45
         d = (q * q).sum(axis=1)
         ii, jj = np.triu_indices(len(ids), k=1)
-        dp = dots[ii, jj]
-        pos = dp > 0
-        ii, jj, dp = ii[pos], jj[pos], dp[pos]
-        if len(dp) == 0:
-            return empty
+        pos = dots[ii, jj] > 0
+        ii, jj = ii[pos], jj[pos]
+        dp, d1v, d2v = dots[ii, jj], d[ii], d[jj]
         # exact boundary test in python ints (dot^2 overflows int64)
-        d1v, d2v = d[ii], d[jj]
         keep = np.fromiter(
             (int(a) * int(a) * threshold_den >= threshold_num * int(x) * int(y)
              for a, x, y in zip(dp, d1v, d2v)),
             dtype=bool, count=len(dp))
-        return pa.table({
-            "id1": pa.array(ids[ii][keep].astype(np.int64)),
-            "id2": pa.array(ids[jj][keep].astype(np.int64)),
-            "dot_q": pa.array(dp[keep].astype(np.int64)),
-            "d1": pa.array(d1v[keep].astype(np.int64)),
-            "d2": pa.array(d2v[keep].astype(np.int64)),
-        })
-
-    cand = (bucketed.repartition(_default_shuffle_partitions())
-            .groupby(["band", "bucket"]).map_groups(pairs, batch_format="pandas"))
+        return pa.table({"id1": pa.array(ids[ii][keep], pa.int64()),
+                         "id2": pa.array(ids[jj][keep], pa.int64()),
+                         "dot_q": pa.array(dp[keep], pa.int64()),
+                         "d1": pa.array(d1v[keep], pa.int64()),
+                         "d2": pa.array(d2v[keep], pa.int64())})
 
     # distinct across bands (values are identical wherever a pair collides)
-    def pre(b: pa.Table) -> pa.Table:
-        g = b.group_by(["id1", "id2"], use_threads=False).aggregate(
-            [("dot_q", "min"), ("d1", "min"), ("d2", "min")])
-        return g.rename_columns(["id1", "id2", "dot_q", "d1", "d2"])
-
-    from .agg import salted_group_reduce
-
-    return salted_group_reduce(
-        cand.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True, batch_size=None),
-        ["id1", "id2"],
-        [("dot_q", "min", "dot_q"), ("d1", "min", "d1"), ("d2", "min", "d2")],
-    )
+    return _lsh_pairs(ds, id_col, ("dedup.quantized_lsh", (n_planes, n_bands),
+                                   lambda dim: QuantizedMultiBandLSH(dim, n_planes, n_bands)),
+                      n_bands, max_bucket, "embedding_neardup_pairs_exact", quantized_dot,
+                      [("dot_q", "min", "dot_q"), ("d1", "min", "d1"), ("d2", "min", "d2")])
 
 
 _POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -1721,73 +1532,37 @@ def _substring_windows(b: pa.Table, *, win: int, stride: int,
 
 
 def substring_match_pairs(ds, win: int = 32, stride: int = 16,
-                          group_salt: int = 64, max_bucket: int | None = None,
+                          max_bucket: int | None = None,
                           id_col: str = "doc_id", text_col: str = "text"):
     """Doc pairs sharing >= 1 exact ``win``-char substring window (stride
     grid), with the shared-window count: (id1, id2, n_grams), id1 < id2.
 
-    Scale shape: narrow window extraction (distinct per doc) -> window
-    strings salted by hash(g) % group_salt (equal windows co-locate, group
-    COUNT stays bounded) -> vectorized equal-g run detection + triu pair
-    emission with IN-GROUP partial pair counts -> keyed total sum.
-    Exactness: grouping/verification is on the window STRING (Arrow/numpy
-    equality), never only its hash — no false pairs from hash collisions.
+    Scale shape: narrow window extraction (distinct per doc) -> one
+    co-partition routed on the window string (equal windows co-locate) ->
+    the pairs of every equal-window run (``_run_pairs``) with IN-BUCKET
+    partial pair counts -> keyed total sum.
+    Exactness: runs are on the window STRING (dictionary codes), never only
+    its hash — no false pairs from hash collisions.
     ``max_bucket=None`` (the default) emits EVERY pair so the operator
     stays exact against its SQL oracle; pass an int to cap a window's
     member count at scale (a window shared by n docs emits n^2/2 pairs) —
     dropped windows are logged, and the output is then a recall-limited
-    candidate set, not the exact pair relation.
-    Partitioning assumption: one salted group's window rows fit a worker
-    (scale ``group_salt`` with the corpus)."""
-    from .agg import salted_group_reduce
-    from .text import hash_utf8_array
+    candidate set, not the exact pair relation."""
+    from .agg import _keyed_buckets, salted_group_reduce
 
     w = ds.map_batches(
         lambda b: _substring_windows(b, win=win, stride=stride,
                                      id_col=id_col, text_col=text_col),
         batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        gh = hash_utf8_array(b["g"])
-        salt = (gh.view(np.uint64) % np.uint64(group_salt)).astype(np.int64)
-        return b.append_column("gsalt", pa.array(salt))
+    def pairs(g: pa.Table) -> pa.Table:
+        ids = g[id_col].to_numpy()
+        codes = pc.dictionary_encode(as_array(g["g"])).indices.to_numpy(zero_copy_only=False)
+        a, b = _run_pairs([codes], ids, "substring_match_pairs", max_bucket)
+        # in-bucket partial count per pair (a pair repeats once per shared g)
+        return _pair_table(ids[a], ids[b]).rename_columns(["id1", "id2", "pn"])
 
-    salted = w.map_batches(add_salt, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None)
-    salted = salted.repartition(_default_shuffle_partitions())
-
-    def pairs(gdf):
-        ids = gdf[id_col].to_numpy().astype(np.int64)
-        gs = gdf["g"].to_numpy()
-        order = np.lexsort((ids, gs))
-        gso, ido = gs[order], ids[order]
-        starts = np.nonzero(np.r_[True, gso[1:] != gso[:-1]])[0]
-        ends = np.r_[starts[1:], len(gso)]
-        counts = ends - starts
-        id1s, id2s = [], []
-        # iterate only runs with >= 2 members (most stride windows are
-        # unique — a python step per singleton is the per-group overhead
-        # CLAUDE.md warns about); cap pathological hot windows like minhash
-        for ri in np.nonzero(counts >= 2)[0]:
-            n = int(counts[ri])
-            if max_bucket is not None and n > max_bucket:
-                _log_bucket_drop("substring_match_pairs", n, max_bucket)
-                continue
-            run = ido[starts[ri]:ends[ri]]
-            ii, jj = np.triu_indices(n, k=1)
-            id1s.append(run[ii])
-            id2s.append(run[jj])
-        if not id1s:
-            z = pa.array([], pa.int64())
-            return pa.table({"id1": z, "id2": z, "pn": z})
-        p = pa.table({"id1": pa.array(np.concatenate(id1s)),
-                      "id2": pa.array(np.concatenate(id2s))})
-        # in-group partial count per pair (a pair repeats once per shared g)
-        g = p.group_by(["id1", "id2"], use_threads=False).aggregate([([], "count_all")])
-        return pa.table({"id1": g["id1"], "id2": g["id2"],
-                         "pn": g["count_all"].cast(pa.int64())})
-
-    partials = salted.groupby("gsalt").map_groups(pairs, batch_format="pandas")
+    partials = _keyed_buckets(w, ["g"], [id_col, "g"], pairs)
     return salted_group_reduce(partials, ["id1", "id2"],
                                [("pn", "sum", "n_grams")])
 
@@ -1871,26 +1646,23 @@ def paragraph_dedup(ds, k_tokens: int = 10, id_col: str = "doc_id",
 
     Scale shape — two shuffles, both on the chunk projection:
     1. the keep-first chunk shuffle (_first_chunks);
-    2. survivors regroup on a bounded doc salt; per doc the chunks are
-       rejoined in chunk_idx order via one vectorized ListArray
-       binary_join per group — no per-row python string building.
+    2. survivors regroup in a co-partition routed on the doc; per doc the
+       chunks are rejoined in chunk_idx order via one vectorized ListArray
+       binary_join per bucket — no per-row python string building.
 
     Output: (doc_id, clean_text, n_kept, n_total); docs whose every chunk
     was dropped do not appear (same GROUP-BY-survivors semantics as the
     SQL twin).  Null texts are excluded on both engines."""
-    kept = _first_chunks(ds, k_tokens, id_col, text_col, "paragraph_dedup")
+    from .joins import _bucket_count, _bucket_of, _co_partition
 
-    def add_dsalt(b: pa.Table) -> pa.Table:
-        doc = (b["owner"].to_numpy(zero_copy_only=False) >> np.int64(_IDX_BITS))
-        salt = ((doc * np.int64(2654435761)) % np.int64(256)).astype(np.int64)
-        return b.append_column("_dsalt", pa.array(salt))
+    kept = _first_chunks(ds, k_tokens, id_col, text_col, "paragraph_dedup")
+    n = _bucket_count(kept)
+
+    def by_doc(b: pa.Table) -> pa.Table:
+        doc = b["owner"].to_numpy(zero_copy_only=False) >> np.int64(_IDX_BITS)
+        return b.append_column("_bucket", pa.array(_bucket_of(doc, n)))
 
     def reassemble(g: pa.Table) -> pa.Table:
-        if len(g) == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "clean_text": pa.array([], pa.string()),
-                             "n_kept": pa.array([], pa.int64()),
-                             "n_total": pa.array([], pa.int64())})
         g = g.sort_by([("owner", "ascending")])  # (doc, chunk_idx) order
         owner = g["owner"].to_numpy(zero_copy_only=False)
         doc = owner >> np.int64(_IDX_BITS)
@@ -1905,9 +1677,7 @@ def paragraph_dedup(ds, k_tokens: int = 10, id_col: str = "doc_id",
             "n_total": pa.array(n_tot.astype(np.int64)),
         })
 
-    salted = kept.map_batches(add_dsalt, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None)
-    return salted.groupby("_dsalt").map_groups(reassemble, batch_format="pyarrow")
+    return _co_partition([(kept, by_doc)], reassemble)
 
 
 def paragraph_dup_ratio(ds, k_tokens: int = 10, drop_above: float | None = None,
@@ -2176,27 +1946,27 @@ _SHORT_KEY = np.int64(-0x5851F42D4C957F2D)  # sentinel bucket for len <= 2t
 
 
 def edit_distance_pairs(ds, max_dist: int = 4, id_col: str = "doc_id",
-                        text_col: str = "text", group_salt: int = 64,
-                        pair_salt: int = 128, max_bucket: int = 1000):
+                        text_col: str = "text", max_bucket: int = 1000):
     """Self-join: all id1 < id2 pairs with byte Levenshtein <= max_dist,
-    plus the exact distance.  PassJoin candidates (see module comment) ->
-    per-group distinct -> text re-attach (bucketed shuffle join; texts never
-    ride the candidate shuffle) -> banded DP verify (which also collapses
-    the <= nseg cross-group duplicate candidates — all copies of a pair
-    share its psalt, so one wide step fewer than a global distinct).
+    plus the exact distance.  PassJoin candidates (see module comment) in
+    one co-partition routed on the candidate key -> per-bucket distinct ->
+    text re-attach and banded DP verify (``_verify_pairs``, whose regroup
+    on the pair also collapses the <= nseg cross-bucket duplicate
+    candidates, so one wide step fewer than a global distinct).
 
     Strings shorter than max_dist+1 bytes cannot carry non-empty segments;
     any partner of such a string is itself <= 2*max_dist bytes, so ALL
     strings <= 2*max_dist bytes share one sentinel bucket (their pair count
     is inherently quadratic when they are near-equal — e.g. a corpus of
     empty docs — so no partition scheme can beat the output size there).
-    ``max_bucket`` caps any single candidate run with a logged drop;
+    ``max_bucket`` caps any single candidate run (a run of more segment x
+    probe pairs than a ``max_bucket``-member self-join) with a logged drop;
     oracle-profile callers pass it uncapped (CLAUDE.md rule).
 
     Output: id1, id2, dist (all int64).  SQL twin:
     ``levenshtein(a.text, b.text) <= max_dist`` with a byte-length
     |strlen(a)-strlen(b)| <= max_dist prune (implied by the predicate)."""
-    from .joins import bucketed_hash_join
+    from .agg import _keyed_buckets
 
     t = int(max_dist)
     nseg = t + 1
@@ -2263,9 +2033,6 @@ def edit_distance_pairs(ds, max_dist: int = 4, id_col: str = "doc_id",
                 out_ids.append(po[first])
 
     def cand_rows(batch: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        batch = strip_schema_metadata(batch)
         texts = as_array(batch[text_col])
         valid = pc.is_valid(texts).to_numpy(zero_copy_only=False)
         ids_all = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2312,148 +2079,29 @@ def edit_distance_pairs(ds, max_dist: int = 4, id_col: str = "doc_id",
     rows = ds.map_batches(cand_rows, batch_format="pyarrow",
                           zero_copy_batch=True, batch_size=None)
 
-    def add_salt(b: pa.Table) -> pa.Table:
-        salt = (b["k"].to_numpy(zero_copy_only=False).view(np.uint64)
-                % np.uint64(group_salt)).astype(np.int64)
-        return b.append_column("gsalt", pa.array(salt))
-
-    salted = rows.map_batches(add_salt, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None)
-
-    def pairs(g):
-        """Cross-product of side-0 x side-1 ids within each k run, fully
-        vectorized (the per-run python loop measured ~1 s UDF at sf0.01 —
-        runs number in the 100k's).  Output is per-GROUP distinct; the
-        cross-group duplicates (same pair via several segment buckets,
-        <= nseg copies) collapse in verify's per-(id1,id2) run walk, so no
-        global distinct shuffle is needed."""
-        z = pa.array([], pa.int64())
-        empty = pa.table({"id1": z, "id2": z})
-        ks = g["k"].to_numpy()
+    def pairs(g: pa.Table) -> pa.Table:
+        """Every side-0 x side-1 id pair of each k run, as (min, max) ids,
+        distinct within the bucket; the cross-bucket duplicates (same pair
+        via several segment buckets, <= nseg copies) collapse in the
+        verify's regroup on the pair."""
         ids = g["id"].to_numpy()
-        side = g["side"].to_numpy()
-        if not len(ks):
-            return empty
-        order = np.lexsort((ids, side, ks))
-        ko, io, so = ks[order], ids[order], side[order]
-        first = np.r_[True, ko[1:] != ko[:-1]]
-        run = np.cumsum(first) - 1  # run id per row
-        nrun = int(run[-1]) + 1
-        is_a = so == 0
-        na = np.bincount(run[is_a], minlength=nrun)
-        nb = np.bincount(run[~is_a], minlength=nrun)
-        prod = na * nb
-        keep = (prod > 0) & (prod <= max_bucket * max_bucket)
-        for p in prod[prod > max_bucket * max_bucket]:
-            _log_bucket_drop("edit_distance_pairs", int(p),
-                             max_bucket * max_bucket)
-        if not keep.any():
-            return empty
-        # compact kept runs: re-number so offsets line up
-        krun = np.cumsum(keep) - 1  # old run -> kept run (valid where keep)
-        a_rows = is_a & keep[run]
-        b_rows = (~is_a) & keep[run]
-        a_ids, a_run = io[a_rows], krun[run[a_rows]]
-        b_ids = io[b_rows]
-        nak, nbk = na[keep], nb[keep]
-        boff = np.r_[0, np.cumsum(nbk)]  # b-segment start per kept run
-        # ragged tile: each a row expands to its run's full b segment
-        counts = nbk[a_run]
-        offs = np.r_[0, np.cumsum(counts)]
-        total = int(offs[-1])
-        pos = np.arange(total, dtype=np.int64) - np.repeat(offs[:-1], counts)
-        aa = np.repeat(a_ids, counts)
-        bb = b_ids[np.repeat(boff[a_run], counts) + pos]
+        a, b = _run_pairs([g["k"].to_numpy()], ids, "edit_distance_pairs", max_bucket,
+                          side=g["side"].to_numpy())
+        aa, bb = ids[a], ids[b]
         ne = aa != bb
-        aa, bb = aa[ne], bb[ne]
-        if not len(aa):
-            return empty
-        p1 = np.minimum(aa, bb)
-        p2 = np.maximum(aa, bb)
-        oo = np.lexsort((p2, p1))
-        a, b = p1[oo], p2[oo]
-        first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
-        return pa.table({"id1": pa.array(a[first]), "id2": pa.array(b[first])})
+        return _pair_table(np.minimum(aa, bb)[ne], np.maximum(aa, bb)[ne]).drop_columns(["n"])
 
-    cand = (salted.repartition(_default_shuffle_partitions())
-            .groupby("gsalt").map_groups(pairs, batch_format="pandas"))
+    cand = _keyed_buckets(rows, ["k"], ["k", "side", "id"], pairs)
 
-    # --- text re-attach + banded DP verify (jaccard_prefix_pairs pattern) --
-    def explode(b: pa.Table) -> pa.Table:
-        id1 = b["id1"].to_numpy(zero_copy_only=False).astype(np.int64)
-        id2 = b["id2"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(id1)
-        return pa.table({
-            "doc_id": np.concatenate([id1, id2]),
-            "id1": np.concatenate([id1, id1]),
-            "id2": np.concatenate([id2, id2]),
-            "slot": np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)]),
-        })
-
-    probes = cand.map_batches(explode, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None)
-
-    def texts_proj(b: pa.Table) -> pa.Table:
-        from ..util import strip_schema_metadata
-
-        b = strip_schema_metadata(b.select([id_col, text_col]))
-        return b.filter(pc.is_valid(b[text_col]))
-
-    texts = ds.map_batches(texts_proj, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=None)
-    if id_col != "doc_id":
-        texts = texts.rename_columns({id_col: "doc_id"})
-    i64 = pa.int64()
-    attached = bucketed_hash_join(
-        probes, texts, on="doc_id",
-        schemas=(pa.schema([("doc_id", i64), ("id1", i64), ("id2", i64),
-                            ("slot", pa.int8())]),
-                 pa.schema([("doc_id", i64), (text_col, pa.string())])),
-        buckets=2 * _default_shuffle_partitions(),
-    )
-
-    def add_pair_salt(b: pa.Table) -> pa.Table:
-        id1 = b["id1"].to_numpy(zero_copy_only=False)
-        id2 = b["id2"].to_numpy(zero_copy_only=False)
-        salt = ((id1 * np.int64(31) + id2) * np.int64(2654435761)) % pair_salt
-        return b.append_column("psalt", pa.array(salt))
-
-    salted_p = attached.map_batches(add_pair_salt, batch_format="pyarrow",
-                                    zero_copy_batch=True, batch_size=None)
-
-    def verify(g):
-        z = pa.array([], pa.int64())
-        if len(g) == 0:
-            return pa.table({"id1": z, "id2": z, "dist": z})
-        slot = np.asarray(g["slot"])
-        id1 = np.asarray(g["id1"]).astype(np.int64)
-        id2 = np.asarray(g["id2"]).astype(np.int64)
-        did = np.where(slot == 0, id1, id2)
-        txt = np.asarray(g[text_col], dtype=object)
-        uids, first_idx = np.unique(did, return_index=True)
-        by_id = {int(u): np.frombuffer(str(txt[fi]).encode("utf-8"), np.uint8)
-                 for u, fi in zip(uids, first_idx)}
-        order = np.lexsort((id2, id1))
-        s1, s2, ss = id1[order], id2[order], slot[order]
-        first = np.r_[True, (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])]
-        starts = np.nonzero(first)[0]
-        ends = np.r_[starts[1:], len(s1)]
-        # only runs carrying BOTH slots (a null text drops its side's row)
-        a_txt, b_txt, p1, p2 = [], [], [], []
-        for st, en in zip(starts, ends):
-            sl = ss[st:en]
-            if not ((sl == 0).any() and (sl == 1).any()):
-                continue
-            a_txt.append(by_id[int(s1[st])])
-            b_txt.append(by_id[int(s2[st])])
-            p1.append(s1[st]); p2.append(s2[st])
-        d = _banded_edit_distance_batch(a_txt, b_txt, t)
+    def within_distance(p1, p2, docs, texts) -> pa.Table:
+        raw = [np.frombuffer(x, np.uint8) for x in texts.cast(pa.binary()).to_pylist()]
+        d = _banded_edit_distance_batch([raw[i] for i in np.searchsorted(docs, p1)],
+                                        [raw[i] for i in np.searchsorted(docs, p2)], t)
         keep = d <= t
-        return pa.table({"id1": pa.array(np.array(p1, np.int64)[keep]),
-                         "id2": pa.array(np.array(p2, np.int64)[keep]),
-                         "dist": pa.array(d[keep])})
+        return pa.table({"id1": pa.array(p1[keep], pa.int64()),
+                         "id2": pa.array(p2[keep], pa.int64()), "dist": pa.array(d[keep])})
 
-    return salted_p.groupby("psalt").map_groups(verify, batch_format="pandas")
+    return _verify_pairs(cand, ds, id_col, text_col, within_distance)
 
 
 def bow_keep_first(ds, id_col: str = "doc_id", text_col: str = "text"):

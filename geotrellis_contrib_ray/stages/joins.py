@@ -10,7 +10,9 @@ joins, spatial.box_join and spatial.distance_join, and the bucket routing of
 dedup._keep_first_rows and text.tfidf_top_terms) runs on ONE primitive,
 ``_co_partition``: each side ROUTES its rows to an int64 ``_bucket`` (a key
 hash, ``_bucket_of``, or a range replication, ``_ragged_expand``), the sides
-are tagged, padded with typed nulls to one Arrow schema, unioned,
+are tagged, padded with typed nulls to one Arrow schema, unioned (every side
+whose plan holds an all-to-all last: Ray 2.49 stalls at one CPU on a union
+whose first input holds one; the tags keep the result order-free),
 narrow-repartitioned to ``_shuffle_blocks`` blocks and grouped on
 ``_bucket``; the per-group kernel sees each side's rows of one bucket.  The
 block count comes from the CPUs and the inputs' bytes when the plan reports
@@ -33,9 +35,14 @@ reduce), the per-key steps of ``agg._map_key_groups`` (the grouped
 quantiles and HLL merge, ``pack_sequences``' chunk offsets and
 ``mixture_sample``'s prefix; ``_by_bucket`` iterates the keys of a
 bucket), the seven per-user ``windows`` ops, ``stats.top_k_per_group``,
-``graph.star_edges`` and the raster mosaic / pyramid / focal steps, with
-``_bucket_count(ds)`` buckets: ``max(default_join_partitions(), ceil(rows /
-_BUCKET_ROWS))``, ``rows`` from the input's parquet footer.  With two sides
+``graph.star_edges``, the raster mosaic / pyramid / focal steps and the
+near-dup family of ``dedup`` (the MinHash, SimHash and embedding LSH
+buckets, the Jaccard joins' token runs, the substring windows, the PassJoin
+keys, the PPJoin prefix and paragraph reassembly per doc, and the exact
+verify's regroup on the pair), with ``_bucket_count(ds)`` buckets:
+``max(default_join_partitions(), ceil(rows / _BUCKET_ROWS))``, ``rows`` from
+the input's parquet footer times the row factor of the maps above it (LSH
+bands, shard copies).  With two sides
 and no join it is ``pack_sequences``' doc-to-offset assignment.  One hot
 key still fills one bucket."""
 
@@ -107,14 +114,33 @@ def _shuffled_blocks(ds) -> int | None:
         return None
 
 
-def _bucket_count(ds) -> int:
+def _bucket_count(ds, per_row: int = 1) -> int:
     """Bucket count of a one-sided keyed wide step over ``ds``:
-    ``max(default_join_partitions(), ceil(rows / _BUCKET_ROWS))``, ``rows``
-    from ``_plan_leaf``.  An unknown count keeps the default.  An estimate:
-    it moves the bucket count, never the result."""
+    ``max(default_join_partitions(), ceil(rows * per_row / _BUCKET_ROWS))``,
+    ``rows`` from ``_plan_leaf``; ``per_row`` is the factor, fixed when the
+    plan is built, by which the maps over the leaf multiply its rows (LSH
+    bands, shard copies).  An unknown count keeps the default.  An
+    estimate: it moves the bucket count, never the result."""
     n = default_join_partitions()
     rows = _plan_leaf(ds)[0]
-    return n if rows is None else max(n, -(-rows // _BUCKET_ROWS))
+    return n if rows is None else max(n, -(-rows * per_row // _BUCKET_ROWS))
+
+
+def _has_all_to_all(ds) -> bool:
+    """Whether the lazy plan of ``ds`` holds an all-to-all operator (a sort,
+    a repartition, a groupby) anywhere below it."""
+    try:
+        from ray.data._internal.logical.operators.all_to_all_operator import AbstractAllToAll
+
+        ops = [ds._logical_plan.dag]
+        while ops:
+            op = ops.pop()
+            if isinstance(op, AbstractAllToAll):
+                return True
+            ops.extend(op.input_dependencies)
+    except (AttributeError, ImportError):  # a Ray plan-API change keeps the given order
+        pass
+    return False
 
 
 def _fans_out(route):
@@ -217,7 +243,9 @@ def _co_partition(sides, per_group, schemas=None):
     several buckets).  With several sides every routed row is tagged with
     its side and padded with typed nulls to one schema, ``schemas`` giving
     the columns each route returns besides ``_bucket`` (None: every route
-    returns the same columns).  The union is narrow-repartitioned — the
+    returns the same columns), and the sides whose plan holds an all-to-all
+    (``_has_all_to_all``) come last in the union.  The union is
+    narrow-repartitioned — the
     sort-shuffle's fixed cost scales with its input BLOCK count (the same
     sf0.1 join: 3.7 s from the readers' ~128 blocks vs 1.8 s coalesced to
     16) — to ``_shuffle_blocks`` blocks: sized from the sides' bytes and the
@@ -301,6 +329,11 @@ def _co_partition(sides, per_group, schemas=None):
     routed = [ds.map_batches(tag(i, route), batch_format="pyarrow",
                              zero_copy_batch=True, batch_size=None)
               for i, (ds, route) in enumerate(sides)]
+    # a side with an all-to-all in its plan goes last in the union: Ray 2.49
+    # stalls at one CPU on a union whose first input holds one (a side's
+    # rows carry its tag, so the order moves no result)
+    if n_sides > 1:
+        routed.sort(key=_has_all_to_all)
     tagged = routed[0].union(*routed[1:]) if n_sides > 1 else routed[0]
     k = _shuffled_blocks(sides[0][0]) if n_sides == 1 else None
     if k is None or k > n_blocks:  # a shuffle's output of <= n_blocks is narrow already

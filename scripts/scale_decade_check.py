@@ -107,6 +107,12 @@ CHECKS = [
         "ann_ivf",
         "ann_cosine",
         "ann_rank",
+        # the exact pair joins: the inverted-index and PPJoin Jaccard
+        # joins (one SQL twin, over the JACCARD_SAMPLE_LIMIT id range) and
+        # the substring windows (a generate_series/substr window grid)
+        "jaccard_exact_pairs",
+        "jaccard_prefix_pairs",
+        "substring_pairs",
         "embedding_neardup",
         "simhash_pairs",
         "minhash_pairs",

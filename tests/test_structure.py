@@ -1,18 +1,17 @@
-"""Structural guards over the package source: one keyed-reduce shuffle.
+"""Structural guards over the package source: one keyed shuffle.
 
-Every keyed wide step runs on ``joins._co_partition``; the only other
-``groupby(...).map_groups`` calls left are dedup's, which are to fold onto
-it next.  No fixed salt comes back on ``agg.salted_group_reduce``."""
+Every keyed wide step runs on ``joins._co_partition``: it holds the only
+``groupby(...).map_groups`` call of the package.  No fixed salt comes back
+on ``agg.salted_group_reduce`` or on a dedup op."""
 
 import ast
 import inspect
 import pathlib
 
 import geotrellis_contrib_ray
-from geotrellis_contrib_ray.stages import agg, skew
+from geotrellis_contrib_ray.stages import agg, dedup, skew
 
 PKG = pathlib.Path(geotrellis_contrib_ray.__file__).parent
-DEDUP_MAP_GROUPS_MAX = 13
 
 
 def _map_groups_lines(path: pathlib.Path) -> list[int]:
@@ -27,17 +26,23 @@ def _function_span(path: pathlib.Path, name: str) -> range:
     raise AssertionError(f"{name} not found in {path}")
 
 
-def test_map_groups_only_in_co_partition_and_dedup():
+def test_map_groups_only_in_co_partition():
     co_partition = _function_span(PKG / "stages" / "joins.py", "_co_partition")
     for path in sorted(PKG.rglob("*.py")):
         lines = _map_groups_lines(path)
         rel = path.relative_to(PKG).as_posix()
         if rel == "stages/joins.py":
             assert lines and all(i in co_partition for i in lines), lines
-        elif rel == "stages/dedup.py":
-            assert len(lines) <= DEDUP_MAP_GROUPS_MAX, lines
         else:
             assert not lines, (rel, lines)
+
+
+def test_dedup_ops_have_no_salt_or_df_cap():
+    for name, fn in inspect.getmembers(dedup, inspect.isfunction):
+        if fn.__module__ != dedup.__name__ or name.startswith("_"):
+            continue
+        params = inspect.signature(fn).parameters
+        assert not [p for p in params if p.endswith("_salt") or p == "max_df"], name
 
 
 def test_salted_group_reduce_has_no_salt():
