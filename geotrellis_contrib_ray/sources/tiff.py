@@ -446,6 +446,9 @@ class _TiffLevel:
         self.cell_name = _SF_TO_DTYPE[(sf, bits)]
         self.is_bit = self.cell_name == "bit"
         self.dtype = np.dtype("uint8" if self.is_bit else self.cell_name).newbyteorder(endian)
+        # decoded bytes of one tile row (bilevel rows are bit-packed)
+        self._row_bytes = ((self.tile_w * self.spp + 7) // 8 if self.is_bit
+                           else self.tile_w * self.spp * self.dtype.itemsize)
         self.ntx = -(-self.width // self.tile_w)
         self.nty = -(-self.height // self.tile_h)
         self._data = data
@@ -457,20 +460,21 @@ class _TiffLevel:
         """-> (spp, h, tile_w) pixel block; h < tile_h only for a short last
         strip (tiled layouts are edge-padded to full size)."""
         raw = self._data[self.offsets[ti] : self.offsets[ti] + self.counts[ti]]
+        h = self.tile_h
+        if self.striped:
+            h = min(self.tile_h, self.height - ti * self.tile_h)
         if self.compression == 8:
-            raw = zlib.decompress(raw)
+            # sized to the decoded tile: zlib then never regrows its buffer
+            raw = zlib.decompress(raw, bufsize=h * self._row_bytes)
         elif self.compression == 5:
             raw = _lzw_decode(raw)
         elif self.compression == 32773:
             raw = _packbits_decode(raw)
         elif self.compression != 1:
             raise ValueError(f"unsupported TIFF compression {self.compression}")
-        h = self.tile_h
-        if self.striped:
-            h = min(self.tile_h, self.height - ti * self.tile_h)
         if self.is_bit:
             # bilevel rows are bit-packed MSB-first, each row byte-aligned
-            row_bytes = (self.tile_w * self.spp + 7) // 8
+            row_bytes = self._row_bytes
             packed = np.frombuffer(raw, dtype=np.uint8, count=h * row_bytes)
             arr = np.unpackbits(packed.reshape(h, row_bytes), axis=1,
                                 bitorder="big")[:, : self.tile_w * self.spp]

@@ -257,14 +257,14 @@ def _map_key_groups(ds, keys: list[str], cols: list[str], kernel, per_row: int =
     """Ray's ``groupby(keys)`` + per-group ``kernel`` as one keyed
     co-partition: the rows (projected to ``cols``) are routed on the hash
     of ``keys`` (``_hash_route``) and ``kernel`` gets the Arrow rows of
-    every distinct key tuple of a bucket (``joins._by_bucket``; NULL keys
+    every distinct key tuple of a bucket (``joins._by_key``; NULL keys
     form one group).  Its outputs in one bucket must share one schema.
     ``per_row``: the row factor of the maps that made ``ds`` from its leaf
     (``joins._bucket_count``)."""
-    from .joins import _by_bucket
+    from .joins import _by_key
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        return pa.concat_tables(list(_by_bucket(t, kernel, keys)))
+        return pa.concat_tables(list(_by_key(t, kernel, keys)))
 
     per_bucket.__name__ = kernel.__name__  # the stats' op label
     return _keyed_buckets(ds, keys, cols, per_bucket, per_row)

@@ -612,12 +612,19 @@ def _simhash_occupancy_shards(signed, bands: int, width: int, mask: np.uint64,
     * bands nonzero bins, then a per-block partial max — the driver receives
     ONE scalar per block, never the histogram.
 
+    A spill directory made here (no ``spill_dir``) is removed once no plan
+    holds ``sig_dataset``'s read any more: the pairs built on it, and every
+    Dataset derived from them, are gone (their blocks, once materialized,
+    do not need it).
+
     Returns (sig_dataset, n_shards, max_occupancy).  Per-task run length in
     the pair stage is ~2*occ/n_shards (both shards of a pair group land in
     one task), so n_shards = ceil(3*max_occ/target_run) keeps runs under
     ``target_run`` with a 1.5x hash-imbalance margin, clamped to [1, 64]
     (64 shards = 2080 shard pairs, 32x the band rows)."""
+    import shutil
     import tempfile
+    import weakref
 
     import pyarrow.compute as pc
     import ray
@@ -633,11 +640,17 @@ def _simhash_occupancy_shards(signed, bands: int, width: int, mask: np.uint64,
                        batch_size=None).write_parquet(out_dir)
     from ..util import strip_schema_metadata
 
+    def strip(b: pa.Table) -> pa.Table:
+        return strip_schema_metadata(b)
+
+    if spill_dir is None:
+        # every plan over the spill holds this function (its map operator):
+        # when the last one is collected, nothing reads the directory again
+        weakref.finalize(strip, shutil.rmtree, out_dir, True)
     # strip fused into the read: the spill carries write-time metadata that
     # would defeat Ray's shuffle schema-dedup cache (CLAUDE.md rule)
     sig = ray.data.read_parquet(out_dir, columns=["doc_id", "simhash"]).map_batches(
-        strip_schema_metadata, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None)
+        strip, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
 
     nbins = bands << width
 
@@ -1243,8 +1256,9 @@ class MultiBandHyperplaneLSH:
         rng = np.random.default_rng(seed)
         self._planes = [rng.standard_normal((dim, n_planes)) for _ in range(n_bands)]
 
-    def __call__(self, batch: pa.Table, emb: np.ndarray) -> pa.Table:
-        """``emb``: the batch's (n, dim) embedding matrix, n >= 1."""
+    def __call__(self, batch: pa.Table, emb: np.ndarray, id_col: str = "vec_id") -> pa.Table:
+        """``emb``: the batch's (n, dim) embedding matrix, n >= 1; the rows
+        keep their ids from ``id_col``."""
         weights = 1 << np.arange(self.n_planes, dtype=np.int64)
         outs = []
         for b, planes in enumerate(self._planes):
@@ -1252,7 +1266,7 @@ class MultiBandHyperplaneLSH:
             outs.append(
                 pa.table(
                     {
-                        "vec_id": batch["vec_id"],
+                        id_col: batch[id_col],
                         "embedding": batch["embedding"],
                         "band": pa.array(np.full(len(batch), b, dtype=np.int32)),
                         "bucket": pa.array(bucket),
@@ -1282,13 +1296,13 @@ def _lsh_pairs(ds, id_col: str, sketcher: tuple, n_bands: int, max_bucket: int, 
         emb = _embedding_matrix(batch["embedding"])
         if emb.shape[0] == 0:
             return pa.table({
-                "vec_id": batch["vec_id"],
+                id_col: batch[id_col],
                 "embedding": batch["embedding"],
                 "band": pa.array([], pa.int32()),
                 "bucket": pa.array([], pa.int64()),
             })
         dim = emb.shape[1]
-        return worker_cached(namespace, params + (dim,), lambda: make(dim))(batch, emb)
+        return worker_cached(namespace, params + (dim,), lambda: make(dim))(batch, emb, id_col)
 
     def pairs(g: pa.Table) -> pa.Table:
         if len(g) > max_bucket:
@@ -1365,8 +1379,8 @@ class QuantizedMultiBandLSH(MultiBandHyperplaneLSH):
         self.n_planes = n_planes
         self._planes = integer_planes(dim, n_planes, n_bands, seed)
 
-    def __call__(self, batch: pa.Table, emb: np.ndarray) -> pa.Table:
-        return super().__call__(batch, quantize_embeddings(emb))
+    def __call__(self, batch: pa.Table, emb: np.ndarray, id_col: str = "vec_id") -> pa.Table:
+        return super().__call__(batch, quantize_embeddings(emb), id_col)
 
 
 def embedding_neardup_pairs_exact(ds, threshold_num: int = 9, threshold_den: int = 100,

@@ -14,17 +14,18 @@ are tagged, padded with typed nulls to one Arrow schema, unioned (every side
 whose plan holds an all-to-all last: Ray 2.49 stalls at one CPU on a union
 whose first input holds one; the tags keep the result order-free),
 narrow-repartitioned to ``_shuffle_blocks`` blocks and grouped on
-``_bucket``; the per-group kernel sees each side's rows of one bucket.  The
-block count comes from the CPUs and the inputs' bytes when the plan reports
-the bytes (every side a plan leaf: a materialized Dataset, ``from_arrow``, a
-bare read) and no route copies rows (``_fans_out``), else it is
+``_bucket``; the per-group kernel sees each side's rows of one or more
+whole buckets and groups them by its own key.  The block count comes from
+the CPUs and the inputs' bytes when the plan reports the bytes (every side
+a plan leaf: a materialized Dataset, ``from_arrow``, a bare read) and no
+route copies rows (``_fans_out``), else it is
 ``agg._default_shuffle_partitions()``.  One sort-shuffle pass, no actor
 pools; no shuffle at all for ONE side when that count is one block (one
-CPU, a leaf under ``target_max_block_size``): its rows are then routed and
-grouped in one narrow task (``_by_bucket``), with the same buckets and
-kernels.  Key-hash joins use B = ``default_join_partitions()`` buckets, ~8x
-cluster CPUs (measured sweet spot, see there); the optional per-key salt is
-the skew knob (``skew_aware_join``).  Ray's native ``Dataset.join`` is not
+CPU, a leaf under ``target_max_block_size``): its rows are then routed in
+one narrow task and the kernel runs once on all of them.  Key-hash joins
+use B = ``default_join_partitions()`` buckets, ~8x cluster CPUs (measured
+sweet spot, see there); the optional per-key salt is the skew knob
+(``skew_aware_join``).  Ray's native ``Dataset.join`` is not
 used: its aggregator-actor pool start-up dominates (sf0.1 lineitem x
 orders: bucketed b32 4.2 s vs native p32 25 s / p16 14 s).
 
@@ -33,7 +34,7 @@ vectorized kernel per bucket of keys) of the keyed total reduce
 (``agg.salted_group_reduce``, every rollup / cube / token-count / rank
 reduce), the per-key steps of ``agg._map_key_groups`` (the grouped
 quantiles and HLL merge, ``pack_sequences``' chunk offsets and
-``mixture_sample``'s prefix; ``_by_bucket`` iterates the keys of a
+``mixture_sample``'s prefix; ``_by_key`` iterates the keys of a
 bucket), the seven per-user ``windows`` ops, ``stats.top_k_per_group``,
 ``graph.star_edges``, the raster mosaic / pyramid / focal steps and the
 near-dup family of ``dedup`` (the MinHash, SimHash and embedding LSH
@@ -212,12 +213,12 @@ def _key_route(cols: list[str], key: str, n: int):
     return route
 
 
-def _by_bucket(t: pa.Table, group, keys=("_bucket",)):
-    """``group`` of every distinct ``keys`` tuple of ``t`` (by default every
-    ``_bucket``, in ascending order, as ``map_groups`` calls it): one stable
-    sort (a ``take`` of the rows, the only copy) and zero-copy slices.  NULL
-    keys form one group, as in Ray's groupby (``agg._sort_codes``); the
-    per-key steps inside a bucket kernel iterate with it."""
+def _by_key(t: pa.Table, group, keys):
+    """``group`` of every distinct ``keys`` tuple of ``t``, in ascending key
+    order: one stable sort (a ``take`` of the rows, the only copy) and
+    zero-copy slices.  NULL keys form one group, as in Ray's groupby
+    (``agg._sort_codes``); the per-key steps inside a bucket kernel iterate
+    with it."""
     if not len(t):
         return
     from .agg import _sort_codes
@@ -255,17 +256,22 @@ def _co_partition(sides, per_group, schemas=None):
     that is already a shuffle's output of at most that many blocks
     (``_shuffled_blocks``: a keyed reduce feeding a per-key step) is not
     narrowed again.  Then it is grouped on ``_bucket``; ``per_group(*rows)``
-    gets each side's routed rows of one bucket (without ``_bucket``) and
-    returns a table.
+    gets each side's routed rows (without ``_bucket``) of one or more whole
+    buckets and returns a table.  So a kernel groups by its own key: a
+    bucket holds every row of its keys, never only the keys of one bucket.
 
     With ONE side, when that count is one block (one CPU, a leaf under
     ``target_max_block_size``) and the leaf reports its rows, a sort into
     one block moves no data: the whole step is one narrow task instead, a
     ``map_batches`` over the leaf whose ``batch_size`` is the leaf's row
     count, so Ray bundles every input block into one batch; the task routes
-    it and groups it by ``_by_bucket``.  Routing inside the task, after the
-    batch is formed, keeps the batch independent of how many rows the route
-    emits.  Several sides always shuffle."""
+    it and calls ``per_group`` once on every routed row, all buckets at
+    once, with no sort and no copy of the rows into bucket order.  That
+    holds for a route that sends each row once; a fan-out route
+    (``_fans_out``) never gets here, as ``_shuffle_blocks`` keeps its
+    default.  Routing inside the task, after the batch is formed, keeps the
+    batch independent of how many rows the route emits.  Several sides
+    always shuffle."""
     from ..util import strip_schema_metadata
 
     n_sides = len(sides)
@@ -317,11 +323,14 @@ def _co_partition(sides, per_group, schemas=None):
     n_blocks = _shuffle_blocks(sides)
     rows = _plan_leaf(sides[0][0])[0] if n_sides == 1 else None
     if n_blocks == 1 and rows is not None:
-        # one side in one block: one narrow task that routes and groups the leaf
+        # one side in one block: one narrow task that routes the leaf and
+        # runs the kernel once over all of its buckets
         route = tag(0, sides[0][1])
 
         def one_task(batch: pa.Table):
-            yield from _by_bucket(route(batch), group)
+            t = route(batch)
+            if len(t):
+                yield group(t)
 
         one_task.__name__ = group.__name__
         return sides[0][0].map_batches(one_task, batch_format="pyarrow", zero_copy_batch=True,

@@ -188,7 +188,7 @@ def pack_sequences(ds, budget: int, id_col: str = "doc_id", text_col: str = "tex
     # level 4: one two-sided co-partition on chunk (the offset rows ride the
     # doc rows' shuffle — no separate join stage), then per-chunk cumsum +
     # assignment
-    from .joins import _bucket_count, _by_bucket, _co_partition
+    from .joins import _bucket_count, _by_key, _co_partition
 
     doc_cols = [id_col, "n_tokens", "chunk"]
     i64 = pa.int64()
@@ -207,7 +207,7 @@ def pack_sequences(ds, budget: int, id_col: str = "doc_id", text_col: str = "tex
                             schema=out_schema)
 
         return pa.concat_tables([out_schema.empty_table(),
-                                 *_by_bucket(docs, one_chunk, ["chunk"])])
+                                 *_by_key(docs, one_chunk, ["chunk"])])
 
     return _co_partition(
         [(chunked, _hash_route(doc_cols, ["chunk"], n)),

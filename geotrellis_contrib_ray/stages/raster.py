@@ -42,6 +42,8 @@ TILE_SCHEMA = pa.schema(
 
 
 def tile_row(src_id: int, key: tuple[int, int], raster: Raster, cell_type: CellType) -> dict:
+    """One tile-table row; ``pixels`` stays the raster's array, laid out as
+    bytes only when ``_tile_table`` builds the column."""
     b, r, c = raster.pixels.shape
     e = raster.extent
     return {
@@ -56,21 +58,55 @@ def tile_row(src_id: int, key: tuple[int, int], raster: Raster, cell_type: CellT
         "ymin": e.ymin,
         "xmax": e.xmax,
         "ymax": e.ymax,
-        "pixels": raster.pixels.tobytes(),
+        "pixels": raster.pixels,
     }
 
 
+# Data bytes of one chunk of a ``pa.binary()`` column: its offsets are int32.
+_BINARY_CHUNK_BYTES = 2**31 - 1
+
+
+def _blob(pixels) -> np.ndarray:
+    """A pixel blob (an array, or bytes-like) as a flat uint8 view: the
+    bytes ``.tobytes()`` would give, copied only if not C-contiguous."""
+    if isinstance(pixels, np.ndarray):
+        return np.ascontiguousarray(pixels).reshape(-1).view(np.uint8)
+    return np.frombuffer(pixels, np.uint8)
+
+
+def _binary_column(blobs: list) -> pa.ChunkedArray:
+    """``blobs`` (arrays or bytes-like) as one ``pa.binary()`` column: each
+    chunk's data is ONE concatenation of its blobs under offsets built in
+    numpy, with no python bytes per row; a new chunk starts where the data
+    would pass ``_BINARY_CHUNK_BYTES``."""
+    views = [_blob(b) for b in blobs]
+    lens = np.fromiter((len(v) for v in views), np.int64, len(views))
+    ends = np.cumsum(lens)
+    chunks, lo = [], 0
+    while lo < len(views):
+        base = ends[lo] - lens[lo]
+        hi = max(int(np.searchsorted(ends, base + _BINARY_CHUNK_BYTES, "right")), lo + 1)
+        offs = np.r_[0, ends[lo:hi] - base].astype(np.int32)
+        data = np.concatenate(views[lo:hi])
+        chunks.append(pa.Array.from_buffers(pa.binary(), hi - lo,
+                                            [None, pa.py_buffer(offs), pa.py_buffer(data)]))
+        lo = hi
+    return pa.chunked_array(chunks, pa.binary())
+
+
 def _tile_table(rows: list[dict], schema: pa.Schema = TILE_SCHEMA) -> pa.Table:
-    """``rows`` (dicts such as ``tile_row`` builds) as one table of
-    ``schema``, built column by column; no rows give the empty table."""
-    return pa.table([pa.array([r[f.name] for r in rows], f.type) for f in schema],
+    """``rows`` (dicts such as ``tile_row`` builds, ``pixels`` an array or
+    bytes) as one table of ``schema``, built column by column, the pixels by
+    ``_binary_column``; no rows give the empty table."""
+    return pa.table([_binary_column([r["pixels"] for r in rows]) if f.name == "pixels"
+                     else pa.array([r[f.name] for r in rows], f.type) for f in schema],
                     schema=schema)
 
 
 def tile_pixels(row: dict) -> np.ndarray:
     """Decode a tile row's pixels back to (bands, rows, cols)."""
     ct = CellType.of(row["cell_type"])
-    return np.frombuffer(row["pixels"], dtype=ct.np_dtype).reshape(
+    return _blob(row["pixels"]).view(ct.np_dtype).reshape(
         row["band_count"], row["rows"], row["cols"]
     )
 
@@ -132,35 +168,47 @@ def _cached_sources(sources_ref):
     return worker_cached("raster.sources", sources_ref.hex(), lambda: ray.get(sources_ref))
 
 
-def _read_windows(sources, layout, bands, batch: pa.Table) -> pa.Table:
+def _read_windows(sources, layout, bands, key_filter, batch: pa.Table) -> pa.Table:
+    """The tiles of every request row (``src_id``, ``part``, ``parts``) of
+    ``batch``: part ``part`` of ``parts`` contiguous, equal parts of the
+    source's row-major layout keys (after ``key_filter``), read window by
+    window; windows that miss the source give no tile."""
     out = []
-    for sid, c, r in zip(
-        batch["src_id"].to_numpy(zero_copy_only=False),
-        batch["tile_col"].to_numpy(zero_copy_only=False),
-        batch["tile_row"].to_numpy(zero_copy_only=False),
-    ):
+    for sid, part, parts in zip(*(batch[c].to_numpy(zero_copy_only=False)
+                                  for c in ("src_id", "part", "parts"))):
         source = sources[sid]
-        raster = source.read(layout.key_extent(int(c), int(r)), bands)
-        if raster is None:
-            continue
-        out.append(tile_row(int(sid), (int(c), int(r)), raster, source.cell_type))
+        keys = np.asarray(layout.keys_for_extent(source.extent), dtype=np.int64).reshape(-1, 2)
+        if key_filter is not None:
+            # prune REQUESTS, not tiles: filtered windows are never read
+            keys = keys[key_filter(keys[:, 0], keys[:, 1])]
+        for c, r in keys[len(keys) * part // parts : len(keys) * (part + 1) // parts]:
+            raster = source.read(layout.key_extent(int(c), int(r)), bands)
+            if raster is not None:
+                out.append(tile_row(int(sid), (int(c), int(r)), raster, source.cell_type))
     return _tile_table(out)
 
 
 def tile_dataset(sources: list[RasterSource], layout: LayoutDefinition, *,
                  bands=None, key_filter=None):
-    """RasterSourceRDD.read analog (CHANGELOG.md:71,85): enumerate layout keys
-    intersecting each source (row-major, J4), fan the (src, key) request table
-    through a window-reader stage -> tile-row Dataset.
+    """RasterSourceRDD.read analog (CHANGELOG.md:71,85): the layout keys
+    intersecting each source (row-major, J4), read window by window in ONE
+    narrow stage -> tile-row Dataset.
+
+    The driver builds request rows (``src_id``, ``part``, ``parts``) in
+    ``min(32, 2 * cluster_cpus())`` input blocks (2 at 1 CPU, 8 at 4 CPUs,
+    32 from 16 CPUs up), one ``read_windows`` task each; fewer sources than
+    blocks split into contiguous parts of their key lists, so one source
+    spreads over every block.  Each task enumerates its parts' keys and
+    reads them: no key-expansion task and no repartition fan-out between
+    requests and reads (both cost a Ray task round per block).  Driver
+    memory stays O(sources + blocks), not O(tiles), and for lazy sources
+    the metadata/header reads stay off the driver.
 
     Windows are read in plain Ray tasks with the source list cached once per
     WORKER process (keyed on the broadcast ref) — ST1 handle reuse without
     actor-pool spin-up, which cost ~1.3 s of fixed wall per query on the
     4-CPU test host (36-tile layer: 1.8-2.0 s on an actor pool vs 0.5-0.8 s
-    on tasks).
-
-    The requests fan out to ``min(32, 2 * cluster_cpus())`` blocks, one
-    window-read task each: 2 at 1 CPU, 8 at 4 CPUs, 32 from 16 CPUs up."""
+    on tasks)."""
     import ray
     import ray.data as rd
 
@@ -168,44 +216,20 @@ def tile_dataset(sources: list[RasterSource], layout: LayoutDefinition, *,
 
     blocks = min(32, 2 * cluster_cpus())
     sources_ref = ray.put(sources)
-
-    # request generation is DATAFLOW, not a driver loop: the driver holds one
-    # row per source; each task enumerates its sources' layout keys (which
-    # for lazy sources also keeps metadata/header reads off the driver).
-    # Driver memory stays O(sources), not O(tiles) — a million-tile catalog
-    # never materializes its key list in one process.
-    src_table = pa.table({"src_id": pa.array(np.arange(len(sources), dtype=np.int32))})
-
-    def expand(batch: pa.Table) -> pa.Table:
-        srcs = ray.get(sources_ref)
-        sid_out, col_out, row_out = [], [], []
-        for sid in batch["src_id"].to_numpy(zero_copy_only=False):
-            keys = layout.keys_for_extent(srcs[sid].extent)
-            arr = np.asarray(keys, dtype=np.int64).reshape(len(keys), 2)
-            if key_filter is not None:
-                # prune REQUESTS, not tiles: filtered windows are never read
-                arr = arr[key_filter(arr[:, 0], arr[:, 1])]
-            sid_out.append(np.full(len(arr), sid, dtype=np.int32))
-            col_out.append(arr[:, 0])
-            row_out.append(arr[:, 1])
-        return pa.table(
-            {
-                "src_id": pa.array(np.concatenate(sid_out) if sid_out else [], pa.int32()),
-                "tile_col": pa.array(np.concatenate(col_out) if col_out else [], pa.int64()),
-                "tile_row": pa.array(np.concatenate(row_out) if row_out else [], pa.int64()),
-            }
-        )
-
-    reqs = (
-        rd.from_arrow(src_table)
-        .map_batches(expand, batch_format="pyarrow", batch_size=max(1, 2 * len(sources) // blocks))
-        .repartition(blocks)
-    )
+    n = len(sources)
+    q, r = divmod(blocks, max(n, 1))
+    parts = np.maximum(1, q + (np.arange(n) < r))
+    first = np.repeat(np.cumsum(parts) - parts, parts)
+    reqs = pa.table({"src_id": pa.array(np.repeat(np.arange(n, dtype=np.int32), parts)),
+                     "part": pa.array(np.arange(len(first), dtype=np.int64) - first),
+                     "parts": pa.array(np.repeat(parts, parts))})
+    cuts = np.linspace(0, len(reqs), min(blocks, len(reqs)) + 1).astype(np.int64)
+    inputs = [reqs.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])] or [reqs]
 
     def read_windows(batch: pa.Table) -> pa.Table:
-        return _read_windows(_cached_sources(sources_ref), layout, bands, batch)
+        return _read_windows(_cached_sources(sources_ref), layout, bands, key_filter, batch)
 
-    return reqs.map_batches(
+    return rd.from_arrow(inputs).map_batches(
         read_windows, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
 
@@ -305,12 +329,12 @@ def convert_tiles(tiles_ds, target: CellType, gdal_clamp: bool = False):
     def conv(batch: pa.Table) -> pa.Table:
         tb = _TileBatch(batch)
         out_px = [
-            ct_convert(tb.pixels(i), tb.ct(i), target, gdal_clamp).tobytes()
+            ct_convert(tb.pixels(i), tb.ct(i), target, gdal_clamp)
             for i in range(tb.n)
         ]
         i_px = batch.column_names.index("pixels")
         i_ct = batch.column_names.index("cell_type")
-        return (batch.set_column(i_px, "pixels", pa.array(out_px, pa.binary()))
+        return (batch.set_column(i_px, "pixels", _binary_column(out_px))
                 .set_column(i_ct, "cell_type",
                             pa.array([target.name] * tb.n, pa.string())))
 
@@ -555,7 +579,7 @@ def focal_tiles(tiles_ds, op: str = "mean", radius: int = 1):
                         "cell_type": tb.cell_type[i],
                         "xmin": float(tb.meta["xmin"][i]), "ymin": float(tb.meta["ymin"][i]),
                         "xmax": float(tb.meta["xmax"][i]), "ymax": float(tb.meta["ymax"][i]),
-                        "pixels": np.ascontiguousarray(frag).tobytes(),
+                        "pixels": frag,
                     })
         return _tile_table(out, _FOCAL_SCHEMA)
 
@@ -806,12 +830,10 @@ def local_map_tiles(tiles_ds, fn, out_cell_type: CellType):
             if o.ndim == 2:
                 o = o[None]
             out_bands[i] = o.shape[0]
-            out_px.append(np.ascontiguousarray(
-                o.astype(out_cell_type.np_dtype, copy=False)).tobytes())
+            out_px.append(o.astype(out_cell_type.np_dtype, copy=False))
         names = batch.column_names
         return (batch
-                .set_column(names.index("pixels"), "pixels",
-                            pa.array(out_px, pa.binary()))
+                .set_column(names.index("pixels"), "pixels", _binary_column(out_px))
                 .set_column(names.index("cell_type"), "cell_type",
                             pa.array([out_cell_type.name] * tb.n, pa.string()))
                 .set_column(names.index("band_count"), "band_count",

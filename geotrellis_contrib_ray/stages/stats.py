@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .agg import _map_key_groups
-from .joins import _by_bucket
+from .joins import _by_key
 
 
 def top_k_per_group(ds, group_col: str, order_col: str, k: int,
@@ -62,16 +62,19 @@ def top_k_per_group(ds, group_col: str, order_col: str, k: int,
             out = out.append_column(rank_col, pa.array(rnk.astype(np.int64)))
         return out
 
-    part = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-
     # total merge: groups land whole in a key bucket, where the same
     # vectorized rank-within-group kernel is total (no ~1 ms/group cost)
     from .joins import _bucket_count, _co_partition, _key_route
 
+    key_route = _key_route(cols, group_col, _bucket_count(ds))
+
     def merge_bucket(t: pa.Table) -> pa.Table:
         return partial(t, with_rank=rank_col is not None)
 
-    return _co_partition([(part, _key_route(cols, group_col, _bucket_count(ds)))], merge_bucket)
+    # the per-batch partial runs inside the route, so the co-partition's
+    # side is ``ds`` itself: a plan leaf sizes the shuffle from its bytes
+    # (or, in one block, makes it one task)
+    return _co_partition([(ds, lambda b: key_route(partial(b)))], merge_bucket)
 
 
 def grouped_quantiles(ds, value_col: str, qs: tuple[float, ...],
@@ -361,7 +364,7 @@ def grouped_count_distinct_hll(ds, group_col: str, value_col: str, p: int = 12):
         if len(b) == 0:
             return pa.table({group_col: pa.array([], b.schema.field(group_col).type),
                              "regs": pa.array([], pa.binary())})
-        return pa.concat_tables(list(_by_bucket(b.select([group_col, value_col]),
+        return pa.concat_tables(list(_by_key(b.select([group_col, value_col]),
                                                 sketch_group, [group_col])))
 
     def merge(g: pa.Table) -> pa.Table:

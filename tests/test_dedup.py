@@ -140,6 +140,49 @@ def test_embedding_neardup_two_dims_one_session(ray_session):
     _check_embedding_neardup_recall(16)
 
 
+def test_embedding_neardup_ops_key_on_id_col(ray_session):
+    """Both embedding near-dup ops key their rows on ``id_col``: over a
+    table whose ids sit in ``id`` (no ``vec_id`` column) they return the
+    pairs of the same table with the column named ``vec_id``."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(4)
+    base = rng.standard_normal((30, 8))
+    vecs = np.concatenate([base, base[:10] + rng.normal(0, 0.01, (10, 8))])
+    t = pa.table({"vec_id": np.arange(100, 100 + len(vecs), dtype=np.int64),
+                  "embedding": pa.array(list(vecs))})
+    renamed = t.rename_columns(["id", "embedding"])
+
+    def pairs(op, table, **kw):
+        df = op(rd.from_arrow(table), **kw).to_pandas()
+        return df.sort_values(["id1", "id2"]).reset_index(drop=True)
+
+    for op in (dedup.embedding_neardup_pairs, dedup.embedding_neardup_pairs_exact):
+        want = pairs(op, t)
+        assert len(want) >= 10
+        assert pairs(op, renamed, id_col="id").equals(want)
+
+
+def test_simhash_auto_shards_removes_its_spill(ray_session):
+    """The occupancy census of n_shards='auto' spills signatures to a fresh
+    /tmp/simhash_sig_* directory when given no spill_dir; once the pairs
+    are consumed and dropped, the directory is gone."""
+    import gc
+    import glob
+
+    import ray.data as rd
+
+    t, _planted = _mk_texts()
+    n_dirs = lambda: len(glob.glob("/tmp/simhash_sig_*"))  # noqa: E731
+    before = n_dirs()
+    out = dedup.simhash_candidate_pairs(rd.from_arrow(t), n_shards="auto")
+    assert n_dirs() == before + 1
+    assert len(out.to_pandas()) > 0
+    del out
+    gc.collect()
+    assert n_dirs() == before
+
+
 def test_exact_dedup_keep_first_vectorized(ray_session):
     import ray.data as rd
 

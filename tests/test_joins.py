@@ -632,16 +632,21 @@ def _new_ops(ds, leaves) -> list[tuple[str, int | None]]:
 
 def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
     """At one CPU a one-sided co-partition over a plan leaf that fits one
-    block runs as one narrow task, with no Repartition or Sort: the
-    pyramid's two levels, mosaic_merge, a windows op and an empty leaf all
-    equal the shuffle path at 4 CPUs.  Two-sided joins still shuffle at one
-    CPU: a bucketed_hash_join of two from_arrow leaves (equal to its 4-CPU
-    result), a range join (a copying route) and a side behind a map."""
+    block runs as one narrow task, with no Repartition or Sort, its kernel
+    called once on every bucket: the pyramid's two levels, mosaic_merge, a
+    windows op, stats.top_k_per_group, agg.salted_group_reduce,
+    graph.star_edges and an empty leaf all equal the shuffle path at 4
+    CPUs.  Two-sided joins still shuffle at one CPU: a bucketed_hash_join
+    of two from_arrow leaves (equal to its 4-CPU result), a range join (a
+    copying route) and a side behind a map."""
     import ray.data as rd
 
     from geotrellis_contrib_ray import util
     from geotrellis_contrib_ray.stages import joins
     from geotrellis_contrib_ray.stages import raster as rst
+    from geotrellis_contrib_ray.stages.agg import salted_group_reduce
+    from geotrellis_contrib_ray.stages.graph import star_edges
+    from geotrellis_contrib_ray.stages.stats import top_k_per_group
     from geotrellis_contrib_ray.stages.windows import sessionize
 
     mat, layout, next_layout = tile_layer
@@ -655,6 +660,12 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
     })).materialize()
     empty = rd.from_arrow(pa.table({"user_id": pa.array([], pa.int64()),
                                     "ts": pa.array([], pa.timestamp("s"))})).materialize()
+    # two blocks: the one task bundles them into one batch
+    scores = rd.from_arrow([pa.table({"g": rng.integers(0, 40, 300), "v": rng.integers(0, 9, 300),
+                                      "id": np.arange(o, o + 300)})
+                            for o in (0, 300)]).materialize()
+    keyed = rd.from_arrow(pa.table({"doc_id": np.arange(400),
+                                    "key_hash": rng.integers(0, 70, 400)})).materialize()
 
     def checksums(ds):
         df = rst.summarize_tiles(ds).to_pandas()
@@ -670,11 +681,18 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
         lvl2 = rst.pyramid_build(lvl1, 1, next_layout)[1].materialize()
         mosaic = rst.mosaic_merge(mat, layout).materialize()
         sess = sessionize(events).materialize()
+        top = top_k_per_group(scores, "g", "v", 3, "id", rank_col="rk").materialize()
+        total = salted_group_reduce(scores, ["g"], [("v", "sum", "s"),
+                                                    (None, "count", "n")]).materialize()
+        star = star_edges(keyed).materialize()
         none = sessionize(empty).materialize()
         return [(checksums(lvl1), lvl1, [mat], "make_parents"),
                 (checksums(lvl2), lvl2, [lvl1], "make_parents"),
                 (checksums(mosaic), mosaic, [mat], "merge_bucket"),
                 (rows(sess), sess, [events], "per_bucket"),
+                (rows(top), top, [scores], "merge_bucket"),
+                (rows(total), total, [scores], "reduce_bucket"),
+                (rows(star), star, [keyed], "emit"),
                 (rows(none), none, [empty], "per_bucket")]
 
     monkeypatch.setattr(util, "cluster_cpus", lambda default=4: 4)
@@ -685,6 +703,7 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
     monkeypatch.setattr(util, "cluster_cpus", lambda default=4: 1)
     narrow = run()
     assert [len(x[0]) for x in narrow[:3]] == [9, 4, 36]
+    assert [len(x[0]) for x in narrow[5:7]] == [40, 400 - 70]
     for (want, *_), (got, ds, leaves, kernel) in zip(shuffled, narrow):
         assert got.equals(want)
         ops = _new_ops(ds, leaves)

@@ -413,28 +413,102 @@ def test_wide_steps_bucket_count_independent(ray_session, monkeypatch):
         assert x.equals(y)
 
 
-def test_tile_table_equals_from_pylist():
-    """The column-wise tile-table builder gives what from_pylist gives, for
-    tile rows, focal fragments and no rows at all."""
+def test_tile_table_equals_from_pylist(monkeypatch):
+    """The column-wise tile-table builder gives what from_pylist gives over
+    bytes pixels, for tile rows, focal fragments and no rows at all; rows
+    that hold their pixel arrays (as tile_row keeps them, one of them not
+    C-contiguous) give the same table, and so does a pixel column split
+    into several chunks by its byte limit."""
     import pyarrow as pa
 
     from geotrellis_contrib_ray.sources.raster_source import Raster
 
     rng = np.random.default_rng(3)
-    rows = [rst.tile_row(i, (i, 2 * i), Raster(rng.integers(0, 99, (1, 4, 6)).astype(np.int16),
-                                               Extent(i, 0.0, i + 1.0, 1.0)),
+    arrays = [rng.integers(0, 99, (1, 4, 6)).astype(np.int16) for _ in range(3)]
+    arrays[1] = np.asfortranarray(arrays[1])
+    rows = [rst.tile_row(i, (i, 2 * i), Raster(px, Extent(i, 0.0, i + 1.0, 1.0)),
                          CellType("int16", -32768.0))
-            for i in range(3)]
-    for schema, rs in ((rst.TILE_SCHEMA, rows), (rst.TILE_SCHEMA, []),
-                       (rst._FOCAL_SCHEMA, [dict(r, pos=4) for r in rows]),
+            for i, px in enumerate(arrays)]
+    assert all(r["pixels"] is px for r, px in zip(rows, arrays))
+    as_bytes = [dict(r, pixels=r["pixels"].tobytes()) for r in rows]
+    for schema, rs in ((rst.TILE_SCHEMA, as_bytes), (rst.TILE_SCHEMA, []),
+                       (rst._FOCAL_SCHEMA, [dict(r, pos=4) for r in as_bytes]),
                        (rst._FOCAL_SCHEMA, [])):
         got = rst._tile_table(rs, schema)
         assert got.schema == schema
         assert got.equals(pa.Table.from_pylist(rs, schema=schema))
+    want = pa.Table.from_pylist(as_bytes, schema=rst.TILE_SCHEMA)
+    assert rst._tile_table(rows).equals(want)
+    monkeypatch.setattr(rst, "_BINARY_CHUNK_BYTES", 2 * arrays[0].nbytes)
+    split = rst._tile_table(rows)
+    assert [len(c) for c in split["pixels"].chunks] == [2, 1]
+    assert split.equals(want)
+    tb = rst._TileBatch(split)
+    for i, px in enumerate(arrays):
+        assert np.array_equal(tb.pixels(i), px)
+
+
+def test_tile_dataset_reads_in_one_narrow_stage(ray_session, monkeypatch):
+    """tile_dataset is one narrow read stage: no all-to-all in its plan,
+    min(32, 2 * cpus) blocks at 1 and 4 CPUs, and for 1 and 3 sources,
+    with and without a key filter, exactly the windows each source's
+    layout keys read.  One source splits into contiguous row-major parts of
+    its keys, of Ray's equal-split sizes."""
+    import ray
+
+    from geotrellis_contrib_ray import util
+    from geotrellis_contrib_ray.stages import joins
+
+    layout = LayoutDefinition.floating(GRID, 256)
+    three = [SyntheticRasterSource(GRID),
+             SyntheticRasterSource(GridExtent(Extent(633000.0, 218000.0, 640000.0, 225000.0),
+                                              10.0, 10.0, 700, 700), bands=2),
+             SyntheticRasterSource(GridExtent(Extent(641000.0, 215000.0, 645000.0, 217000.0),
+                                              10.0, 10.0, 400, 200))]
+
+    def every_other(c, r):
+        return (c + r) % 2 == 0
+
+    def windows(sources, key_filter):
+        """{(src_id, col, row): pixels} read window by window."""
+        out = {}
+        for sid, s in enumerate(sources):
+            keys = np.asarray(layout.keys_for_extent(s.extent)).reshape(-1, 2)
+            if key_filter is not None:
+                keys = keys[key_filter(keys[:, 0], keys[:, 1])]
+            for c, r in keys:
+                raster = s.read(layout.key_extent(int(c), int(r)))
+                if raster is not None:
+                    out[(sid, int(c), int(r))] = raster.pixels
+        return out
+
+    for cpus in (1, 4):
+        monkeypatch.setattr(util, "cluster_cpus", lambda default=4, cpus=cpus: cpus)
+        blocks = min(32, 2 * cpus)
+        for sources in (three[:1], three):
+            for key_filter in (None, every_other):
+                ds = rst.tile_dataset(sources, layout, key_filter=key_filter)
+                assert not joins._has_all_to_all(ds)
+                mat = ds.materialize()
+                assert mat.num_blocks() == blocks
+                want = windows(sources, key_filter)
+                got = mat.take_all()
+                assert sorted(want) == sorted((r["src_id"], r["tile_col"], r["tile_row"])
+                                              for r in got)
+                for r in got:
+                    px = want[(r["src_id"], r["tile_col"], r["tile_row"])]
+                    assert np.array_equal(rst.tile_pixels(r), px)
+        keys = [tuple(k) for k in np.asarray(layout.keys_for_extent(GRID.extent)).reshape(-1, 2)]
+        parts = [[(c, r) for c, r in zip(t["tile_col"].to_pylist(), t["tile_row"].to_pylist())]
+                 for t in ray.get(rst.tile_dataset(three[:1], layout).materialize().to_arrow_refs())]
+        assert sorted(map(len, parts)) == sorted(np.diff(len(keys) * np.arange(blocks + 1) // blocks))
+        for part in parts:
+            i = keys.index(part[0])
+            assert part == keys[i:i + len(part)]
 
 
 def test_pyramid_level_blocks_follow_the_plan(tile_ds):
-    """On the 4-CPU fixture: tile_dataset fans its requests out to
+    """On the 4-CPU fixture: tile_dataset reads its requests in
     min(32, 2 * cpus) blocks; a pyramid level over the materialized 36-tile
     layer (a plan leaf that reports its bytes, far below one block) gives
     at most cpus blocks, while over the lazy tile_dataset it keeps
