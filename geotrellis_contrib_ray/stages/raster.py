@@ -213,16 +213,16 @@ def tile_dataset(sources: list[RasterSource], layout: LayoutDefinition, *,
     import ray.data as rd
 
     from ..util import cluster_cpus
+    from .joins import _ragged_expand
 
     blocks = min(32, 2 * cluster_cpus())
     sources_ref = ray.put(sources)
     n = len(sources)
     q, r = divmod(blocks, max(n, 1))
     parts = np.maximum(1, q + (np.arange(n) < r))
-    first = np.repeat(np.cumsum(parts) - parts, parts)
-    reqs = pa.table({"src_id": pa.array(np.repeat(np.arange(n, dtype=np.int32), parts)),
-                     "part": pa.array(np.arange(len(first), dtype=np.int64) - first),
-                     "parts": pa.array(np.repeat(parts, parts))})
+    sid, part = _ragged_expand(parts)
+    reqs = pa.table({"src_id": pa.array(sid.astype(np.int32)), "part": pa.array(part),
+                     "parts": pa.array(parts[sid])})
     cuts = np.linspace(0, len(reqs), min(blocks, len(reqs)) + 1).astype(np.int64)
     inputs = [reqs.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])] or [reqs]
 
