@@ -633,7 +633,7 @@ def _new_ops(ds, leaves) -> list[tuple[str, int | None]]:
 def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
     """At one CPU a one-sided co-partition over a plan leaf that fits one
     block runs as one narrow task, with no Repartition or Sort, its kernel
-    called once on every bucket: the pyramid's two levels, mosaic_merge, a
+    called once on all buckets: the pyramid's two levels, mosaic_merge, a
     windows op, stats.top_k_per_group, agg.salted_group_reduce,
     graph.star_edges and an empty leaf all equal the shuffle path at 4
     CPUs.  Two-sided joins still shuffle at one CPU: a bucketed_hash_join
@@ -644,7 +644,7 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
     from geotrellis_contrib_ray import util
     from geotrellis_contrib_ray.stages import joins
     from geotrellis_contrib_ray.stages import raster as rst
-    from geotrellis_contrib_ray.stages.agg import salted_group_reduce
+    from geotrellis_contrib_ray.stages.agg import _hash_route, salted_group_reduce
     from geotrellis_contrib_ray.stages.graph import star_edges
     from geotrellis_contrib_ray.stages.stats import top_k_per_group
     from geotrellis_contrib_ray.stages.windows import sessionize
@@ -709,6 +709,10 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
         ops = _new_ops(ds, leaves)
         assert not any(w in name for name, _ in ops for w in ("Sort", "Repartition")), ops
         assert [t for name, t in ops if name.endswith(f"MapBatches({kernel})")] == [1], ops
+    # one kernel call over all 16 buckets, not one call per bucket
+    calls = joins._co_partition([(scores, _hash_route(["g"], ["g"], 16))],
+                                lambda t: pa.table({"n": [len(t)]}))
+    assert rows(calls)["n"].tolist() == [600]
 
     points = rd.from_arrow(pa.table({"event_id": np.arange(200),
                                      "v": rng.uniform(0, 100, 200)})).materialize()
