@@ -629,24 +629,25 @@ def _simhash_occupancy_shards(signed, bands: int, width: int, mask: np.uint64,
     import pyarrow.compute as pc
     import ray
 
+    from ..util import strip_schema_metadata
     from .agg import salted_group_reduce
 
     out_dir = spill_dir or tempfile.mkdtemp(prefix="simhash_sig_", dir="/tmp")
-
-    def project(b: pa.Table) -> pa.Table:
-        return b.select(["doc_id", "simhash"]).filter(b["sh_valid"])
-
-    signed.map_batches(project, batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=None).write_parquet(out_dir)
-    from ..util import strip_schema_metadata
 
     def strip(b: pa.Table) -> pa.Table:
         return strip_schema_metadata(b)
 
     if spill_dir is None:
         # every plan over the spill holds this function (its map operator):
-        # when the last one is collected, nothing reads the directory again
+        # when the last one is collected, or a failure below drops it,
+        # nothing reads the directory again
         weakref.finalize(strip, shutil.rmtree, out_dir, True)
+
+    def project(b: pa.Table) -> pa.Table:
+        return b.select(["doc_id", "simhash"]).filter(b["sh_valid"])
+
+    signed.map_batches(project, batch_format="pyarrow", zero_copy_batch=True,
+                       batch_size=None).write_parquet(out_dir)
     # strip fused into the read: the spill carries write-time metadata that
     # would defeat Ray's shuffle schema-dedup cache (CLAUDE.md rule)
     sig = ray.data.read_parquet(out_dir, columns=["doc_id", "simhash"]).map_batches(

@@ -166,7 +166,8 @@ def test_embedding_neardup_ops_key_on_id_col(ray_session):
 def test_simhash_auto_shards_removes_its_spill(ray_session):
     """The occupancy census of n_shards='auto' spills signatures to a fresh
     /tmp/simhash_sig_* directory when given no spill_dir; once the pairs
-    are consumed and dropped, the directory is gone."""
+    are consumed and dropped, the directory is gone, and so is the one of
+    a census whose spill write fails."""
     import gc
     import glob
 
@@ -179,6 +180,11 @@ def test_simhash_auto_shards_removes_its_spill(ray_session):
     assert n_dirs() == before + 1
     assert len(out.to_pandas()) > 0
     del out
+    gc.collect()
+    assert n_dirs() == before
+    no_valid = rd.from_arrow(pa.table({"doc_id": np.arange(5), "simhash": np.arange(5)}))
+    with pytest.raises(Exception):
+        dedup._simhash_occupancy_shards(no_valid, 4, 16, np.uint64(0xFFFF), 2048, None)
     gc.collect()
     assert n_dirs() == before
 
