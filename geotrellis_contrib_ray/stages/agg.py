@@ -185,9 +185,11 @@ def driver_group_rollup(ds, keys: list[str],
     """
     import ray
 
-    # materialize() then pull block refs: consuming the stream via
-    # to_arrow_refs()/take_all() directly measures ~1-1.8 s SLOWER than
-    # materialize() on the identical plan in this sandbox
+    # materialize() then pull block refs: to_arrow_refs() on the lazy plan
+    # ends in schema(fetch_if_missing=True), and Ray cannot type a
+    # map_batches output, so it runs the whole plan a second time under
+    # limit(1) (~1-1.8 s slower here); summarize_tiles materializes for the
+    # same reason
     mat = ds.materialize()
     if stats_sink is not None:
         # the upstream plan's per-operator stats are only reachable here —

@@ -463,7 +463,15 @@ def pyramid_build(tiles_ds, levels: int, layout: LayoutDefinition | None = None,
 def summarize_tiles(tiles_ds, nodata_aware: bool = True, include_dims: bool = True):
     """Per-tile integer checksum table for oracle comparison: (tile_col,
     tile_row[, cols, rows], pixel_sum, n_valid) — sums exclude NoData cells
-    when ``nodata_aware``.  Vectorized buffer decode (no per-pixel python)."""
+    when ``nodata_aware``.  Vectorized buffer decode (no per-pixel python).
+
+    An action, like :func:`polygonal_summary_tiles` and the reference's
+    ``RasterSummary``: it runs the plan once, at call time, and returns the
+    materialized result.  Ray cannot type a ``map_batches`` output, so a
+    lazy summary would run again under ``limit(1)`` on every
+    ``to_arrow_refs()`` or ``schema()`` to learn its schema; the
+    materialized one knows it, and its ``stats()`` still list the
+    ``summarize`` operator."""
 
     def summarize(b: pa.Table) -> pa.Table:
         sums, valids = [], []
@@ -497,7 +505,7 @@ def summarize_tiles(tiles_ds, nodata_aware: bool = True, include_dims: bool = Tr
         return pa.table(cols)
 
     return tiles_ds.map_batches(summarize, batch_format="pyarrow", zero_copy_batch=True,
-                                batch_size=None)
+                                batch_size=None).materialize()
 
 
 _FOCAL_SCHEMA = pa.schema(

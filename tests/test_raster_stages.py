@@ -335,8 +335,7 @@ def test_focal_radius_exceeding_tile_raises(ray_session):
     import pytest
 
     with pytest.raises(Exception, match="focal radius"):
-        rst.summarize_tiles(rst.focal_tiles(tiles, op="sum", radius=9),
-                            nodata_aware=False).materialize()
+        rst.summarize_tiles(rst.focal_tiles(tiles, op="sum", radius=9), nodata_aware=False)
 
 
 def test_mosaic_band_subset_read(ray_session):
@@ -547,3 +546,66 @@ def test_pyramid_level_blocks_follow_the_plan(tile_ds):
     assert [len(t) for t in narrowed] == [9, 4]
     for x, y in zip(narrowed, default):
         assert x.equals(y)
+
+
+def test_summarize_tiles_runs_once(ray_session, tmp_path):
+    """summarize_tiles is an action: its plan runs once, at call time, and
+    to_arrow_refs(), schema() and to_pandas() read the result without a
+    second run (a lazy map_batches output would run again under limit(1)
+    to learn its schema).  A pass-through UDF in front of the kernel counts
+    in marker files how often the plan runs over each block."""
+    import uuid
+
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    rng = np.random.default_rng(3)
+    px = rng.integers(0, 100, (1, 12, 14)).astype(np.int16)
+    px[0, rng.integers(0, 12, 20), rng.integers(0, 14, 20)] = -1
+    grid = GridExtent(Extent(0.0, 0.0, 14.0, 12.0), 1.0, 1.0, 14, 12)
+    src = InMemoryRasterSource(px, grid, _cell_type=CellType("int16", -1.0))
+    layout = LayoutDefinition(Extent(0.0, -3.0, 15.0, 12.0), 5, 5, 3, 3)
+    tiles = rst.tile_dataset([src], layout).materialize()
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def count(b: pa.Table) -> pa.Table:
+        (marks / uuid.uuid4().hex).touch()
+        return b
+
+    def counted():
+        return tiles.map_batches(count, batch_format="pyarrow", zero_copy_batch=True,
+                                 batch_size=None)
+
+    assert counted().materialize().count() == 9
+    one_pass = len(list(marks.iterdir()))
+    assert one_pass == tiles.num_blocks()
+    out = rst.summarize_tiles(counted())
+    assert len(list(marks.iterdir())) == 2 * one_pass
+    assert out.schema(fetch_if_missing=False) is not None
+    refs = out.to_arrow_refs()
+    out.schema()
+    df = out.to_pandas()
+    assert len(list(marks.iterdir())) == 2 * one_pass
+    assert pa.concat_tables(ray.get(refs)).num_rows == len(df) == 9
+    assert "summarize" in out.stats()
+
+    def rows(frame):
+        return frame.sort_values(["tile_col", "tile_row"]).reset_index(drop=True)
+
+    n_valid = {}
+    for nodata_aware in (True, False):
+        for include_dims in (True, False):
+            got = rows(rst.summarize_tiles(tiles, nodata_aware=nodata_aware,
+                                           include_dims=include_dims).to_pandas())
+            # the same map, left lazy
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rd.Dataset, "materialize", lambda self: self)
+                lazy = rst.summarize_tiles(tiles, nodata_aware=nodata_aware,
+                                           include_dims=include_dims)
+            assert type(lazy) is rd.Dataset
+            assert got.equals(rows(lazy.to_pandas()))
+            assert ("cols" in got) == include_dims
+            n_valid[nodata_aware] = got["n_valid"].sum()
+    assert n_valid == {True: np.count_nonzero(px != -1), False: px.size}
