@@ -7,7 +7,7 @@ Layout:
   sources/    readers/writers + the interleaved documents corpus synthesis
   stages/     Ray Data map_batches / groupby stages (the operators)
   state/      per-worker state: spatial indexes, checkpoint manifests
-  pipelines/  end-to-end pipelines (flagship geocode->cells->PIP->tiles)
+  pipelines/  end-to-end pipelines (flagship geocode->PIP->cells->rollup)
   functions/  scalar function surface (distance, geojson, wkb, formatting)
 
 Nothing in this package calls ray.init(); sessions are owned by bench.py,

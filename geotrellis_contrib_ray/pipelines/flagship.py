@@ -1,18 +1,25 @@
 """The flagship pipeline (north star): interleaved corpus -> geocoded media
-spans -> cell/tile assignment -> PIP join -> zonal rollup + tile pyramid.
+spans -> PIP refine vs broadcast zones -> cells of the hits -> zonal rollup.
 
-read_parquet -> map_batches(lift to interleaved spans)         [narrow]
-             -> map_batches(explode media spans + geocode)     [narrow]
-             -> map_batches(cell + tile key assignment)        [narrow]
-             -> map_batches(PIP refine vs broadcast zones)     [narrow]
-             -> per-block partial + bounded driver rollup      [no shuffle]
+read_parquet -> map_batches(zone_partial)                      [narrow]
+                  per block: media spans -> geocode -> PIP refine
+                  -> cell + parent cell and doc_id of the hits only
+                  -> per-(zone, parent_cell) partial count
+             -> bounded driver rollup                          [no shuffle]
 
-Every narrow step is block-wise, and flagship_over drops Ray's fixed
-200-block read floor around its rollup, so when the read has at least 2x as
-many files as available CPUs Ray fuses the whole chain into the read
-operator: one task per read block, no intermediate object-store traffic.
+The zones decide which spans count, so the refine runs before any key: of
+the benchmark corpus's media spans ~3% fall in a zone, and only those get
+a cell and a ``doc_id`` gather; no tile key is computed (the answer never
+used it).  ``explode_media_spans`` and ``stages.spatial``'s ``add_tile_key``,
+``add_cell`` and ``ZoneMatcher`` stay the per-step functions the tests and
+the benchmark's reference loop compose.
 
-The explode reads only doc_id, spans.kind and spans.offset.  When its input
+The kernel is block-wise, and flagship_over drops Ray's fixed 200-block
+read floor around its rollup, so when the read has at least 2x as many
+files as available CPUs Ray fuses it into the read operator: one task per
+read block, no intermediate object-store traffic.
+
+The kernel reads only doc_id, spans.kind and spans.offset.  When its input
 is a bare Ray parquet read, flagship_over reads the same files through
 documents.SpanLeafDatasource, which decodes just those three parquet leaves
 (every span's text and media_ref stay undecoded); any other input (a map on
@@ -36,11 +43,11 @@ from ..stages import spatial
 from .query_defs import CELL_RES, PARENT_RES, QUERY_LAYOUT, ZONE_BOXES, ZONE_CONVEX
 
 
-def explode_media_spans(batch: pa.Table) -> pa.Table:
-    """Interleaved docs -> one row per media span: (doc_id, num_id, offset,
-    lon, lat).  Reads only ``doc_id``, ``spans.kind`` and ``spans.offset``,
-    on the columns as given (a sliced or many-chunk column is not copied);
-    no python per-row work."""
+def _media_spans(batch: pa.Table) -> tuple[np.ndarray, ...]:
+    """(parent row, offset, num_id, lon, lat) arrays, one entry per media
+    span of ``batch``.  Reads only ``doc_id``, ``spans.kind`` and
+    ``spans.offset``, on the columns as given (a sliced or many-chunk column
+    is not copied); no python per-row work."""
     spans = batch["spans"]
     values = pc.list_flatten(spans)
     # a null kind, or a null span, is not media
@@ -49,6 +56,13 @@ def explode_media_spans(batch: pa.Table) -> pa.Table:
     span_off = pc.struct_field(values, "offset").filter(is_media).to_numpy(zero_copy_only=False)
     num_id = doc_numeric_id(batch["doc_id"])[parent_m]
     lon, lat = geocode_ids(num_id, span_off.astype(np.int64))
+    return parent_m, span_off, num_id, lon, lat
+
+
+def explode_media_spans(batch: pa.Table) -> pa.Table:
+    """Interleaved docs -> one row per media span: (doc_id, num_id, offset,
+    lon, lat).  Reads only ``doc_id``, ``spans.kind`` and ``spans.offset``."""
+    parent_m, span_off, num_id, lon, lat = _media_spans(batch)
     return pa.table(
         {
             "doc_id": batch["doc_id"].take(parent_m),
@@ -58,6 +72,34 @@ def explode_media_spans(batch: pa.Table) -> pa.Table:
             "lat": lat,
         }
     )
+
+
+_ZONES = spatial.ZoneMatcher(ZONE_BOXES, [ZONE_CONVEX], keep_cols=("lon", "lat"))
+PARTIAL_SCHEMA = pa.schema([("zone_name", pa.string()), ("parent_cell", pa.int64()),
+                            ("pcnt", pa.int64())])
+
+
+def zone_partial(batch: pa.Table) -> pa.Table:
+    """Interleaved docs -> their per-(zone_name, parent_cell) count of
+    media spans (``pcnt``; a span of a null doc_id counts nowhere).
+
+    The PIP refine runs on every media span's (lon, lat) first, and only
+    its hits (one row per point and zone) get a cell and parent cell
+    (``spatial.add_cell``).  Same counts as ``explode_media_spans`` ->
+    ``add_cell`` -> ``ZoneMatcher`` -> count of doc_id, but no tile key, no
+    ``doc_id`` gather, and cells for the hits only.  A block without a hit
+    gives a zero-row ``PARTIAL_SCHEMA`` table."""
+    row, _, _, lon, lat = _media_spans(batch)
+    if batch["doc_id"].null_count:
+        # a null doc_id is cast to a garbage id and geocoded: drop its spans
+        # here, so every hit's doc_id is valid and counting rows counts them
+        ok = batch["doc_id"].is_valid().to_numpy(zero_copy_only=False)[row]
+        lon, lat = lon[ok], lat[ok]
+    hits = spatial.add_cell(_ZONES(pa.table({"lon": lon, "lat": lat})), CELL_RES, PARENT_RES)
+    g = hits.group_by(["zone_name", "parent_cell"], use_threads=False).aggregate(
+        [([], "count_all")]
+    )
+    return g.select(["zone_name", "parent_cell", "count_all"]).rename_columns(PARTIAL_SCHEMA.names)
 
 
 def synthetic_corpus(n_docs: int, override_num_blocks: int | None = None) -> "rd.Dataset":
@@ -84,15 +126,15 @@ def flagship_over(docs_ds: "rd.Dataset", stats_sink: dict | None = None) -> "rd.
     (``DataContext.read_op_min_num_blocks``) lowered to 1, restored even if
     the plan raises; Ray reads it from the global context when it plans the
     read, which the rollup's ``materialize()`` does inside this scope.  The
-    chain ends in a per-block partial, so read blocks finer than one per
+    kernel is a per-block partial, so read blocks finer than one per
     file buy it nothing but object-store traffic, and Ray never fuses a
     split read (``ReadParquet->SplitBlocks(k)``) with its downstream maps.
     Ray's own floor of 2x the available CPUs and its block-size bounds still
     apply: when the read has at least 2x as many files as available CPUs it
-    is not split at all and the whole chain runs as ONE fused read operator
+    is not split at all and the read and kernel run as ONE fused operator
     (8 files on a 1-CPU host: 96 split read blocks feeding a second operator
     -> 2 fused read tasks, wall 1.29 -> 0.62 s median of 10 runs).  With
-    fewer files the read still splits to 2x CPUs blocks and the chain stays
+    fewer files the read still splits to 2x CPUs blocks and the kernel stays
     a second operator.  Only this caller was measured; every other
     ``driver_group_rollup`` keeps Ray's default floor, and so do the
     generated corpora (a ``rd.range`` read is never split, so the floor
@@ -101,11 +143,11 @@ def flagship_over(docs_ds: "rd.Dataset", stats_sink: dict | None = None) -> "rd.
     Leaf pruning: when ``docs_ds`` is a bare Ray parquet read (one ``Read``
     over a ``ParquetDatasource``; no filter, block UDF, shuffle, read schema
     or path column; ``doc_id: string`` and ``spans: list<struct<kind:
-    string, offset: int32, ...>>``), the chain reads the same resolved
+    string, offset: int32, ...>>``), the kernel reads the same resolved
     files, through the same filesystem and inside this scope, with
     ``documents.SpanLeafDatasource``: only ``doc_id``, ``spans.kind`` and
     ``spans.offset`` are decoded, and the operator is still named
-    ``ReadParquet->MapBatches(explode_media_spans)->...`` (8 files at
+    ``ReadParquet->MapBatches(zone_partial)`` (8 files at
     1 CPU: wall 0.62 -> 0.43 s median of 10 runs).  Every other input runs
     as given, and so does any input when a Ray plan-API change moves what
     the check reads (``_span_leaf_read``)."""
@@ -146,30 +188,8 @@ def _span_leaf_read(docs_ds: "rd.Dataset") -> "rd.Dataset":
 
 
 def _zone_rollup(docs_ds: "rd.Dataset", stats_sink: dict | None = None) -> "rd.Dataset":
-    """explode -> cell/tile keys -> PIP refine -> per-block partial ->
-    bounded driver rollup per (zone, parent_cell)."""
-    pts = docs_ds.map_batches(explode_media_spans, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,)
-    pts = pts.map_batches(
-        lambda b: spatial.add_cell(spatial.add_tile_key(b, QUERY_LAYOUT), CELL_RES, PARENT_RES),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=None,
-    )
-    joined = spatial.pip_join(
-        pts,
-        ZONE_BOXES,
-        convex_zones=[ZONE_CONVEX],
-        keep_cols=("doc_id", "num_id", "cell", "parent_cell"),
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["zone_name", "parent_cell"], use_threads=False).aggregate(
-            [("doc_id", "count")]
-        )
-        return g.rename_columns(["zone_name", "parent_cell", "pcnt"])
-
-    import ray.data as rd
-
+    """One block-wise ``zone_partial`` map over the interleaved docs, then
+    the bounded driver rollup per (zone, parent_cell) of its partials."""
     from ..stages.agg import driver_group_rollup
 
     # final reduce: the group count is BOUNDED (zones x parent cells — 27 at
@@ -177,17 +197,17 @@ def _zone_rollup(docs_ds: "rd.Dataset", stats_sink: dict | None = None) -> "rd.D
     # its whole fixed cost (measured @8cpu/2M docs: 1.7 s vs 3.8 s for the
     # keyed-reduce plan; stages/agg.py tier rules)
     return rd.from_arrow(driver_group_rollup(
-        joined.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,),
+        docs_ds.map_batches(zone_partial, batch_format="pyarrow", zero_copy_batch=True,
+                            batch_size=None,),
         ["zone_name", "parent_cell"], [("pcnt", "sum", "n_spans")],
-        schema=pa.schema([("zone_name", pa.string()), ("parent_cell", pa.int64()),
-                          ("pcnt", pa.int64())]),
+        schema=PARTIAL_SCHEMA,
         stats_sink=stats_sink,
     ))
 
 
 def flagship(sf_dir: str) -> "rd.Dataset":
     """Full flagship over the driver's documents table: lift to interleaved
-    spans -> media points -> PIP join vs broadcast zones -> per
+    spans -> media points -> PIP refine vs broadcast zones -> per
     (zone, parent_cell) rollup.  Small, stable output schema."""
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     ds = ds.map_batches(docs_to_spans, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,)

@@ -212,9 +212,9 @@ def pip_join(ds, boxes, convex_zones=(), keep_cols=("doc_id",)):
     beyond that use state/spatial_index.pip_join_indexed).
 
     Block-wise (``batch_size=None``): a fixed row batch sets the map's
-    ``min_rows_per_bundled_input``, and behind a row-changing map (the
-    flagship's span explode) that alone keeps the whole narrow chain out of
-    its read operator — every block then crosses the object store once
+    ``min_rows_per_bundled_input``, and behind a row-changing map (a span
+    explode, say) that alone keeps the whole narrow chain out of its read
+    operator — every block then crosses the object store once
     more.  The refine is vectorized per block, so batch size buys nothing.
     The other half of that fusion is an unsplit read: Ray never fuses a
     split read, see ``pipelines.flagship.flagship_over``."""

@@ -1,10 +1,12 @@
-"""Flagship pipeline: the span explode against a pure-Python loop, and the
-plan shape — the whole narrow chain fused into its parquet read."""
+"""Flagship pipeline: the span explode and the zone_partial kernel against
+pure-Python references, and the plan shape — the kernel fused into its
+parquet read."""
 
 import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -105,7 +107,7 @@ def _operators(stats: str) -> list[str]:
 def test_flagship_runs_as_one_fused_read_operator(ray_session, tmp_path):
     """Eight files at the 4-CPU session: Ray's own floor (2x CPUs) gives one
     read task per file, so with the 200-block floor dropped the read is not
-    split and the explode -> keys -> PIP -> partial chain fuses into it."""
+    split and the zone_partial kernel fuses into it."""
     import ray
     import ray.data as rd
 
@@ -131,7 +133,7 @@ def test_flagship_runs_as_one_fused_read_operator(ray_session, tmp_path):
         flagship.flagship_over(rd.read_parquet(str(tmp_path)), stats_sink=sink).to_arrow_refs()))
     ops = _operators(sink["stats"])
     assert len(ops) == 1, ops
-    assert ops[0].startswith("ReadParquet->MapBatches(explode_media_spans)"), ops
+    assert ops[0].startswith("ReadParquet->MapBatches(zone_partial)"), ops
     assert "SplitBlocks" not in sink["stats"]
     got = got.select(want.column_names).sort_by(
         [("zone_name", "ascending"), ("parent_cell", "ascending")])
@@ -177,6 +179,63 @@ def _reference_rollup(table: pa.Table) -> pa.Table:
             .rename_columns(["zone_name", "parent_cell", "n_spans"]))
     assert want.num_rows > 0
     return want.sort_by([("zone_name", "ascending"), ("parent_cell", "ascending")])
+
+
+def _summed(partials: list[pa.Table]) -> pa.Table:
+    return (pa.concat_tables(partials).group_by(["zone_name", "parent_cell"])
+            .aggregate([("pcnt", "sum")]).rename_columns(["zone_name", "parent_cell", "n_spans"])
+            .sort_by([("zone_name", "ascending"), ("parent_cell", "ascending")]))
+
+
+def _no_hit_docs(docs: pa.Table) -> pa.Table:
+    """The rows of ``docs`` with media spans none of which falls in a zone."""
+    pts = flagship.explode_media_spans(docs)
+    hit = spatial.ZoneMatcher(qd.ZONE_BOXES, [qd.ZONE_CONVEX], keep_cols=("doc_id",))(pts)
+    miss = set(pts["doc_id"].to_pylist()) - set(hit["doc_id"].to_pylist())
+    return docs.filter(pc.is_in(docs["doc_id"], pa.array(sorted(miss), pa.string())))
+
+
+def test_zone_partial_matches_reference(monkeypatch):
+    """The kernel's partials, summed over blocks, equal the reference
+    rollup: edge docs, a null doc_id, synthetic docs, a block with media but
+    no zone hit (a typed empty partial) and an empty block; the cell kernel
+    sees the zone hits only."""
+    from geotrellis_contrib_ray.core import cells
+
+    synth = documents.docs_to_spans(documents.synth_flat_docs(np.arange(100, 700, dtype=np.int64)))
+    # a null doc_id's spans are geocoded from a garbage id (its NaN cast to
+    # int64); at these offsets that point falls in a zone, where it must
+    # still count nowhere
+    null_doc = pa.table({"doc_id": pa.array([None], pa.string()),
+                         "spans": pa.array([[_span("media", o) for o in (15, 71, 76)]],
+                                           pa.list_(SPAN))})
+    miss = _no_hit_docs(synth)
+    assert miss.num_rows and flagship.explode_media_spans(miss).num_rows
+    blocks = [pa.concat_tables([_edge_docs(), null_doc, synth.slice(0, 250)]), synth.slice(250),
+              miss, synth.slice(0, 0)]
+
+    seen = []
+    latlng_to_cell = cells.latlng_to_cell
+
+    def counting(lat, lng, res):
+        seen.append(len(lat))
+        return latlng_to_cell(lat, lng, res)
+
+    monkeypatch.setattr(cells, "latlng_to_cell", counting)
+    partials = [flagship.zone_partial(b) for b in blocks]
+    monkeypatch.undo()
+
+    assert all(p.schema.equals(flagship.PARTIAL_SCHEMA) for p in partials)
+    assert partials[2].num_rows == 0 and partials[3].num_rows == 0
+    assert flagship.zone_partial(null_doc).num_rows == 0
+    rows = pa.concat_tables(blocks)
+    valid = rows.filter(pc.is_valid(rows["doc_id"]))
+    assert _summed(partials).equals(_reference_rollup(valid))
+
+    matcher = spatial.ZoneMatcher(qd.ZONE_BOXES, [qd.ZONE_CONVEX], keep_cols=("doc_id",))
+    hits = [matcher(flagship.explode_media_spans(b.filter(pc.is_valid(b["doc_id"]))))
+            .num_rows for b in blocks]
+    assert seen == hits and sum(hits) < flagship.explode_media_spans(rows).num_rows
 
 
 def _rollup_of(ds) -> pa.Table:
@@ -233,7 +292,6 @@ def test_flagship_over_runs_other_inputs_as_given(ray_session, tmp_path, monkeyp
     reference rollup over the same rows: a filtered read, a map on a read
     (the flagship(sf_dir) shape), from_arrow, and a read whose datasource
     lost an attribute the pruning looks at."""
-    import pyarrow.compute as pc
     import ray.data as rd
 
     docs_dir = tmp_path / "docs"
