@@ -45,23 +45,35 @@ from .query_defs import CELL_RES, PARENT_RES, ZONE_BOXES, ZONE_CONVEX
 
 def _media_spans(batch: pa.Table) -> tuple[np.ndarray, ...]:
     """(parent row, offset, num_id, lon, lat) arrays, one entry per media
-    span of ``batch``.  Reads only ``doc_id``, ``spans.kind`` and
-    ``spans.offset``, on the columns as given (a sliced or many-chunk column
-    is not copied); no python per-row work."""
+    span of ``batch`` whose doc_id is not null (a null id has no number to
+    geocode).  Reads only ``doc_id``, ``spans.kind`` and ``spans.offset``,
+    on the columns as given (a sliced or many-chunk column is not copied);
+    no python per-row work."""
     spans = batch["spans"]
     values = pc.list_flatten(spans)
     # a null kind, or a null span, is not media
     is_media = pc.fill_null(pc.equal(pc.struct_field(values, "kind"), "media"), False)
     parent_m = pc.list_parent_indices(spans).filter(is_media).to_numpy(zero_copy_only=False)
     span_off = pc.struct_field(values, "offset").filter(is_media).to_numpy(zero_copy_only=False)
-    num_id = doc_numeric_id(batch["doc_id"])[parent_m]
+    doc_id = batch["doc_id"]
+    if doc_id.null_count:
+        valid = doc_id.is_valid().to_numpy(zero_copy_only=False)
+        keep = valid[parent_m]
+        parent_m, span_off = parent_m[keep], span_off[keep]
+        ids = np.zeros(len(valid), np.int64)
+        if valid.any():
+            ids[valid] = doc_numeric_id(doc_id.drop_null())
+    else:
+        ids = doc_numeric_id(doc_id)
+    num_id = ids[parent_m]
     lon, lat = geocode_ids(num_id, span_off.astype(np.int64))
     return parent_m, span_off, num_id, lon, lat
 
 
 def explode_media_spans(batch: pa.Table) -> pa.Table:
-    """Interleaved docs -> one row per media span: (doc_id, num_id, offset,
-    lon, lat).  Reads only ``doc_id``, ``spans.kind`` and ``spans.offset``."""
+    """Interleaved docs -> one row per media span: (doc_id, num_id int64,
+    offset, lon, lat); a doc with a null doc_id gives no row.  Reads only
+    ``doc_id``, ``spans.kind`` and ``spans.offset``."""
     parent_m, span_off, num_id, lon, lat = _media_spans(batch)
     return pa.table(
         {
@@ -89,12 +101,7 @@ def zone_partial(batch: pa.Table) -> pa.Table:
     ``add_cell`` -> ``ZoneMatcher`` -> count of doc_id, but no tile key, no
     ``doc_id`` gather, and cells for the hits only.  A block without a hit
     gives a zero-row ``PARTIAL_SCHEMA`` table."""
-    row, _, _, lon, lat = _media_spans(batch)
-    if batch["doc_id"].null_count:
-        # a null doc_id is cast to a garbage id and geocoded: drop its spans
-        # here, so every hit's doc_id is valid and counting rows counts them
-        ok = batch["doc_id"].is_valid().to_numpy(zero_copy_only=False)[row]
-        lon, lat = lon[ok], lat[ok]
+    _, _, _, lon, lat = _media_spans(batch)
     hits = spatial.add_cell(_ZONES(pa.table({"lon": lon, "lat": lat})), CELL_RES, PARENT_RES)
     g = hits.group_by(["zone_name", "parent_cell"], use_threads=False).aggregate(
         [([], "count_all")]

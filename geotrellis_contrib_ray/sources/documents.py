@@ -251,7 +251,12 @@ def verify_span_signature(batch: pa.Table) -> pa.Table:
 
 def doc_numeric_id(doc_id_col) -> np.ndarray:
     """'doc-123' or '123' -> int64 ids, vectorized; an Array or a
-    ChunkedArray as given (no combine copy)."""
+    ChunkedArray as given (no combine copy).  A null id has no number: a
+    column holding one raises ``ValueError``, so the result is always
+    int64 (callers drop null ids first, as ``flagship._media_spans``
+    does)."""
+    if doc_id_col.null_count:
+        raise ValueError(f"doc_numeric_id: {doc_id_col.null_count} null doc_id(s)")
     stripped = pc.replace_substring(doc_id_col, "doc-", "")
     return pc.cast(stripped, pa.int64()).to_numpy(zero_copy_only=False)
 

@@ -22,7 +22,8 @@ route copies rows (``_fans_out``), else it is
 ``agg._default_shuffle_partitions()``.  One sort-shuffle pass, no actor
 pools; no shuffle at all for ONE side when that count is one block (one
 CPU, a leaf under ``target_max_block_size``): its rows are then routed in
-one narrow task and the kernel runs once on all of them.  Key-hash joins
+one narrow task and the kernel runs once on all of them, in a plain Ray
+task when the leaf holds its blocks (``_leaf_map``).  Key-hash joins
 use B = ``default_join_partitions()`` buckets, ~8x cluster CPUs (measured
 sweet spot, see there); the optional per-key salt is the skew knob
 (``skew_aware_join``).  Ray's native ``Dataset.join`` is not
@@ -96,6 +97,59 @@ def _plan_leaf(ds) -> tuple[int | None, int | None]:
     except AttributeError:  # a Ray plan-API change loses the sizes, not the query
         return None, None
     return meta.num_rows, meta.size_bytes if leaf is op else None
+
+
+def _leaf_call(fn, batcher, *blocks: pa.Table) -> pa.Table:
+    """``fn`` over ``blocks`` as ``map_batches`` hands them over: one block
+    as it is (``batcher`` None), or the one batch that Ray's ``Batcher``
+    class, given as ``batcher``, builds of them all."""
+    if batcher is None:
+        return fn(blocks[0])
+    b = batcher(sum(len(t) for t in blocks))
+    for t in blocks:
+        b.add(t)
+    b.done_adding()
+    return fn(b.next_batch())
+
+
+def _leaf_map(ds, fn, whole: bool = False):
+    """``fn`` (a pyarrow table -> table function) over the blocks of ``ds``
+    as plain Ray tasks, when the plan of ``ds`` IS a leaf that holds its
+    blocks (a materialized Dataset, ``from_arrow``): one task per non-empty
+    block, or with ``whole`` one task over the batch of all of them.  The
+    result is ``from_arrow_refs`` of the outputs, in block order; no
+    streaming-executor run starts (one CPU of a 4-core host, a 1000-row
+    leaf: ~36 ms for ``map_batches(...).materialize()``, ~9 ms for the task
+    and ``from_arrow_refs``).  It gives what ``map_batches(fn,
+    batch_format="pyarrow", zero_copy_batch=True)`` gives, with
+    ``batch_size=None`` or (``whole``) the leaf's row count: zero-row blocks
+    are skipped, as Ray's batcher skips them, and a kernel's exception
+    surfaces with its own type.  None when ``ds`` is anything else (a read,
+    a map over a leaf), when a block's row count is unknown, or on a Ray
+    plan-API change: the caller then runs its ``map_batches``."""
+    try:
+        from ray.data._internal.batcher import Batcher
+        from ray.data._internal.logical.interfaces import SourceOperator
+        from ray.data._internal.remote_fn import cached_remote_fn
+
+        op = ds._logical_plan.dag
+        bundles = op.output_data() if isinstance(op, SourceOperator) else None
+        if bundles is None:
+            return None
+        blocks = [(ref, meta.num_rows) for bundle in bundles for ref, meta in bundle.blocks]
+    except (AttributeError, ImportError):  # a Ray plan-API change keeps the map_batches path
+        return None
+    if any(rows is None for _, rows in blocks):
+        return None
+    import ray.data as rd
+
+    task = cached_remote_fn(_leaf_call)
+    refs = [ref for ref, rows in blocks if rows]
+    if whole:
+        out = [task.remote(fn, Batcher, *refs)] if refs else []
+    else:
+        out = [task.remote(fn, None, ref) for ref in refs]
+    return rd.from_arrow_refs(out)
 
 
 def _shuffled_blocks(ds) -> int | None:
@@ -262,16 +316,20 @@ def _co_partition(sides, per_group, schemas=None):
 
     With ONE side, when that count is one block (one CPU, a leaf under
     ``target_max_block_size``) and the leaf reports its rows, a sort into
-    one block moves no data: the whole step is one narrow task instead, a
-    ``map_batches`` over the leaf whose ``batch_size`` is the leaf's row
-    count, so Ray bundles every input block into one batch; the task routes
-    it and calls ``per_group`` once on every routed row, all buckets at
-    once, with no sort and no copy of the rows into bucket order.  That
-    holds for a route that sends each row once; a fan-out route
-    (``_fans_out``) never gets here, as ``_shuffle_blocks`` keeps its
-    default.  Routing inside the task, after the batch is formed, keeps the
-    batch independent of how many rows the route emits.  Several sides
-    always shuffle."""
+    one block moves no data: the whole step is one narrow task instead, over
+    one batch of every block of the leaf; the task routes it and calls
+    ``per_group`` once on every routed row, all buckets at once, with no
+    sort and no copy of the rows into bucket order.  Over a leaf that holds
+    its blocks (a materialized Dataset, ``from_arrow``) that task is a
+    plain Ray task (``_leaf_map``, whole), and the result a ``from_arrow``
+    leaf again, so a chain of such steps (a pyramid's levels) never starts
+    the streaming executor; over a bare read it is a ``map_batches`` whose
+    ``batch_size`` is the leaf's row count, so Ray bundles every input
+    block into one batch.  That holds for a route that sends each row once;
+    a fan-out route (``_fans_out``) never gets here, as ``_shuffle_blocks``
+    keeps its default.  Routing inside the task, after the batch is formed,
+    keeps the batch independent of how many rows the route emits.  Several
+    sides always shuffle."""
     from ..util import strip_schema_metadata
 
     n_sides = len(sides)
@@ -327,12 +385,15 @@ def _co_partition(sides, per_group, schemas=None):
         # runs the kernel once over all of its buckets
         route = tag(0, sides[0][1])
 
-        def one_task(batch: pa.Table):
+        def one_task(batch: pa.Table) -> pa.Table:
             t = route(batch)
-            if len(t):
-                yield group(t)
+            # no routed rows: the empty block of a map task that yields none
+            return group(t) if len(t) else pa.table({})
 
         one_task.__name__ = group.__name__
+        out = _leaf_map(sides[0][0], one_task, whole=True)
+        if out is not None:
+            return out
         return sides[0][0].map_batches(one_task, batch_format="pyarrow", zero_copy_batch=True,
                                        batch_size=max(1, rows))
     routed = [ds.map_batches(tag(i, route), batch_format="pyarrow",

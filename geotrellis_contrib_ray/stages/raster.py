@@ -12,6 +12,13 @@ single-threaded owner of its handles (designs away tiff.synchronized,
 GeoTiffRasterSource.scala:84,92).
 The wide ops shuffle on (tile_col, tile_row); merge order inside a group is
 made deterministic by carrying src_id (J2 determinism, SURVEY.md hard part b).
+
+Work over a layer that is already materialized (``joins._leaf_map``) runs
+as plain Ray tasks, not as a streaming-executor run: ``summarize_tiles``
+(one task a block) and, where the co-partition needs no shuffle (one CPU, a
+layer within one block), the mosaic and pyramid steps (one task).  Their
+results are ``from_arrow`` leaves, so a pyramid's next level takes the same
+path.  ``tile_dataset`` stays lazy: a large read still streams.
 """
 
 from __future__ import annotations
@@ -470,8 +477,11 @@ def summarize_tiles(tiles_ds, nodata_aware: bool = True, include_dims: bool = Tr
     materialized result.  Ray cannot type a ``map_batches`` output, so a
     lazy summary would run again under ``limit(1)`` on every
     ``to_arrow_refs()`` or ``schema()`` to learn its schema; the
-    materialized one knows it, and its ``stats()`` still list the
-    ``summarize`` operator."""
+    materialized one knows it.  Over a leaf that holds its blocks (a
+    materialized tile layer, ``from_arrow``) each block is summarized in a
+    plain Ray task (``joins._leaf_map``), with no streaming-executor run, so
+    the result's ``stats()`` hold no ``summarize`` operator; over a lazy
+    input it is a ``map_batches`` whose ``stats()`` list it."""
 
     def summarize(b: pa.Table) -> pa.Table:
         sums, valids = [], []
@@ -504,8 +514,13 @@ def summarize_tiles(tiles_ds, nodata_aware: bool = True, include_dims: bool = Tr
         cols["n_valid"] = pa.array(valids, pa.int64())
         return pa.table(cols)
 
-    return tiles_ds.map_batches(summarize, batch_format="pyarrow", zero_copy_batch=True,
-                                batch_size=None).materialize()
+    from .joins import _leaf_map
+
+    out = _leaf_map(tiles_ds, summarize)
+    if out is None:
+        out = tiles_ds.map_batches(summarize, batch_format="pyarrow", zero_copy_batch=True,
+                                   batch_size=None).materialize()
+    return out
 
 
 _FOCAL_SCHEMA = pa.schema(

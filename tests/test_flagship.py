@@ -88,6 +88,25 @@ def test_explode_media_spans_empty_and_all_null():
     assert flagship.explode_media_spans(nulls).num_rows == 0
 
 
+def test_null_doc_ids_drop_their_spans_before_the_id_parse():
+    """Two null doc_ids in a batch: ``explode_media_spans`` gives no row for
+    them and an int64 ``num_id`` for the rest (the rows of the valid docs),
+    ``zone_partial`` counts the valid docs' spans only, and
+    ``doc_numeric_id`` refuses a column with a null."""
+    base = _edge_docs()
+    ids = base["doc_id"].to_pylist()
+    ids[0] = ids[4] = None  # both docs hold media spans
+    t = base.set_column(0, "doc_id", pa.array(ids, pa.string()))
+    valid = t.filter(pc.is_valid(t["doc_id"]))
+    got = flagship.explode_media_spans(t)
+    assert got.schema.field("num_id").type == pa.int64()
+    assert _rows(got) == _explode_loop(valid) and got["doc_id"].null_count == 0
+    assert flagship.explode_media_spans(t.slice(0, 1)).schema.field("num_id").type == pa.int64()
+    assert flagship.zone_partial(t).equals(flagship.zone_partial(valid))
+    with pytest.raises(ValueError, match="2 null doc_id"):
+        documents.doc_numeric_id(t["doc_id"])
+
+
 def test_explode_media_spans_skips_a_null_span_over_media_fields():
     """A null span is not media even when its struct children (kept by
     Arrow under the null) say kind == "media"."""

@@ -630,15 +630,19 @@ def _new_ops(ds, leaves) -> list[tuple[str, int | None]]:
     return out
 
 
-def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
+def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch, tmp_path):
     """At one CPU a one-sided co-partition over a plan leaf that fits one
-    block runs as one narrow task, with no Repartition or Sort, its kernel
-    called once on all buckets: the pyramid's two levels, mosaic_merge, a
-    windows op, stats.top_k_per_group, agg.salted_group_reduce,
-    graph.star_edges and an empty leaf all equal the shuffle path at 4
-    CPUs.  Two-sided joins still shuffle at one CPU: a bucketed_hash_join
-    of two from_arrow leaves (equal to its 4-CPU result), a range join (a
-    copying route) and a side behind a map."""
+    block runs as one plain task (``joins._leaf_map``, whole), with no
+    Repartition or Sort, its kernel called once on all buckets: the
+    pyramid's two levels, mosaic_merge, a windows op, stats.top_k_per_group,
+    agg.salted_group_reduce, graph.star_edges and an empty leaf (no call)
+    all equal the shuffle path at 4 CPUs.  A spy on the tier counts the
+    kernel's calls in marker files and keeps the plan the tier returned.
+    Two-sided joins still shuffle at one CPU: a bucketed_hash_join of two
+    from_arrow leaves (equal to its 4-CPU result), a range join (a copying
+    route) and a side behind a map."""
+    import uuid
+
     import ray.data as rd
 
     from geotrellis_contrib_ray import util
@@ -667,6 +671,25 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
     keyed = rd.from_arrow(pa.table({"doc_id": np.arange(400),
                                     "key_hash": rng.integers(0, 70, 400)})).materialize()
 
+    tiers = []  # (kernel label, marker dir, plan the tier returned) of each one-task run
+    leaf_map = joins._leaf_map
+
+    def spy(ds, fn, whole=False):
+        if not whole:
+            return leaf_map(ds, fn)
+        marks = tmp_path / str(len(tiers))
+        marks.mkdir()
+
+        def counted(batch):
+            (marks / uuid.uuid4().hex).touch()
+            return fn(batch)
+
+        out = leaf_map(ds, counted, whole=True)
+        tiers.append((fn.__name__, marks, out._logical_plan.dag))
+        return out
+
+    monkeypatch.setattr(joins, "_leaf_map", spy)
+
     def checksums(ds):
         df = rst.summarize_tiles(ds).to_pandas()
         return df.sort_values(["tile_col", "tile_row"]).reset_index(drop=True)
@@ -676,7 +699,7 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
         return df.sort_values(sorted(df.columns)).reset_index(drop=True)
 
     def run():
-        """(result frame, executed Dataset, its leaves, kernel label) of each op."""
+        """(result frame, executed Dataset, its leaves) of each op."""
         lvl1 = rst.pyramid_build(mat, 1, layout)[1].materialize()
         lvl2 = rst.pyramid_build(lvl1, 1, next_layout)[1].materialize()
         mosaic = rst.mosaic_merge(mat, layout).materialize()
@@ -686,29 +709,35 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
                                                     (None, "count", "n")]).materialize()
         star = star_edges(keyed).materialize()
         none = sessionize(empty).materialize()
-        return [(checksums(lvl1), lvl1, [mat], "make_parents"),
-                (checksums(lvl2), lvl2, [lvl1], "make_parents"),
-                (checksums(mosaic), mosaic, [mat], "merge_bucket"),
-                (rows(sess), sess, [events], "per_bucket"),
-                (rows(top), top, [scores], "merge_bucket"),
-                (rows(total), total, [scores], "reduce_bucket"),
-                (rows(star), star, [keyed], "emit"),
-                (rows(none), none, [empty], "per_bucket")]
+        return [(checksums(lvl1), lvl1, [mat]),
+                (checksums(lvl2), lvl2, [lvl1]),
+                (checksums(mosaic), mosaic, [mat]),
+                (rows(sess), sess, [events]),
+                (rows(top), top, [scores]),
+                (rows(total), total, [scores]),
+                (rows(star), star, [keyed]),
+                (rows(none), none, [empty])]
 
     monkeypatch.setattr(util, "cluster_cpus", lambda default=4: 4)
     shuffled = run()
     joined = rows(bucketed_hash_join(left, right, "k"))
-    for _, ds, leaves, _ in shuffled[:-1]:
+    for _, ds, leaves in shuffled[:-1]:
         assert "Sort" in [name for name, _ in _new_ops(ds, leaves)]
+    assert tiers == []
     monkeypatch.setattr(util, "cluster_cpus", lambda default=4: 1)
     narrow = run()
     assert [len(x[0]) for x in narrow[:3]] == [9, 4, 36]
     assert [len(x[0]) for x in narrow[5:7]] == [40, 400 - 70]
-    for (want, *_), (got, ds, leaves, kernel) in zip(shuffled, narrow):
+    for (want, *_), (got, *_) in zip(shuffled, narrow):
         assert got.equals(want)
-        ops = _new_ops(ds, leaves)
-        assert not any(w in name for name, _ in ops for w in ("Sort", "Repartition")), ops
-        assert [t for name, t in ops if name.endswith(f"MapBatches({kernel})")] == [1], ops
+    # each op ran as one plain task, returned as a FromArrow leaf: no
+    # Repartition or Sort ran; the kernel was called once (never on no rows)
+    assert [label for label, *_ in tiers] == ["make_parents", "make_parents", "merge_bucket",
+                                              "per_bucket", "merge_bucket", "reduce_bucket",
+                                              "emit", "per_bucket"]
+    assert [len(list(marks.iterdir())) for _, marks, _ in tiers] == [1] * 7 + [0]
+    assert all(type(dag).__name__ == "FromArrow" and not dag.input_dependencies
+               for *_, dag in tiers)
     # one kernel call over all 16 buckets, not one call per bucket
     calls = joins._co_partition([(scores, _hash_route(["g"], ["g"], 16))],
                                 lambda t: pa.table({"n": [len(t)]}))
@@ -726,6 +755,104 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch):
         assert "Sort" in [name for name, _ in _new_ops(ds, leaves)]
     assert rows(hj).equals(joined)
     assert rows(mapped).equals(joined)
+
+
+def _blocks(ds) -> list[pa.Table]:
+    """The blocks of ``ds`` that hold columns (a map task over an empty
+    block leaves a schema-less one)."""
+    import ray
+
+    return [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+
+
+def test_leaf_map_matches_map_batches(ray_session):
+    """``joins._leaf_map`` over a materialized and a ``from_arrow`` leaf
+    gives the blocks ``map_batches`` gives, in order and byte for byte, per
+    block and (``whole``) as one batch of the leaf's rows.  Zero-row blocks,
+    schema-less or typed, reach no task; an all-empty leaf gives what the
+    map gives; a kernel's exception keeps its type; a map over a leaf is
+    not a leaf."""
+    import ray.data as rd
+
+    from geotrellis_contrib_ray.stages import joins
+
+    rng = np.random.default_rng(8)
+    parts = [pa.table({"k": rng.integers(0, 50, n), "v": rng.uniform(0, 1, n)})
+             for n in (70, 0, 45, 0, 30)]
+    parts[1] = pa.table({})  # a schema-less empty block, as a mosaic's output holds
+
+    def kernel(b: pa.Table) -> pa.Table:
+        if not len(b):
+            raise AssertionError("a zero-row batch reached the kernel")
+        return b.sort_by("k").append_column("n", pa.array(np.full(len(b), len(b))))
+
+    for leaf in (rd.from_arrow(parts), rd.from_arrow(parts).materialize()):
+        for whole, batch_size in ((False, None), (True, 145)):
+            got = joins._leaf_map(leaf, kernel, whole=whole)
+            want = leaf.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True,
+                                    batch_size=batch_size)
+            assert type(got._logical_plan.dag).__name__ == "FromArrow"
+            got, want = _blocks(got), _blocks(want)
+            assert len(got) == (1 if whole else 3) and len(got) == len(want)
+            assert all(g.equals(w, check_metadata=True) for g, w in zip(got, want))
+            assert [t["n"][0].as_py() for t in got] == ([145] if whole else [70, 45, 30])
+
+    empty = rd.from_arrow([pa.table({}), pa.table({"k": pa.array([], pa.int64())})])
+    for whole, batch_size in ((False, None), (True, 1)):
+        got = joins._leaf_map(empty, kernel, whole=whole)
+        want = empty.map_batches(kernel, batch_format="pyarrow", batch_size=batch_size)
+        assert got.count() == want.count() == 0
+        assert got.schema() == want.schema()
+        assert got.to_pandas().equals(want.to_pandas())
+
+    def broken(b: pa.Table) -> pa.Table:
+        raise LookupError("kernel failed")
+
+    with pytest.raises(LookupError, match="kernel failed"):
+        joins._leaf_map(rd.from_arrow(parts[:1]), broken, whole=True)
+
+    mapped = rd.from_arrow(parts).map_batches(lambda b: b, batch_format="pyarrow")
+    assert joins._leaf_map(mapped, kernel) is None
+
+
+def test_one_task_tier_over_a_read_or_a_map_runs_map_batches(ray_session, tmp_path,
+                                                             monkeypatch):
+    """At one CPU the one-task co-partition over a bare parquet read (a plan
+    leaf that reports its size but holds no blocks) still runs as a
+    ``map_batches`` whose stats list the kernel; over a from_arrow leaf of
+    the same rows it is the plain-task tier.  Both answers are equal.  A map
+    over a leaf shuffles as before."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from geotrellis_contrib_ray import util
+    from geotrellis_contrib_ray.stages import joins
+    from geotrellis_contrib_ray.stages.agg import _hash_route
+
+    monkeypatch.setattr(util, "cluster_cpus", lambda default=4: 1)
+    rng = np.random.default_rng(9)
+    t = pa.table({"g": rng.integers(0, 30, 400), "v": rng.integers(0, 9, 400)})
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(t, path)
+
+    def per_bucket(g: pa.Table) -> pa.Table:
+        return g.group_by("g").aggregate([("v", "sum")])
+
+    def run(ds):
+        return joins._co_partition([(ds, _hash_route(["g", "v"], ["g"], 16))], per_bucket)
+
+    read = run(rd.read_parquet(path)).materialize()
+    assert any(name.endswith("MapBatches(per_bucket)") for name, _ in _new_ops(read, []))
+    leaf = run(rd.from_arrow(t))
+    assert type(leaf._logical_plan.dag).__name__ == "FromArrow"
+    mapped = run(rd.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow")).materialize()
+    assert "Sort" in [name for name, _ in _new_ops(mapped, [])]
+
+    def rows(ds):
+        return ds.to_pandas().sort_values("g").reset_index(drop=True)
+
+    assert rows(read).equals(rows(leaf)) and rows(mapped).equals(rows(leaf))
+    assert len(rows(leaf)) == len(t["g"].unique())
 
 
 def test_keyed_step_over_a_keyed_reduce_is_not_narrowed_again(ray_session):

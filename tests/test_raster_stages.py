@@ -9,7 +9,7 @@ from geotrellis_contrib_ray.sources.raster_source import (
     InMemoryRasterSource,
     SyntheticRasterSource,
 )
-from geotrellis_contrib_ray.stages import raster as rst
+from geotrellis_contrib_ray.stages import joins, raster as rst
 
 EXT = Extent(630000.0, 215000.0, 645000.0, 228500.0)
 GRID = GridExtent(EXT, 10.0, 10.0, 1500, 1350)
@@ -553,7 +553,10 @@ def test_summarize_tiles_runs_once(ray_session, tmp_path):
     to_arrow_refs(), schema() and to_pandas() read the result without a
     second run (a lazy map_batches output would run again under limit(1)
     to learn its schema).  A pass-through UDF in front of the kernel counts
-    in marker files how often the plan runs over each block."""
+    in marker files how often the plan runs over each block; over that lazy
+    input the stats list the summarize operator.  Over the materialized
+    layer each block is summarized in a plain task (a FromArrow result),
+    equal to the same kernel as a plain ``map_batches``."""
     import uuid
 
     import pyarrow as pa
@@ -597,14 +600,17 @@ def test_summarize_tiles_runs_once(ray_session, tmp_path):
     n_valid = {}
     for nodata_aware in (True, False):
         for include_dims in (True, False):
-            got = rows(rst.summarize_tiles(tiles, nodata_aware=nodata_aware,
-                                           include_dims=include_dims).to_pandas())
-            # the same map, left lazy
+            out = rst.summarize_tiles(tiles, nodata_aware=nodata_aware, include_dims=include_dims)
+            # a materialized layer is summarized in plain tasks (joins._leaf_map)
+            assert type(out._logical_plan.dag).__name__ == "FromArrow"
+            got = rows(out.to_pandas())
+            # the same kernel as a plain map_batches, left lazy
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(joins, "_leaf_map", lambda ds, fn, whole=False: None)
                 mp.setattr(rd.Dataset, "materialize", lambda self: self)
                 lazy = rst.summarize_tiles(tiles, nodata_aware=nodata_aware,
                                            include_dims=include_dims)
-            assert type(lazy) is rd.Dataset
+            assert type(lazy._logical_plan.dag).__name__ == "MapBatches"
             assert got.equals(rows(lazy.to_pandas()))
             assert ("cols" in got) == include_dims
             n_valid[nodata_aware] = got["n_valid"].sum()
