@@ -57,15 +57,10 @@ def _media_spans(batch: pa.Table) -> tuple[np.ndarray, ...]:
     span_off = pc.struct_field(values, "offset").filter(is_media).to_numpy(zero_copy_only=False)
     doc_id = batch["doc_id"]
     if doc_id.null_count:
-        valid = doc_id.is_valid().to_numpy(zero_copy_only=False)
-        keep = valid[parent_m]
+        keep = doc_id.is_valid().to_numpy(zero_copy_only=False)[parent_m]
         parent_m, span_off = parent_m[keep], span_off[keep]
-        ids = np.zeros(len(valid), np.int64)
-        if valid.any():
-            ids[valid] = doc_numeric_id(doc_id.drop_null())
-    else:
-        ids = doc_numeric_id(doc_id)
-    num_id = ids[parent_m]
+        doc_id = pc.fill_null(doc_id, "0")  # no span of a null id is left to read it
+    num_id = doc_numeric_id(doc_id)[parent_m]
     lon, lat = geocode_ids(num_id, span_off.astype(np.int64))
     return parent_m, span_off, num_id, lon, lat
 

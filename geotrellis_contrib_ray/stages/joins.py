@@ -99,24 +99,30 @@ def _plan_leaf(ds) -> tuple[int | None, int | None]:
     return meta.num_rows, meta.size_bytes if leaf is op else None
 
 
-def _leaf_call(fn, batcher, *blocks: pa.Table) -> pa.Table:
-    """``fn`` over ``blocks`` as ``map_batches`` hands them over: one block
-    as it is (``batcher`` None), or the one batch that Ray's ``Batcher``
-    class, given as ``batcher``, builds of them all."""
-    if batcher is None:
-        return fn(blocks[0])
-    b = batcher(sum(len(t) for t in blocks))
-    for t in blocks:
-        b.add(t)
-    b.done_adding()
-    return fn(b.next_batch())
+def _leaf_call(fn, whole: bool, *blocks) -> pa.Table:
+    """``fn`` over ``blocks`` as ``map_batches(batch_format="pyarrow")``
+    hands them over: one block, or (``whole``) the one batch that Ray's
+    ``Batcher`` builds of them all, as a pyarrow table (a pandas block, of
+    ``from_pandas`` or of a map that returned pandas, is converted)."""
+    from ray.data._internal.batcher import Batcher
+    from ray.data.block import BlockAccessor
+
+    batch = blocks[0]
+    if whole:
+        b = Batcher(sum(len(t) for t in blocks))
+        for t in blocks:
+            b.add(t)
+        b.done_adding()
+        batch = b.next_batch()
+    return fn(BlockAccessor.for_block(batch).to_batch_format("pyarrow"))
 
 
 def _leaf_map(ds, fn, whole: bool = False):
     """``fn`` (a pyarrow table -> table function) over the blocks of ``ds``
     as plain Ray tasks, when the plan of ``ds`` IS a leaf that holds its
-    blocks (a materialized Dataset, ``from_arrow``): one task per non-empty
-    block, or with ``whole`` one task over the batch of all of them.  The
+    blocks (a materialized Dataset, ``from_arrow``, ``from_pandas``): one
+    task per non-empty block, or with ``whole`` one task over the batch of
+    all of them, handed to ``fn`` as a pyarrow table (``_leaf_call``).  The
     result is ``from_arrow_refs`` of the outputs, in block order; no
     streaming-executor run starts (one CPU of a 4-core host, a 1000-row
     leaf: ~36 ms for ``map_batches(...).materialize()``, ~9 ms for the task
@@ -128,7 +134,6 @@ def _leaf_map(ds, fn, whole: bool = False):
     a map over a leaf), when a block's row count is unknown, or on a Ray
     plan-API change: the caller then runs its ``map_batches``."""
     try:
-        from ray.data._internal.batcher import Batcher
         from ray.data._internal.logical.interfaces import SourceOperator
         from ray.data._internal.remote_fn import cached_remote_fn
 
@@ -146,9 +151,9 @@ def _leaf_map(ds, fn, whole: bool = False):
     task = cached_remote_fn(_leaf_call)
     refs = [ref for ref, rows in blocks if rows]
     if whole:
-        out = [task.remote(fn, Batcher, *refs)] if refs else []
+        out = [task.remote(fn, True, *refs)] if refs else []
     else:
-        out = [task.remote(fn, None, ref) for ref in refs]
+        out = [task.remote(fn, False, ref) for ref in refs]
     return rd.from_arrow_refs(out)
 
 

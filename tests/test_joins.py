@@ -758,20 +758,23 @@ def test_one_block_co_partition_runs_in_one_task(tile_layer, monkeypatch, tmp_pa
 
 
 def _blocks(ds) -> list[pa.Table]:
-    """The blocks of ``ds`` that hold columns (a map task over an empty
-    block leaves a schema-less one)."""
+    """The blocks of ``ds`` that hold rows (a map task over an empty block
+    leaves a schema-less one, or passes an empty pandas block through)."""
     import ray
 
-    return [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+    return [t for t in ray.get(ds.to_arrow_refs()) if len(t)]
 
 
 def test_leaf_map_matches_map_batches(ray_session):
-    """``joins._leaf_map`` over a materialized and a ``from_arrow`` leaf
-    gives the blocks ``map_batches`` gives, in order and byte for byte, per
-    block and (``whole``) as one batch of the leaf's rows.  Zero-row blocks,
-    schema-less or typed, reach no task; an all-empty leaf gives what the
-    map gives; a kernel's exception keeps its type; a map over a leaf is
-    not a leaf."""
+    """``joins._leaf_map`` over a materialized, a ``from_arrow`` and two
+    pandas-block leaves (``from_pandas``, a materialized map that returned
+    pandas) gives the blocks ``map_batches`` gives, in order and byte for
+    byte, per block and (``whole``) as one batch of the leaf's rows; the
+    kernel always gets a pyarrow table.  Zero-row blocks, schema-less or
+    typed, reach no task; an all-empty leaf gives what the map gives; a
+    kernel's exception keeps its type; a map over a leaf is not a leaf."""
+    import pandas as pd
+    import ray
     import ray.data as rd
 
     from geotrellis_contrib_ray.stages import joins
@@ -784,9 +787,17 @@ def test_leaf_map_matches_map_batches(ray_session):
     def kernel(b: pa.Table) -> pa.Table:
         if not len(b):
             raise AssertionError("a zero-row batch reached the kernel")
+        assert isinstance(b, pa.Table), type(b)
         return b.sort_by("k").append_column("n", pa.array(np.full(len(b), len(b))))
 
-    for leaf in (rd.from_arrow(parts), rd.from_arrow(parts).materialize()):
+    from_pandas = rd.from_pandas([t.to_pandas() for t in parts])
+    to_pandas = rd.from_arrow(parts).map_batches(lambda b: b.to_pandas(),
+                                                 batch_format="pyarrow").materialize()
+    for leaf in (from_pandas, to_pandas):
+        refs = [ref for bundle in leaf._logical_plan.dag.output_data() for ref, _ in bundle.blocks]
+        assert all(isinstance(b, pd.DataFrame) for b in ray.get(refs) if len(b))
+    for leaf in (rd.from_arrow(parts), rd.from_arrow(parts).materialize(), from_pandas,
+                 to_pandas):
         for whole, batch_size in ((False, None), (True, 145)):
             got = joins._leaf_map(leaf, kernel, whole=whole)
             want = leaf.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True,
@@ -797,13 +808,14 @@ def test_leaf_map_matches_map_batches(ray_session):
             assert all(g.equals(w, check_metadata=True) for g, w in zip(got, want))
             assert [t["n"][0].as_py() for t in got] == ([145] if whole else [70, 45, 30])
 
-    empty = rd.from_arrow([pa.table({}), pa.table({"k": pa.array([], pa.int64())})])
-    for whole, batch_size in ((False, None), (True, 1)):
-        got = joins._leaf_map(empty, kernel, whole=whole)
-        want = empty.map_batches(kernel, batch_format="pyarrow", batch_size=batch_size)
-        assert got.count() == want.count() == 0
-        assert got.schema() == want.schema()
-        assert got.to_pandas().equals(want.to_pandas())
+    for empty in (rd.from_arrow([pa.table({}), pa.table({"k": pa.array([], pa.int64())})]),
+                  rd.from_pandas(pd.DataFrame({"k": pd.Series([], dtype="int64")}))):
+        for whole, batch_size in ((False, None), (True, 1)):
+            got = joins._leaf_map(empty, kernel, whole=whole)
+            want = empty.map_batches(kernel, batch_format="pyarrow", batch_size=batch_size)
+            assert got.count() == want.count() == 0
+            assert got.schema() == want.schema()
+            assert got.to_pandas().equals(want.to_pandas())
 
     def broken(b: pa.Table) -> pa.Table:
         raise LookupError("kernel failed")
@@ -820,14 +832,17 @@ def test_one_task_tier_over_a_read_or_a_map_runs_map_batches(ray_session, tmp_pa
     """At one CPU the one-task co-partition over a bare parquet read (a plan
     leaf that reports its size but holds no blocks) still runs as a
     ``map_batches`` whose stats list the kernel; over a from_arrow leaf of
-    the same rows it is the plain-task tier.  Both answers are equal.  A map
-    over a leaf shuffles as before."""
+    the same rows it is the plain-task tier, and so over a leaf of pandas
+    blocks (``from_pandas``, a materialized map that returned pandas).  All
+    answers are equal, and so are ``top_k_per_group``'s over those leaves.
+    A map over a leaf shuffles as before."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
     from geotrellis_contrib_ray import util
     from geotrellis_contrib_ray.stages import joins
     from geotrellis_contrib_ray.stages.agg import _hash_route
+    from geotrellis_contrib_ray.stages.stats import top_k_per_group
 
     monkeypatch.setattr(util, "cluster_cpus", lambda default=4: 1)
     rng = np.random.default_rng(9)
@@ -853,6 +868,27 @@ def test_one_task_tier_over_a_read_or_a_map_runs_map_batches(ray_session, tmp_pa
 
     assert rows(read).equals(rows(leaf)) and rows(mapped).equals(rows(leaf))
     assert len(rows(leaf)) == len(t["g"].unique())
+
+    pandas_leaves = [rd.from_pandas(t.to_pandas()),
+                     rd.from_arrow(t).map_batches(lambda b: b.to_pandas(),
+                                                  batch_format="pyarrow").materialize()]
+    for ds in pandas_leaves:
+        out = run(ds)
+        assert type(out._logical_plan.dag).__name__ == "FromArrow"
+        assert rows(out).equals(rows(leaf))
+
+    ids = t.append_column("id", pa.array(np.arange(len(t))))
+
+    def top(ds):
+        df = top_k_per_group(ds, "g", "v", 3, "id", rank_col="rk").to_pandas()
+        return df.sort_values(["g", "rk"]).reset_index(drop=True)
+
+    want = top(rd.from_arrow(ids))
+    assert len(want) == 3 * len(t["g"].unique())
+    for ds in (rd.from_pandas(ids.to_pandas()),
+               rd.from_arrow(ids).map_batches(lambda b: b.to_pandas(),
+                                              batch_format="pyarrow").materialize()):
+        assert top(ds).equals(want)
 
 
 def test_keyed_step_over_a_keyed_reduce_is_not_narrowed_again(ray_session):
